@@ -31,6 +31,11 @@ def _tape_stack() -> list:
     return stack
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """True when no entry is NaN or infinite."""
+    return np.isfinite(x).all()
+
+
 def active_tape() -> "Tape | None":
     stack = _tape_stack()
     return stack[-1] if stack else None
@@ -43,7 +48,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise NonFiniteValueError(f"tensor {name or ''} initialized with non-finite data")
         self.data = arr
         self.requires_grad = requires_grad
@@ -61,29 +66,9 @@ class Tensor:
         tag = f" name={self.name}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
 
-    # Sugar used throughout the model code.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return add(self, mul(_as_tensor(other), constant(-1.0)))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, constant(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
 
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 @dataclass
@@ -165,13 +150,9 @@ class Tape:
                     result[p] = np.zeros_like(p.data)
                     disconnected.append(p)
         for t, g in result.items():
-            if not np.all(np.isfinite(g)):
+            if not _all_finite(g):
                 raise NonFiniteGradientError(f"non-finite gradient for {t.name or t.shape}")
         return GradientMap(result, disconnected)
-
-
-def backward(tape: Tape, loss: Tensor, params: Iterable[Tensor] | None = None) -> GradientMap:
-    return tape.backward(loss, params)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +161,7 @@ def backward(tape: Tape, loss: Tensor, params: Iterable[Tensor] | None = None) -
 # ---------------------------------------------------------------------------
 
 def _record(kind: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, grad_fn) -> Tensor:
-    if not np.all(np.isfinite(out_data)):
+    if not _all_finite(out_data):
         raise NonFiniteValueError(f"non-finite output of {kind}")
     out = Tensor.__new__(Tensor)
     out.data = out_data
@@ -358,7 +339,9 @@ def sum(x: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - numpy-sty
 
 
 def lookup(table: Tensor, indices) -> Tensor:
-    """Row lookup in a 2-D table: an int gives a vector, a sequence a matrix."""
+    """Row lookup in a 2-D table: an int gives one row; a sequence or a 2-D
+    index array gives one row per index, shaped like the indices plus a
+    trailing row axis."""
     if table.data.ndim != 2:
         raise ShapeMismatchError("lookup table must be 2-D")
     single = isinstance(indices, (int, np.integer))
@@ -446,15 +429,6 @@ PRIMITIVES: dict[str, Callable] = {
     "minimum": minimum,
     "maximum": maximum,
 }
-
-
-def apply_primitive(kind: str, *args, **kwargs) -> Tensor:
-    """Dispatch a primitive by name; the op set the model is built from."""
-    try:
-        fn = PRIMITIVES[kind]
-    except KeyError:
-        raise ValueError(f"unknown primitive {kind!r}") from None
-    return fn(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

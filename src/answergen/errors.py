@@ -70,10 +70,6 @@ class EmptySequenceError(AnswergenError):
     pass
 
 
-class InvalidSourceError(AnswergenError):
-    pass
-
-
 class EmptyFactSetError(AnswergenError):
     pass
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyQuestionError
+from .files import replace_file
 from .knowledge import KnowledgeBase, extract_related_facts, resolve_facts
 from .model import AnswerModel, StepState
 from .selectors import (
@@ -283,7 +284,6 @@ def render_trace(trace) -> str:
 
 
 def write_predictions(path, results: list[tuple[str, GenerationResult]]) -> None:
-    """Append {question, answer, trace} JSONL records."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for question, result in results:
-            fh.write(json.dumps(result.to_dict(question)) + "\n")
+    """Write {question, answer, trace} JSONL records, replacing ``path``."""
+    replace_file(path, ((json.dumps(result.to_dict(question)) + "\n").encode("utf-8")
+                        for question, result in results))

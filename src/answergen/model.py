@@ -21,8 +21,7 @@ from .seq2seq import (
     EncoderOutput,
     EncoderParams,
     LSTMParams,
-    attend_passage,
-    attend_question,
+    attend,
     context_vector,
     coverage_penalty,
     encode,
@@ -143,9 +142,9 @@ class AnswerModel:
              state: StepState, x_emb: Tensor) -> StepOutput:
         dec_in = ad.concat([x_emb, state.c_q, state.c_p])
         h, c = lstm_step(self.decoder, dec_in, state.h, state.c)
-        a_q = attend_question(enc_q, h, state.cov_q, self.attn_q)
+        a_q = attend(enc_q.states, h, state.cov_q, self.attn_q)
         c_q = context_vector(a_q, enc_q.states)
-        a_p = attend_passage(enc_p, h, c_q, state.cov_p, self.attn_p)
+        a_p = attend(enc_p.states, h, state.cov_p, self.attn_p, context=c_q)
         c_p = context_vector(a_p, enc_p.states)
         pen_q = coverage_penalty(a_q, state.cov_q)
         pen_p = coverage_penalty(a_p, state.cov_p)

@@ -21,11 +21,10 @@ from .errors import (
     DegenerateDistributionError,
     EmptyFactSetError,
     InvalidScheduleError,
-    InvalidSourceError,
 )
 from .knowledge import Fact
 from .seq2seq import _uniform
-from .text import Vocabulary
+from .text import PAD, Vocabulary
 
 PROB_FLOOR = 1e-12
 MASK_LOGIT = -1e30  # additive pre-softmax mask; exact zero after normalization
@@ -92,36 +91,30 @@ def source_distribution(c_q: Tensor, c_p: Tensor, s_t: Tensor, x_t: Tensor,
     return ad.softmax(logits)
 
 
-def _pooled_embedding(tokens: Sequence[str], embeddings: Tensor,
-                      vocab: Vocabulary) -> Tensor:
-    ids = [vocab.encode(t) for t in tokens]
-    rows = ad.lookup(embeddings, ids)
-    return ad.mul(ad.sum(rows, axis=0), ad.constant(1.0 / len(ids)))
-
-
-def embed_fact(fact: Fact, embeddings: Tensor, vocab: Vocabulary,
-               params: SelectorParams) -> Tensor:
-    """W [e_subject, e_relation, e_object] + b with average pooling for
-    multi-word subjects/objects; OOV words hit the UNK row."""
-    e_s = _pooled_embedding(fact.subject, embeddings, vocab)
-    e_r = ad.lookup(params.relation_table, fact.relation)
-    e_o = _pooled_embedding(fact.object, embeddings, vocab)
-    feats = ad.concat([e_s, e_r, e_o])
-    return ad.add(ad.matmul(feats, params.w_fact_embed), params.b_fact_embed)
-
-
 def embed_facts(facts: Sequence[Fact], embeddings: Tensor, vocab: Vocabulary,
                 params: SelectorParams) -> Tensor:
-    """(N_f, fact_dim) matrix of fact representations."""
+    """(N_f, fact_dim) matrix of W [e_subject, e_relation, e_object] + b rows.
+
+    Subjects and objects are average-pooled over their tokens (OOV words hit
+    the UNK row) in one padded lookup, so the tape holds the same few nodes
+    however many facts there are. Padding slots read the PAD row with
+    weight 0, so it gets no gradient from them.
+    """
     if not facts:
         raise EmptyFactSetError("no facts to embed")
-    pooled = []
-    for fact in facts:
-        e_s = _pooled_embedding(fact.subject, embeddings, vocab)
-        e_r = ad.lookup(params.relation_table, fact.relation)
-        e_o = _pooled_embedding(fact.object, embeddings, vocab)
-        pooled.append(ad.concat([e_s, e_r, e_o]))
-    feats = ad.stack(pooled)                                   # (N_f, 3*emb)
+    n = len(facts)
+    segments = [f.subject for f in facts] + [f.object for f in facts]
+    width = max(len(seg) for seg in segments)
+    ids = np.full((2 * n, width), PAD, dtype=np.intp)
+    weights = np.zeros((2 * n, width, 1))
+    for row, seg in enumerate(segments):
+        ids[row, :len(seg)] = [vocab.encode(t) for t in seg]
+        weights[row, :len(seg)] = 1.0 / len(seg)
+    rows = ad.lookup(embeddings, ids)                                   # (2N_f, L, emb)
+    pooled = ad.sum(ad.mul(rows, ad.constant(weights)), axis=1)         # (2N_f, emb)
+    e_r = ad.lookup(params.relation_table, [f.relation for f in facts])
+    feats = ad.concat([ad.slice_(pooled, 0, n), e_r, ad.slice_(pooled, n, 2 * n)],
+                      axis=1)                                           # (N_f, 3*emb)
     return ad.add(ad.matmul(feats, params.w_fact_embed), params.b_fact_embed)
 
 
@@ -202,45 +195,3 @@ def anneal_temperature(step: int, schedule: TemperatureSchedule) -> float:
     if step < 0:
         raise ValueError(f"step must be >= 0, got {step}")
     return max(schedule.tau_min, schedule.tau0 * float(np.exp(-schedule.rate * step)))
-
-
-# ---------------------------------------------------------------------------
-# Generation-time word distributions (plain numpy; no gradients needed).
-# ---------------------------------------------------------------------------
-
-def aggregate_copy_distribution(attention: np.ndarray,
-                                tokens: Sequence[str]) -> dict[str, float]:
-    """Sum attention mass over identical surface tokens."""
-    out: dict[str, float] = {}
-    for weight, token in zip(attention, tokens):
-        out[token] = out.get(token, 0.0) + float(weight)
-    return out
-
-
-def source_word_distribution(source: Source | int,
-                             a_q: np.ndarray, question_tokens: Sequence[str],
-                             a_p: np.ndarray, passage_tokens: Sequence[str],
-                             vocab_probs: np.ndarray, vocab: Vocabulary,
-                             fact_probs: np.ndarray | None = None,
-                             facts: Sequence[Fact] | None = None) -> dict[str, float]:
-    """Distribution over emittable surface tokens for one chosen source.
-
-    For the knowledge source the mass of each fact lands on the first token
-    of its object, which is what starts the verbatim object emission.
-    """
-    source = int(source)
-    if source == Source.QUESTION:
-        return aggregate_copy_distribution(a_q, question_tokens)
-    if source == Source.PASSAGE:
-        return aggregate_copy_distribution(a_p, passage_tokens)
-    if source == Source.VOCAB:
-        return {vocab.decode(i): float(p) for i, p in enumerate(vocab_probs)}
-    if source == Source.KNOWLEDGE:
-        if facts is None or fact_probs is None:
-            raise EmptyFactSetError("knowledge source selected without facts")
-        out: dict[str, float] = {}
-        for p, fact in zip(fact_probs, facts):
-            first = fact.object[0]
-            out[first] = out.get(first, 0.0) + float(p)
-        return out
-    raise InvalidSourceError(f"source must be 1..4, got {source}")

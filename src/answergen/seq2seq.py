@@ -149,25 +149,9 @@ def attend(states: Tensor, s_t: Tensor, coverage: Tensor, params: AttentionParam
     return ad.softmax(logits)
 
 
-def attend_question(enc_q: "EncoderOutput", s_t: Tensor, coverage: Tensor,
-                    params: AttentionParams) -> Tensor:
-    return attend(enc_q.states, s_t, coverage, params)
-
-
-def attend_passage(enc_p: "EncoderOutput", s_t: Tensor, c_q: Tensor,
-                   coverage: Tensor, params: AttentionParams) -> Tensor:
-    """Passage attention conditions on the same-step question context c_q."""
-    return attend(enc_p.states, s_t, coverage, params, context=c_q)
-
-
 def context_vector(attention: Tensor, states: Tensor) -> Tensor:
     """Convex combination of encoder states, c = sum_i a_i e_i."""
     return ad.matmul(attention, states)
-
-
-def context_vectors(a_q: Tensor, enc_q: EncoderOutput,
-                    a_p: Tensor, enc_p: EncoderOutput) -> tuple[Tensor, Tensor]:
-    return context_vector(a_q, enc_q.states), context_vector(a_p, enc_p.states)
 
 
 def coverage_penalty(attention: Tensor, coverage: Tensor) -> Tensor:

@@ -22,6 +22,7 @@ from .errors import (
     EmptyQuestionError,
     MalformedLineError,
 )
+from .files import replace_file
 
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
@@ -72,8 +73,7 @@ class Vocabulary:
 
     def save(self, path) -> None:
         payload = {"max_size": self.max_size, "tokens": self.token_by_id[4:]}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False)
+        replace_file(path, [json.dumps(payload, ensure_ascii=False).encode("utf-8")])
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -148,12 +148,6 @@ class EmbeddingTable:
     matrix: Tensor
     d_emb: int
     covered: int = 0  # rows initialized from the pretrained file
-
-
-def random_embeddings(vocab: Vocabulary, d_emb: int, seed: int) -> EmbeddingTable:
-    rng = np.random.default_rng(seed)
-    data = rng.uniform(-0.1, 0.1, size=(len(vocab), d_emb))
-    return EmbeddingTable(Tensor(data, requires_grad=True, name="embedding"), d_emb)
 
 
 def load_pretrained_embeddings(path, vocab: Vocabulary, d_emb: int = 300,

@@ -29,6 +29,7 @@ from .errors import (
     NonFiniteLossError,
     VersionMismatchError,
 )
+from .files import replace_file
 from .knowledge import Fact
 from .model import AnswerModel
 from .selectors import (
@@ -362,9 +363,7 @@ def save_checkpoint(model: AnswerModel, step: int, config: RunConfig, path) -> N
         parts.append(struct.pack(f"<{data.ndim}Q", *data.shape))
         parts.append(data.tobytes())
     blob = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-        fh.write(_checksum(blob))
+    replace_file(path, [blob, _checksum(blob)])
 
 
 def load_checkpoint(path) -> CheckpointData:

@@ -1,0 +1,69 @@
+import os
+
+import pytest
+
+from answergen.config import RunConfig
+from answergen.generate import GenerationResult, write_predictions
+from answergen.training import save_checkpoint
+
+from conftest import make_model
+
+PREVIOUS = b"previous contents\n"
+
+
+class Interrupted(Exception):
+    pass
+
+
+def result(answer):
+    return GenerationResult(tokens=[answer], trace=[], score=0.0, normalized_score=0.0,
+                            beam_size=1)
+
+
+class FailingResult:
+    def to_dict(self, question):
+        raise Interrupted("serialization failed")
+
+
+def fail(*args):
+    raise Interrupted("disk failed")
+
+
+WRITERS = {
+    "checkpoint": lambda vocab, path: save_checkpoint(make_model(vocab), 0, RunConfig.desk(),
+                                                      path),
+    "vocabulary": lambda vocab, path: vocab.save(path),
+    "predictions": lambda vocab, path: write_predictions(path, [("q", result("a"))]),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_keeps_previous_file(writer, vocab, tmp_path, monkeypatch):
+    """The new bytes are all written but never synced: the old file stays
+    byte-identical and the temporary file is gone."""
+    path = tmp_path / "artifact"
+    path.write_bytes(PREVIOUS)
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(Interrupted):
+        WRITERS[writer](vocab, path)
+    assert path.read_bytes() == PREVIOUS
+    assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_predictions_failing_midway_keep_previous_file(tmp_path):
+    """The first record reaches the temporary file before the second fails."""
+    path = tmp_path / "predictions.jsonl"
+    path.write_bytes(PREVIOUS)
+    with pytest.raises(Interrupted):
+        write_predictions(path, [("q1", result("a")), ("q2", FailingResult())])
+    assert path.read_bytes() == PREVIOUS
+    assert os.listdir(tmp_path) == ["predictions.jsonl"]
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_write_replaces_previous_file(writer, vocab, tmp_path):
+    path = tmp_path / "artifact"
+    path.write_bytes(PREVIOUS)
+    WRITERS[writer](vocab, path)
+    assert path.read_bytes() != PREVIOUS
+    assert os.listdir(tmp_path) == ["artifact"]

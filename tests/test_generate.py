@@ -1,13 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from answergen import autodiff as ad
 
 from answergen.config import ModelConfig, TrainingConfig
 from answergen.errors import EmptyQuestionError
 from answergen.generate import (
     GenerationResult,
     TraceStep,
+    _top_tokens,
     generate,
     render_trace,
     trace_score,
@@ -120,6 +124,43 @@ def test_oov_copy_emits_raw_surface_form(vocab):
     result = generate("zyzzyva zyzzyva", "the bridge .", model, beam_size=1, max_len=3)
     assert result.tokens == ["zyzzyva", "zyzzyva", "zyzzyva"]
     assert "zyzzyva" not in vocab
+
+
+def copy_readout(vocab, source, attention, tokens):
+    """The beam's word distribution for a copy source, as {token: prob};
+    the other copy source sees a decoy token it must not return."""
+    copied, decoy = ad.constant(attention), ad.constant([1.0])
+    if source == Source.QUESTION:
+        out, q_tokens, p_tokens = SimpleNamespace(a_q=copied, a_p=decoy), tokens, ["decoy"]
+    else:
+        out, q_tokens, p_tokens = SimpleNamespace(a_q=decoy, a_p=copied), ["decoy"], tokens
+    picks = _top_tokens(source, out, SimpleNamespace(vocab=vocab), q_tokens, p_tokens,
+                        beam_size=len(tokens))
+    for token, _, feedback_id in picks:
+        assert feedback_id == vocab.encode(token)
+    return {token: prob for token, prob, _ in picks}
+
+
+def test_copy_distribution_aggregates_duplicates(vocab):
+    dist = copy_readout(vocab, Source.QUESTION, [0.6, 0.4], ["bridge", "bridge"])
+    assert dist == {"bridge": pytest.approx(1.0)}
+
+
+def test_passage_distribution_distinct_tokens(vocab):
+    dist = copy_readout(vocab, Source.PASSAGE, [0.5, 0.3, 0.2], ["born", "in", "hawaii"])
+    assert dist == {"born": pytest.approx(0.5), "in": pytest.approx(0.3),
+                    "hawaii": pytest.approx(0.2)}
+
+
+def test_copy_mass_sums_to_one_property(vocab):
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        n = rng.integers(1, 8)
+        a = rng.dirichlet(np.ones(n))
+        tokens = [str(rng.integers(0, 3)) for _ in range(n)]
+        dist = copy_readout(vocab, Source.QUESTION, a, tokens)
+        assert abs(sum(dist.values()) - 1.0) < 1e-9
+        assert set(dist) == set(tokens)
 
 
 def test_render_trace_table():

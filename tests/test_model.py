@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from answergen.text import random_embeddings
+from answergen import autodiff as ad
+from answergen.text import EmbeddingTable
 
 from conftest import make_model, toy_example
 
@@ -58,11 +59,12 @@ def test_parameter_registry_names_unique_and_complete(vocab):
 
 def test_set_embeddings_validates_shape(vocab):
     model = make_model(vocab, seed=0, emb=4)
-    table = random_embeddings(vocab, d_emb=4, seed=5)
+    rng = np.random.default_rng(5)
+    table = EmbeddingTable(ad.Tensor(rng.uniform(-0.1, 0.1, (len(vocab), 4))), 4)
     model.set_embeddings(table)
     np.testing.assert_array_equal(model.embedding.data, table.matrix.data)
     with pytest.raises(ValueError):
-        model.set_embeddings(random_embeddings(vocab, d_emb=7, seed=5))
+        model.set_embeddings(EmbeddingTable(ad.Tensor(np.zeros((len(vocab), 7))), 7))
 
 
 def test_step_is_pure_given_state(vocab):

@@ -1,0 +1,54 @@
+"""Every top-level function and class in the package has a user in the
+package itself; code that only tests reach does not belong there."""
+import ast
+from pathlib import Path
+
+import answergen
+
+PACKAGE = Path(answergen.__file__).parent
+
+# Kept as references that tests or the benchmark compare the program against.
+KEPT_REFERENCES = {"gradient_check", "gumbel_hard_indices", "trace_score"}
+
+
+def is_cli_command(node):
+    """Decorated with ``@<group>.command(...)`` or ``@click.group(...)``."""
+    for deco in node.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(func, ast.Attribute) and func.attr in ("command", "group"):
+            return True
+    return False
+
+
+def referenced_names(tree, skip):
+    """Names, attributes and imported names used in ``tree``, outside ``skip``."""
+    names = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.alias):
+            names.append(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_definition_is_used_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name in KEPT_REFERENCES or is_cli_command(node):
+                continue
+            if not any(node.name in referenced_names(other, skip=node)
+                       for other in trees.values()):
+                unused.append(f"{module}:{node.name}")
+    assert not unused, f"defined but never used inside the package: {unused}"

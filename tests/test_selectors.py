@@ -7,24 +7,20 @@ from answergen.errors import (
     DegenerateDistributionError,
     EmptyFactSetError,
     InvalidScheduleError,
-    InvalidSourceError,
 )
 from answergen.knowledge import Fact
 from answergen.selectors import (
-    Source,
     TemperatureSchedule,
     anneal_temperature,
-    embed_fact,
     embed_facts,
     fact_distribution,
     fact_logits,
     gumbel_hard_indices,
     gumbel_softmax_sample,
     source_distribution,
-    source_word_distribution,
     vocab_distribution,
 )
-from answergen.text import Vocabulary
+from answergen.text import PAD, Vocabulary
 
 
 def np_softmax(x):
@@ -112,71 +108,34 @@ def test_source_distribution_matches_transcription(vocab):
     np.testing.assert_allclose(got.data, want, atol=1e-12)
 
 
-# --- per-source word distributions ---
-
-def test_copy_distribution_aggregates_duplicates(vocab):
-    dist = source_word_distribution(
-        Source.QUESTION, np.array([0.6, 0.4]), ["obama", "obama"],
-        np.array([1.0]), ["x"], np.zeros(len(vocab)), vocab)
-    assert dist == {"obama": pytest.approx(1.0)}
-
-
-def test_passage_distribution_distinct_tokens(vocab):
-    a_p = np.array([0.5, 0.3, 0.2])
-    dist = source_word_distribution(
-        Source.PASSAGE, np.array([1.0]), ["q"], a_p, ["born", "in", "hawaii"],
-        np.zeros(len(vocab)), vocab)
-    assert dist == {"born": pytest.approx(0.5), "in": pytest.approx(0.3),
-                    "hawaii": pytest.approx(0.2)}
-
-
-def test_knowledge_distribution_first_object_token(vocab):
-    fact = Fact(("x",), 0, ("personality", "disorder"), 0)
-    dist = source_word_distribution(
-        Source.KNOWLEDGE, np.array([1.0]), ["q"], np.array([1.0]), ["p"],
-        np.zeros(len(vocab)), vocab, fact_probs=np.array([1.0]), facts=[fact])
-    assert dist == {"personality": pytest.approx(1.0)}
-
-
-def test_vocab_source_covers_vocabulary(vocab):
-    probs = np.full(len(vocab), 1 / len(vocab))
-    dist = source_word_distribution(Source.VOCAB, np.array([1.0]), ["q"],
-                                    np.array([1.0]), ["p"], probs, vocab)
-    assert len(dist) == len(vocab)
-    assert abs(sum(dist.values()) - 1.0) < 1e-9
-
-
-def test_invalid_source_rejected(vocab):
-    with pytest.raises(InvalidSourceError):
-        source_word_distribution(7, np.array([1.0]), ["q"], np.array([1.0]), ["p"],
-                                 np.zeros(len(vocab)), vocab)
-
-
-def test_copy_mass_sums_to_one_property(vocab):
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        n = rng.integers(1, 8)
-        a = rng.dirichlet(np.ones(n))
-        tokens = [str(rng.integers(0, 3)) for _ in range(n)]
-        dist = source_word_distribution(Source.QUESTION, a, tokens,
-                                        np.array([1.0]), ["p"],
-                                        np.zeros(len(vocab)), vocab)
-        assert abs(sum(dist.values()) - 1.0) < 1e-9
-        assert set(dist) == set(tokens)
-
-
 # --- fact embedding ---
+
+# 1- to 3-token segments, a token repeated within a segment and across facts,
+# and an OOV subject token that hits the UNK row.
+FACTS = [Fact(("bridge",), 0, ("cross", "water"), 0),
+         Fact(("obama", "born", "obama"), 1, ("hawaii",), 1),
+         Fact(("qwerty", "x"), 0, ("personality", "disorder", "x"), 2)]
+
+
+def embed_reference(facts, table, vocab, params):
+    """Per-fact numpy transcription: W [mean e_s, e_r, mean e_o] + b."""
+    def pooled(tokens):
+        return np.mean([table[vocab.encode(t)] for t in tokens], axis=0)
+    feats = np.array([np.concatenate([pooled(f.subject), params.relation_table.data[f.relation],
+                                      pooled(f.object)]) for f in facts])
+    return feats @ params.w_fact_embed.data + params.b_fact_embed.data
+
 
 def test_embed_fact_zero_params_zero_rep(vocab):
     rng = np.random.default_rng(7)
     params = zero_params(make_params(rng, vocab))
     emb = ad.constant(np.random.default_rng(0).normal(size=(len(vocab), 4)))
-    rep = embed_fact(Fact(("bridge",), 0, ("cross", "water"), 0), emb, vocab, params)
-    np.testing.assert_array_equal(rep.data, np.zeros(5))
+    rep = embed_facts(FACTS, emb, vocab, params)
+    np.testing.assert_array_equal(rep.data, np.zeros((len(FACTS), 5)))
 
 
 def test_embed_fact_identity_recovers_pooled_segments(vocab):
-    """With W = identity and b = 0 the representation is exactly
+    """With W = identity and b = 0 each row is exactly
     [e_subject, e_relation, e_object], exposing the average pooling."""
     rng = np.random.default_rng(8)
     emb_dim = 4
@@ -185,27 +144,66 @@ def test_embed_fact_identity_recovers_pooled_segments(vocab):
     params.w_fact_embed.data[:] = np.eye(3 * emb_dim)
     params.b_fact_embed.data[:] = 0.0
     table = np.random.default_rng(1).normal(size=(len(vocab), emb_dim))
-    emb = ad.constant(table)
-    fact = Fact(("bridge",), 1, ("cross", "water"), 0)
-    rep = embed_fact(fact, emb, vocab, params).data
-    np.testing.assert_allclose(rep[:emb_dim], table[vocab.encode("bridge")], atol=1e-12)
-    np.testing.assert_allclose(rep[emb_dim:2 * emb_dim],
-                               params.relation_table.data[1], atol=1e-12)
-    want_obj = (table[vocab.encode("cross")] + table[vocab.encode("water")]) / 2
-    np.testing.assert_allclose(rep[2 * emb_dim:], want_obj, atol=1e-12)
+    rep = embed_facts(FACTS, ad.constant(table), vocab, params).data
+    row = {t: table[vocab.encode(t)] for t in ("bridge", "cross", "water", "obama", "born",
+                                              "x", "personality", "disorder")}
+    unk = table[vocab.encode("qwerty")]
+    np.testing.assert_allclose(rep[:, :emb_dim],
+                               [row["bridge"], (2 * row["obama"] + row["born"]) / 3,
+                                (unk + row["x"]) / 2], atol=1e-12)
+    np.testing.assert_allclose(rep[:, emb_dim:2 * emb_dim],
+                               params.relation_table.data[[0, 1, 0]], atol=1e-12)
+    np.testing.assert_allclose(rep[:, 2 * emb_dim:],
+                               [(row["cross"] + row["water"]) / 2, table[vocab.encode("hawaii")],
+                                (row["personality"] + row["disorder"] + row["x"]) / 3],
+                               atol=1e-12)
 
 
 def test_embed_facts_matches_per_fact(vocab):
+    """Values and gradients against a per-fact numpy reference; the PAD row
+    that fills short segments gets an exactly zero gradient."""
     rng = np.random.default_rng(9)
+    emb_dim = 4
     params = make_params(rng, vocab)
-    emb = ad.constant(np.random.default_rng(2).normal(size=(len(vocab), 4)))
-    facts = [Fact(("bridge",), 0, ("water",), 0),
-             Fact(("obama",), 1, ("hawaii", "x"), 1)]
-    matrix = embed_facts(facts, emb, vocab, params)
-    for i, fact in enumerate(facts):
-        np.testing.assert_allclose(matrix.data[i],
-                                   embed_fact(fact, emb, vocab, params).data,
-                                   atol=1e-12)
+    table = np.random.default_rng(2).normal(size=(len(vocab), emb_dim))
+    emb = ad.Tensor(table.copy(), requires_grad=True)
+    upstream = rng.normal(size=(len(FACTS), 5))
+    with ad.Tape() as tape:
+        matrix = embed_facts(FACTS, emb, vocab, params)
+        loss = ad.sum(ad.mul(matrix, ad.constant(upstream)))
+    gm = tape.backward(loss, [emb, params.relation_table])
+    np.testing.assert_allclose(matrix.data, embed_reference(FACTS, table, vocab, params),
+                               atol=1e-12)
+
+    g_feats = upstream @ params.w_fact_embed.data.T
+    want_emb = np.zeros_like(table)
+    want_rel = np.zeros_like(params.relation_table.data)
+    for i, fact in enumerate(FACTS):
+        want_rel[fact.relation] += g_feats[i, emb_dim:2 * emb_dim]
+        for segment, g in ((fact.subject, g_feats[i, :emb_dim]),
+                           (fact.object, g_feats[i, 2 * emb_dim:])):
+            for token in segment:
+                want_emb[vocab.encode(token)] += g / len(segment)
+    np.testing.assert_allclose(gm[emb], want_emb, atol=1e-12)
+    np.testing.assert_allclose(gm[params.relation_table], want_rel, atol=1e-12)
+    assert np.all(gm[emb][PAD] == 0.0)
+
+
+def test_embed_facts_tape_size_independent_of_fact_count(vocab):
+    rng = np.random.default_rng(10)
+    params = make_params(rng, vocab)
+    emb = ad.Tensor(rng.normal(size=(len(vocab), 4)), requires_grad=True)
+    words = vocab.token_by_id[4:]
+
+    def nodes(n_facts):
+        facts = [Fact(tuple(rng.choice(words, size=rng.integers(1, 4))), int(rng.integers(0, 2)),
+                      tuple(rng.choice(words, size=rng.integers(1, 4))), i)
+                 for i in range(n_facts)]
+        with ad.Tape() as tape:
+            embed_facts(facts, emb, vocab, params)
+        return len(tape.nodes)
+
+    assert nodes(1) == nodes(256)
 
 
 def test_embed_facts_rejects_empty(vocab):

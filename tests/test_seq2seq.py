@@ -195,22 +195,3 @@ def test_coverage_penalty_increases_on_repetition():
     assert repeat.item() > move_on.item()
     zero = s2s.coverage_penalty(ad.constant(focus), ad.constant(np.zeros(5)))
     assert zero.item() == 0.0
-
-
-def test_named_attention_wrappers_delegate():
-    rng = np.random.default_rng(14)
-    states = rng.normal(size=(4, 6))
-    enc = s2s.EncoderOutput(states=ad.constant(states),
-                            final_h=ad.constant(np.zeros(6)),
-                            final_c=ad.constant(np.zeros(6)))
-    s_t = ad.constant(rng.normal(size=3))
-    cov = ad.constant(np.zeros(4))
-    q_params = make_attention(rng)
-    np.testing.assert_array_equal(
-        s2s.attend_question(enc, s_t, cov, q_params).data,
-        s2s.attend(enc.states, s_t, cov, q_params).data)
-    p_params = make_attention(rng, with_context=True)
-    ctx = ad.constant(rng.normal(size=6))
-    np.testing.assert_array_equal(
-        s2s.attend_passage(enc, s_t, ctx, cov, p_params).data,
-        s2s.attend(enc.states, s_t, cov, p_params, context=ctx).data)
