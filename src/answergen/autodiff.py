@@ -242,6 +242,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ShapeMismatchError("concat of zero tensors")
     base = list(parts[0].shape)
+    if not -len(base) <= axis < len(base):
+        raise ShapeMismatchError(f"concat: axis {axis} outside rank {len(base)}")
+    axis %= len(base)
     for t in parts[1:]:
         other = list(t.shape)
         if len(other) != len(base):

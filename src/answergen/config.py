@@ -100,14 +100,21 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        cfg = cls()
-        for section_name, values in payload.items():
-            section = getattr(cfg, section_name, None)
-            if section is None:
-                raise ConfigError(f"unknown config section [{section_name}]")
-            for key, value in values.items():
-                _set_field(section, section_name, key, value)
-        return cfg.validate()
+        return _apply_sections(cls(), payload).validate()
+
+
+def _apply_sections(cfg: RunConfig, sections: dict) -> RunConfig:
+    """Set {section: {key: value}} entries on cfg's subsystem dataclasses."""
+    names = {f.name for f in fields(cfg)}
+    for section_name, values in sections.items():
+        if section_name not in names:
+            raise ConfigError(f"unknown config section [{section_name}]")
+        if not isinstance(values, dict):
+            raise ConfigError(f"config section [{section_name}] must map keys to values")
+        section = getattr(cfg, section_name)
+        for key, value in values.items():
+            _set_field(section, section_name, key, value)
+    return cfg
 
 
 def _set_field(section, section_name: str, key: str, value) -> None:
@@ -198,22 +205,13 @@ def load_config(path=None, profile: str = "full",
                 sections = parse_config_text(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        for section_name, values in sections.items():
-            section = getattr(cfg, section_name, None)
-            if section is None or not hasattr(section, "__dataclass_fields__"):
-                raise ConfigError(f"unknown config section [{section_name}]")
-            for key, value in values.items():
-                _set_field(section, section_name, key, value)
+        _apply_sections(cfg, sections)
 
+    nested: dict[str, dict[str, Any]] = {}
     for dotted, value in (overrides or {}).items():
         if "." not in dotted:
             raise ConfigError(f"override {dotted!r} must be section.key")
         section_name, key = dotted.split(".", 1)
-        section = getattr(cfg, section_name, None)
-        if section is None or not hasattr(section, "__dataclass_fields__"):
-            raise ConfigError(f"unknown config section {section_name!r}")
-        if isinstance(value, str):
-            value = _parse_scalar(value)
-        _set_field(section, section_name, key, value)
-
-    return cfg.validate()
+        nested.setdefault(section_name, {})[key] = \
+            _parse_scalar(value) if isinstance(value, str) else value
+    return _apply_sections(cfg, nested).validate()

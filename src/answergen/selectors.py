@@ -5,7 +5,7 @@ the question, copy from the passage, the output vocabulary, or a knowledge
 fact whose object is injected verbatim. The 4-way choice and the
 which-fact choice are discrete latent variables; sampling them with Gumbel
 noise and relaxing the argmax to a temperature softmax keeps the whole
-objective differentiable.
+objective differentiable. Each head takes one step's vectors or (T, .) rows.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ class SelectorParams:
     w_fact_embed: Tensor  # (3*emb, fact_dim)
     b_fact_embed: Tensor  # (fact_dim,)
     w_fact: Tensor        # (fact_dim, A)
-    u_fact: Tensor        # (A, H)
+    u_fact: Tensor        # (H, A)
     b_fact: Tensor        # (A,)
     gate_fact: Tensor     # (A,)
 
@@ -55,7 +55,7 @@ class SelectorParams:
     def init(cls, rng, vocab_size: int, n_relations: int, emb_dim: int,
              hidden_dim: int, fact_dim: int, attn_dim: int) -> "SelectorParams":
         feat = 5 * hidden_dim  # c_q (2H) + c_p (2H) + s (H)
-        return cls(
+        params = cls(
             w_vocab=_uniform(rng, (feat, vocab_size), "sel.w_vocab"),
             b_vocab=_uniform(rng, (vocab_size,), "sel.b_vocab"),
             w_source=_uniform(rng, (feat + emb_dim, 4), "sel.w_source"),
@@ -68,12 +68,15 @@ class SelectorParams:
             b_fact=_uniform(rng, (attn_dim,), "sel.b_fact"),
             gate_fact=_uniform(rng, (attn_dim,), "sel.gate_fact"),
         )
+        # drawn (A, H) in the order above so seeded values stay as they were
+        params.u_fact.data = params.u_fact.data.T.copy()
+        return params
 
 
 def vocab_distribution(c_q: Tensor, c_p: Tensor, s_t: Tensor,
                        params: SelectorParams) -> Tensor:
     """softmax(W [c_q, c_p, s] + b) over the full vocabulary, specials included."""
-    feats = ad.concat([c_q, c_p, s_t])
+    feats = ad.concat([c_q, c_p, s_t], axis=-1)
     return ad.softmax(ad.add(ad.matmul(feats, params.w_vocab), params.b_vocab))
 
 
@@ -84,7 +87,7 @@ def source_distribution(c_q: Tensor, c_p: Tensor, s_t: Tensor, x_t: Tensor,
     With no related facts the knowledge entry is masked to exactly zero and
     the rest renormalize, which the additive pre-softmax mask does in one go.
     """
-    feats = ad.concat([c_q, c_p, s_t, x_t])
+    feats = ad.concat([c_q, c_p, s_t, x_t], axis=-1)
     logits = ad.add(ad.matmul(feats, params.w_source), params.b_source)
     if not knowledge_available:
         logits = ad.add(logits, ad.constant([0.0, 0.0, 0.0, MASK_LOGIT]))
@@ -121,9 +124,10 @@ def embed_facts(facts: Sequence[Fact], embeddings: Tensor, vocab: Vocabulary,
 def fact_logits(fact_matrix: Tensor, s_t: Tensor, params: SelectorParams) -> Tensor:
     if fact_matrix.shape[0] == 0:
         raise EmptyFactSetError("fact matrix is empty")
-    shift = ad.add(ad.matmul(params.u_fact, s_t), params.b_fact)   # (A,)
-    pre = ad.add(ad.matmul(fact_matrix, params.w_fact), shift)     # (N_f, A)
-    return ad.matmul(ad.tanh(pre), params.gate_fact)               # (N_f,)
+    shift = ad.add(ad.matmul(s_t, params.u_fact), params.b_fact)   # (..., A)
+    shift = ad.reshape(shift, shift.shape[:-1] + (1, shift.shape[-1]))  # (..., 1, A)
+    pre = ad.add(ad.matmul(fact_matrix, params.w_fact), shift)     # (..., N_f, A)
+    return ad.sum(ad.mul(ad.tanh(pre), params.gate_fact), axis=-1)  # (..., N_f)
 
 
 def fact_distribution(fact_matrix: Tensor, s_t: Tensor, params: SelectorParams) -> Tensor:

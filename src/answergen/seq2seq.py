@@ -85,7 +85,8 @@ def encode(ids, embeddings: Tensor, params: EncoderParams) -> EncoderOutput:
     if len(ids) == 0:
         raise EmptySequenceError("cannot encode an empty sequence")
     hid = params.fwd.hidden
-    embs = [ad.lookup(embeddings, int(i)) for i in ids]
+    table = ad.lookup(embeddings, ids)  # one lookup; rows below come from this small table
+    embs = [ad.lookup(table, i) for i in range(len(ids))]
 
     def run(cell: LSTMParams, seq):
         h = ad.constant(np.zeros(hid))

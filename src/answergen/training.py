@@ -9,6 +9,11 @@ terms (the default single-sample estimator used in training). Per-source
 likelihoods of the teacher-forced target are floored at 1e-12 before the
 log, so an infeasible source contributes log(1e-12) instead of blowing up
 the objective. The coverage penalty is added with weight lambda_cov.
+
+Under teacher forcing no head output feeds back into the recurrence, so the
+decoder loop only advances the state and the vocabulary, source and fact
+heads run once over all steps afterwards. The Gumbel noise is still drawn
+per step (fact sample, then source samples), in the order seeded runs expect.
 """
 from __future__ import annotations
 
@@ -45,7 +50,7 @@ from .selectors import (
 from .text import BOS, EOS_TOKEN_SENTINEL, UNK, Example
 
 CHECKPOINT_MAGIC = b"AGCP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: sel.u_fact stored (H, A) for s @ u_fact
 
 
 @dataclass
@@ -54,9 +59,9 @@ class ElboDiagnostics:
     objective: float          # sum_t of the per-step expected log term
     coverage: float           # sum_t of both coverage penalties
     source_counts: np.ndarray  # 4-vector of selected-source tallies
-    # per timestep, for external verification of the bound:
-    step_source_probs: list[np.ndarray] = field(default_factory=list)
-    step_log_likelihoods: list[np.ndarray] = field(default_factory=list)
+    # (T, 4) per-timestep rows, for external verification of the bound:
+    step_source_probs: np.ndarray
+    step_log_likelihoods: np.ndarray
 
 
 def teacher_inputs(example: Example) -> tuple[list[int], list[tuple[int, str]]]:
@@ -66,11 +71,8 @@ def teacher_inputs(example: Example) -> tuple[list[int], list[tuple[int, str]]]:
     can collide with, so copy and knowledge masks never match it.
     """
     inputs = [BOS] + example.answer_ids[:-1]
-    targets = []
-    for t, target_id in enumerate(example.answer_ids):
-        raw = example.answer_tokens[t] if t < len(example.answer_tokens) else EOS_TOKEN_SENTINEL
-        targets.append((target_id, raw))
-    return inputs, targets
+    raws = list(example.answer_tokens) + [EOS_TOKEN_SENTINEL] * len(example.answer_ids)
+    return inputs, list(zip(example.answer_ids, raws))
 
 
 def elbo_loss(model: AnswerModel, example: Example, facts: Sequence[Fact],
@@ -86,97 +88,83 @@ def elbo_loss(model: AnswerModel, example: Example, facts: Sequence[Fact],
     """
     if mode not in ("gumbel", "exact", "marginal"):
         raise ValueError(f"unknown elbo mode {mode!r}")
-    vocab = model.vocab
     enc_q = model.encode_question(example.question_ids)
     enc_p = model.encode_passage(example.passage_ids)
     knowledge_ok = knowledge_enabled and len(facts) > 0
-    fact_matrix = embed_facts(facts, model.embedding, vocab, model.selector) \
+    fact_matrix = embed_facts(facts, model.embedding, model.vocab, model.selector) \
         if knowledge_ok else None
 
     inputs, targets = teacher_inputs(example)
+    x = ad.lookup(model.embedding, inputs)                          # (T, emb)
     state = model.initial_state(enc_q, enc_p)
-    floor = ad.constant(PROB_FLOOR)
-    log_floor = ad.log(floor)
-    objective: Tensor | None = None
-    cov_total: Tensor | None = None
+    outs = []
+    for t in range(len(inputs)):
+        outs.append(model.step(enc_q, enc_p, state, ad.lookup(x, t)))
+        state = outs[-1].state
+
+    def rows(name: str) -> Tensor:
+        return ad.stack([getattr(out, name) for out in outs])
+
+    s, c_q, c_p = rows("s"), rows("c_q"), rows("c_p")
+    p_vocab = vocab_distribution(c_q, c_p, s, model.selector)         # (T, |V|)
+    p_source = source_distribution(c_q, c_p, s, x, model.selector,
+                                   knowledge_available=knowledge_ok)  # (T, 4)
+    p_fact = fact_distribution(fact_matrix, s, model.selector) \
+        if knowledge_ok else None                                     # (T, N_f)
+
+    n_steps = len(targets)
     source_counts = np.zeros(4)
-    step_probs: list[np.ndarray] = []
-    step_logs: list[np.ndarray] = []
+    if mode == "gumbel":
+        fact_soft, source_soft = [], []
+        for t in range(n_steps):
+            if knowledge_ok:
+                fact_soft.append(gumbel_softmax_sample(ad.lookup(p_fact, t), tau, rng).soft)
+            source_row = ad.lookup(p_source, t)
+            draws = [gumbel_softmax_sample(source_row, tau, rng) for _ in range(mc_samples)]
+            np.add.at(source_counts, [y.hard_index for y in draws], 1.0 / mc_samples)
+            source_soft.append(ad.sum(ad.stack([y.soft for y in draws]), axis=0))
+        fact_weights = ad.stack(fact_soft) if knowledge_ok else None
+        source_weights = ad.mul(ad.stack(source_soft), ad.constant(1.0 / mc_samples))
+    else:
+        np.add.at(source_counts, np.argmax(p_source.data, axis=1), 1.0)
+        fact_weights, source_weights = p_fact, p_source
 
-    for input_id, (target_id, target_raw) in zip(inputs, targets):
-        x = model.embed_token(input_id)
-        out = model.step(enc_q, enc_p, state, x)
-        state = out.state
+    raws = [raw for _, raw in targets]
 
-        p_vocab = vocab_distribution(out.c_q, out.c_p, out.s, model.selector)
-        p_source = source_distribution(out.c_q, out.c_p, out.s, x, model.selector,
-                                       knowledge_available=knowledge_ok)
+    def matched(mask_tokens, weights: Tensor) -> Tensor:
+        """(T, 1) weight on the tokens whose surface form is step t's target."""
+        mask = [[float(tok == raw) for tok in mask_tokens] for raw in raws]
+        return ad.reshape(ad.sum(ad.mul(ad.constant(mask), weights), axis=1), (n_steps, 1))
 
-        q_mask = np.array([1.0 if tok == target_raw else 0.0
-                           for tok in example.question_tokens])
-        p_mask = np.array([1.0 if tok == target_raw else 0.0
-                           for tok in example.passage_tokens])
-        like_q = ad.matmul(ad.constant(q_mask), out.a_q)
-        like_p = ad.matmul(ad.constant(p_mask), out.a_p)
-        if target_id != UNK:
-            like_v = ad.sum(ad.slice_(p_vocab, target_id, target_id + 1))
-        else:
-            like_v = ad.constant(0.0)  # the vocabulary cannot emit an OOV surface form
-
-        if knowledge_ok:
-            p_fact = fact_distribution(fact_matrix, out.s, model.selector)
-            k_mask = np.array([1.0 if f.object[0] == target_raw else 0.0 for f in facts])
-            if mode == "gumbel":
-                z = gumbel_softmax_sample(p_fact, tau, rng)
-                fact_weights = z.soft
-            else:
-                fact_weights = p_fact
-            like_k = ad.matmul(ad.constant(k_mask), fact_weights)
-            log_k = ad.log(ad.add(like_k, floor))
-        else:
-            log_k = log_floor
-
-        logs = ad.stack([
-            ad.log(ad.add(like_q, floor)),
-            ad.log(ad.add(like_p, floor)),
-            ad.log(ad.add(like_v, floor)),
-            log_k,
-        ])
-        step_probs.append(p_source.data.copy())
-        step_logs.append(logs.data.copy())
-
-        if mode == "gumbel":
-            term: Tensor | None = None
-            for _ in range(mc_samples):
-                y = gumbel_softmax_sample(p_source, tau, rng)
-                source_counts[y.hard_index] += 1.0 / mc_samples
-                sample_term = ad.matmul(y.soft, logs)
-                term = sample_term if term is None else ad.add(term, sample_term)
-            term = ad.mul(term, ad.constant(1.0 / mc_samples))
-        elif mode == "exact":
-            source_counts[int(np.argmax(p_source.data))] += 1.0
-            term = ad.matmul(p_source, logs)
-        else:  # marginal: log sum_y P(y) * likelihood_y
-            source_counts[int(np.argmax(p_source.data))] += 1.0
-            likes = ad.stack([like_q, like_p, like_v,
-                              like_k if knowledge_ok else ad.constant(0.0)])
-            term = ad.log(ad.matmul(p_source, ad.add(likes, floor)))
-
-        objective = term if objective is None else ad.add(objective, term)
-        step_cov = ad.add(out.cov_pen_q, out.cov_pen_p)
-        cov_total = step_cov if cov_total is None else ad.add(cov_total, step_cov)
+    target_ids = np.array([target_id for target_id, _ in targets])
+    # the vocabulary cannot emit an OOV surface form, so UNK targets get 0
+    like_v = ad.mul(ad.lookup(ad.reshape(p_vocab, (-1, 1)),
+                              np.arange(n_steps) * p_vocab.shape[1] + target_ids),
+                    ad.constant((target_ids != UNK)[:, None].astype(float)))
+    like_k = matched([f.object[0] for f in facts], fact_weights) if knowledge_ok \
+        else ad.constant(np.zeros((n_steps, 1)))
+    likes = ad.add(ad.concat([matched(example.question_tokens, rows("a_q")),
+                              matched(example.passage_tokens, rows("a_p")),
+                              like_v, like_k], axis=-1),
+                   ad.constant(PROB_FLOOR))                           # (T, 4)
+    logs = ad.log(likes)
+    if mode == "marginal":  # sum_t log sum_y P(y) * likelihood_y
+        objective = ad.sum(ad.log(ad.sum(ad.mul(p_source, likes), axis=1)))
+    else:
+        objective = ad.sum(ad.mul(source_weights, logs))
+    cov_total = ad.sum(ad.add(rows("cov_pen_q"), rows("cov_pen_p")))
 
     loss = ad.add(ad.mul(objective, ad.constant(-1.0)),
                   ad.mul(cov_total, ad.constant(lambda_cov)))
     if not np.isfinite(loss.data):
         raise NonFiniteLossError("loss is not finite")
     diag = ElboDiagnostics(
-        n_tokens=len(targets),
+        n_tokens=n_steps,
         objective=float(objective.data),
         coverage=float(cov_total.data),
         source_counts=source_counts,
-        step_source_probs=step_probs,
-        step_log_likelihoods=step_logs,
+        step_source_probs=p_source.data.copy(),
+        step_log_likelihoods=logs.data.copy(),
     )
     return loss, diag
 
@@ -293,8 +281,7 @@ def _batches(n_items: int, batch_size: int, shuffle_rng: np.random.Generator):
 
 
 def train(model: AnswerModel, dataset: Sequence[TrainItem], cfg: TrainingConfig,
-          knowledge_enabled: bool = True, metrics_path=None,
-          progress_every: int = 0) -> list[StepMetrics]:
+          knowledge_enabled: bool = True, metrics_path=None) -> list[StepMetrics]:
     """Run cfg.max_steps optimization steps; returns the metric history."""
     seq = np.random.SeedSequence(cfg.seed)
     shuffle_seed, sample_seed = seq.spawn(2)
@@ -322,10 +309,6 @@ def train(model: AnswerModel, dataset: Sequence[TrainItem], cfg: TrainingConfig,
                     "source_freqs": metrics.source_freqs,
                     "tau": metrics.tau, "skipped": skipped,
                 }) + "\n")
-            if progress_every and (step + 1) % progress_every == 0:
-                recent = [m.loss for m in history[-progress_every:]]
-                print(f"step {step + 1}/{cfg.max_steps} "
-                      f"loss {np.mean(recent):.4f} tau {tau:.3f}")
     finally:
         if sink is not None:
             sink.close()

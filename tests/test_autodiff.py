@@ -34,6 +34,23 @@ def test_matmul_inner_dim_mismatch():
         ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
 
 
+def test_concat_negative_axis():
+    a = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    b = ad.Tensor(np.zeros((2, 4)), requires_grad=True)
+    with ad.Tape() as tape:
+        out = ad.concat([a, b], axis=-1)
+        loss = ad.sum(ad.mul(out, ad.constant(np.arange(14.0).reshape(2, 7))))
+    assert out.shape == (2, 7)
+    np.testing.assert_array_equal(out.data[:, :3], a.data)
+    grads = tape.backward(loss, params=[a, b])
+    np.testing.assert_array_equal(grads[a], [[0, 1, 2], [7, 8, 9]])
+    np.testing.assert_array_equal(grads[b], [[3, 4, 5, 6], [10, 11, 12, 13]])
+    with pytest.raises(ShapeMismatchError):
+        ad.concat([a, b], axis=0)
+    with pytest.raises(ShapeMismatchError):
+        ad.concat([a, b], axis=2)
+
+
 def test_backward_sum_gives_ones():
     x = ad.Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
     with ad.Tape() as tape:

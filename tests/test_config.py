@@ -78,3 +78,9 @@ def test_roundtrip_through_dict():
     cfg.training.seed = 123
     clone = RunConfig.from_dict(cfg.to_dict())
     assert clone.to_dict() == cfg.to_dict()
+
+
+@pytest.mark.parametrize("payload", [{"validate": {"x": 1}}, {"model": 3}, {"to_dict": {}}])
+def test_from_dict_rejects_non_sections(payload):
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict(payload)

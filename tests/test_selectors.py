@@ -238,7 +238,7 @@ def test_fact_distribution_matches_transcription(vocab):
     s = rng.normal(size=3)
     logits = []
     for i in range(6):
-        pre = params.w_fact.data.T @ F[i] + params.u_fact.data @ s + params.b_fact.data
+        pre = params.w_fact.data.T @ F[i] + s @ params.u_fact.data + params.b_fact.data
         logits.append(params.gate_fact.data @ np.tanh(pre))
     want = np_softmax(np.array(logits))
     got = fact_distribution(ad.constant(F), ad.constant(s), params)

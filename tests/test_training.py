@@ -246,3 +246,15 @@ def test_checkpoint_version_mismatch(vocab, tmp_path, monkeypatch):
     monkeypatch.setattr(training, "CHECKPOINT_VERSION", 1)
     with pytest.raises(VersionMismatchError):
         load_checkpoint(path)
+
+
+def test_version_one_checkpoint_rejected(vocab, tmp_path, monkeypatch):
+    """Version 1 stored sel.u_fact as (A, H). With attn_dim == hidden_dim the
+    shape check cannot tell the orientations apart, so the version must."""
+    model = make_model(vocab)
+    path = tmp_path / "model.ckpt"
+    monkeypatch.setattr(training, "CHECKPOINT_VERSION", 1)
+    save_checkpoint(model, step=0, config=RunConfig.desk(), path=path)
+    monkeypatch.undo()
+    with pytest.raises(VersionMismatchError):
+        load_checkpoint(path)
