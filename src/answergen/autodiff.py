@@ -215,9 +215,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product for the 2D/1D shape combinations."""
+    """Matrix/vector product for the 2D/1D shape combinations, and a stack of
+    matrices (..., N, K) times a vector (K,)."""
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
+    stacked = ad.ndim > 2 and bd.ndim == 1
+    if not stacked and (ad.ndim not in (1, 2) or bd.ndim not in (1, 2)):
         raise ShapeMismatchError(f"matmul: ranks {ad.ndim} and {bd.ndim} unsupported")
     inner_a = ad.shape[-1]
     inner_b = bd.shape[0]
@@ -226,6 +228,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = ad @ bd
 
     def grad_fn(g):
+        if stacked:
+            return [(a, np.multiply.outer(g, bd)), (b, g.reshape(-1) @ ad.reshape(-1, bd.size))]
         if ad.ndim == 2 and bd.ndim == 2:
             return [(a, g @ bd.T), (b, ad.T @ g)]
         if ad.ndim == 2 and bd.ndim == 1:

@@ -131,7 +131,8 @@ def extract_facts(kb_path, question, passage, n_facts):
             "object": " ".join(fact.object),
             "score": sf.score,
         }))
-    log_event("extract-facts", kb_facts=len(kb.facts), returned=len(scored))
+    log_event("extract-facts", kb_facts=len(kb.facts), kb_skipped_lines=kb.skipped_lines,
+              returned=len(scored))
 
 
 def _encode_dataset(records, vocab, cfg, kb):
@@ -186,7 +187,8 @@ def train_cmd(data_path, vocab_path, out_path, kb_path, emb_path, metrics_path,
         model.set_embeddings(table)
 
     log_event("train-start", examples=len(items), params=model.parameter_count(),
-              steps=cfg.training.max_steps, knowledge=cfg.knowledge.enabled and kb is not None)
+              steps=cfg.training.max_steps, knowledge=cfg.knowledge.enabled and kb is not None,
+              kb_skipped_lines=kb.skipped_lines if kb else None)
     started = time.time()
     history = train(model, items, cfg.training,
                     knowledge_enabled=cfg.knowledge.enabled,
@@ -225,7 +227,8 @@ def generate_cmd(ckpt_path, vocab_path, data_path, out_path, kb_path, beam, show
         result = run_generate(rec.question, rec.passage, model, kb=kb,
                               beam_size=beam_size, max_len=cfg.data.answer_limit,
                               n_facts=cfg.knowledge.max_facts,
-                              knowledge_enabled=cfg.knowledge.enabled)
+                              knowledge_enabled=cfg.knowledge.enabled,
+                              passage_limit=cfg.data.passage_limit)
         results.append((rec.question, result))
         if show_trace:
             click.echo(f"Q: {rec.question}")
@@ -233,7 +236,8 @@ def generate_cmd(ckpt_path, vocab_path, data_path, out_path, kb_path, beam, show
             click.echo(render_trace(result.trace))
             click.echo("")
     write_predictions(out_path, results)
-    log_event("generate", n=len(results), beam=beam_size, out=str(out_path))
+    log_event("generate", n=len(results), beam=beam_size, out=str(out_path),
+              kb_skipped_lines=kb.skipped_lines if kb else None)
     click.echo(f"{len(results)} answers -> {out_path}")
 
 

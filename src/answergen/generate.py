@@ -9,16 +9,20 @@ with no new source decision until the queue drains. A hypothesis's score
 is the sum of per-token log(P(source) * P(word | source)) terms; pending
 continuations are charged log(1) = 0, the whole object having been paid
 for when its fact was chosen.
+
+The live hypotheses advance together: each search step gathers their
+decoder rows into one (B, .) batch, makes one model step and calls each
+selector head at most once for the whole beam.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EmptyQuestionError
+from . import autodiff as ad
 from .files import replace_file
 from .knowledge import KnowledgeBase, extract_related_facts, resolve_facts
 from .model import AnswerModel, StepState
@@ -29,7 +33,7 @@ from .selectors import (
     source_distribution,
     vocab_distribution,
 )
-from .text import BOS, EOS, PAD, EOS_TOKEN_SENTINEL, tokenize
+from .text import BOS, EOS_TOKEN_SENTINEL, PAD, EncodeLimits, encode_example
 
 SOURCE_LABELS = {Source.QUESTION: "question", Source.PASSAGE: "passage",
                  Source.VOCAB: "vocabulary", Source.KNOWLEDGE: "knowledge"}
@@ -68,16 +72,19 @@ def trace_score(trace) -> float:
     return sum(step.log_prob for step in trace)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BeamHypothesis:
-    state: StepState
+    """A partial answer. ``row`` is its row in the batched step output that
+    produced it; the next step gathers its decoder carry from there."""
     prev_id: int
-    tokens: tuple[str, ...] = ()
+    row: int = 0
     score: float = 0.0
-    pending: tuple[str, ...] = ()
-    pending_fact: int | None = None
+    pending: tuple[str, ...] = ()  # object tokens still to emit
     trace: tuple[TraceStep, ...] = ()
-    finished: bool = False
+
+    @property
+    def finished(self) -> bool:
+        return bool(self.trace) and self.trace[-1].token == EOS_TOKEN_SENTINEL
 
     def normalized_score(self) -> float:
         return self.score / max(1, len(self.trace))
@@ -110,112 +117,78 @@ class GenerationResult:
 def generate(question: str, passage: str, model: AnswerModel,
              kb: KnowledgeBase | None = None, beam_size: int = 4,
              max_len: int = 120, n_facts: int = 1000,
-             knowledge_enabled: bool = True) -> GenerationResult:
+             knowledge_enabled: bool = True,
+             passage_limit: int = EncodeLimits().passage) -> GenerationResult:
     """Generate an answer for a raw (question, passage) pair.
 
-    An empty related-fact set is not an error; the knowledge source is
-    simply masked for the whole decode.
+    The pair is encoded as in training: the passage is cut to
+    ``passage_limit`` tokens, and an empty question or passage raises
+    (EmptyQuestionError, EmptyPassageError). An empty related-fact set is
+    not an error; the knowledge source is simply masked for the whole decode.
     """
     if beam_size < 1:
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
-    q_tokens = tokenize(question)
-    if not q_tokens:
-        raise EmptyQuestionError("question has no tokens")
-    p_tokens = tokenize(passage) or ["."]
-
-    vocab = model.vocab
-    q_ids = [vocab.encode(t) for t in q_tokens]
-    p_ids = [vocab.encode(t) for t in p_tokens]
-
+    example = encode_example(question, passage, "", model.vocab,
+                             EncodeLimits(passage=passage_limit))
     facts = []
     if kb is not None and knowledge_enabled and kb.facts:
-        facts = resolve_facts(kb, extract_related_facts(kb, q_tokens, p_tokens, n_facts))
-
-    enc_q = model.encode_question(q_ids)
-    enc_p = model.encode_passage(p_ids)
-    fact_matrix = embed_facts(facts, model.embedding, vocab, model.selector) \
-        if facts else None
-
-    def run(width: int) -> BeamHypothesis:
-        return _beam_search(model, enc_q, enc_p, q_tokens, p_tokens, facts,
-                            fact_matrix, width, max_len)
-
-    best = run(beam_size)
-    if beam_size > 1:
-        greedy = run(1)
-        if greedy.normalized_score() > best.normalized_score():
-            best = greedy
-    return GenerationResult(
-        tokens=list(best.tokens),
-        trace=list(best.trace),
-        score=best.score,
-        normalized_score=best.normalized_score(),
-        beam_size=beam_size,
-    )
+        facts = resolve_facts(kb, extract_related_facts(
+            kb, example.question_tokens, example.passage_tokens, n_facts))
+    best = _beam_search(model, example, facts, beam_size, max_len)
+    return GenerationResult(tokens=[step.token for step in best.trace], trace=list(best.trace),
+                            score=best.score, normalized_score=best.normalized_score(),
+                            beam_size=beam_size)
 
 
-def _beam_search(model, enc_q, enc_p, q_tokens, p_tokens, facts, fact_matrix,
-                 beam_size: int, max_len: int) -> BeamHypothesis:
-    live = [BeamHypothesis(state=model.initial_state(enc_q, enc_p), prev_id=BOS)]
+def _beam_search(model, example, facts, beam_size: int, max_len: int) -> BeamHypothesis:
+    vocab = model.vocab
+    enc_q = model.encode_question(example.question_ids)
+    enc_p = model.encode_passage(example.passage_ids)
+    fact_matrix = embed_facts(facts, model.embedding, vocab, model.selector) if facts else None
+    words = {Source.QUESTION: example.question_tokens, Source.PASSAGE: example.passage_tokens,
+             Source.VOCAB: vocab.token_by_id, Source.KNOWLEDGE: facts}
+    init = model.initial_state(enc_q, enc_p)
+    carry = StepState(**{f.name: ad.reshape(getattr(init, f.name), (1, -1))
+                         for f in fields(StepState)})
+    live = [BeamHypothesis(prev_id=BOS)]
     finished: list[BeamHypothesis] = []
 
     for _ in range(max_len):
+        rows = [hyp.row for hyp in live]
+        state = StepState(**{f.name: ad.lookup(getattr(carry, f.name), rows)
+                             for f in fields(StepState)})
+        x = model.embed_token([hyp.prev_id for hyp in live])
+        out = model.step(enc_q, enc_p, state, x)
+        p_source = source_distribution(out.c_q, out.c_p, out.s, x, model.selector,
+                                       knowledge_available=bool(facts)).data
+        chosen = [Source.KNOWLEDGE if hyp.pending else Source(int(np.argmax(p)) + 1)
+                  for hyp, p in zip(live, p_source)]
+        fresh = {c for hyp, c in zip(live, chosen) if not hyp.pending}
+        probs = {Source.QUESTION: out.a_q.data, Source.PASSAGE: out.a_p.data}
+        if Source.VOCAB in fresh:
+            probs[Source.VOCAB] = vocab_distribution(out.c_q, out.c_p, out.s,
+                                                     model.selector).data
+        if Source.KNOWLEDGE in fresh:
+            probs[Source.KNOWLEDGE] = fact_distribution(fact_matrix, out.s,
+                                                        model.selector).data
+
         candidates: list[BeamHypothesis] = []
-        for hyp in live:
-            x = model.embed_token(hyp.prev_id)
-            out = model.step(enc_q, enc_p, hyp.state, x)
-            p_source = source_distribution(
-                out.c_q, out.c_p, out.s, x, model.selector,
-                knowledge_available=bool(facts)).data
-            probs4 = tuple(float(v) for v in p_source)
-
+        for i, (hyp, source) in enumerate(zip(live, chosen)):
             if hyp.pending:
-                token, rest = hyp.pending[0], hyp.pending[1:]
-                step = TraceStep(token=token, source_probs=probs4,
-                                 chosen=Source.KNOWLEDGE, source_prob=1.0,
-                                 word_prob=1.0, fact_id=hyp.pending_fact,
-                                 continuation=True)
+                source_prob = 1.0
+                picks = [(hyp.pending[0], 1.0, hyp.trace[-1].fact_id, hyp.pending[1:])]
+            else:
+                source_prob = float(p_source[i, source - 1])
+                picks = _top_tokens(source, probs[source][i], words[source], beam_size)
+            for token, word_prob, fact_id, tail in picks:
+                step = TraceStep(token=token, source_probs=tuple(p_source[i].tolist()),
+                                 chosen=source, source_prob=source_prob,
+                                 word_prob=word_prob, fact_id=fact_id,
+                                 continuation=bool(hyp.pending))
                 candidates.append(BeamHypothesis(
-                    state=out.state, prev_id=model.vocab.encode(token),
-                    tokens=hyp.tokens + (token,), score=hyp.score,
-                    pending=rest, pending_fact=hyp.pending_fact if rest else None,
+                    prev_id=vocab.encode(token), row=i,
+                    score=hyp.score + step.log_prob, pending=tail,
                     trace=hyp.trace + (step,)))
-                continue
-
-            chosen = Source(int(np.argmax(p_source)) + 1)
-            source_prob = float(p_source[chosen - 1])
-
-            if chosen == Source.KNOWLEDGE:
-                p_fact = fact_distribution(fact_matrix, out.s, model.selector).data
-                order = sorted(range(len(facts)), key=lambda i: (-p_fact[i], i))
-                for idx in order[:beam_size]:
-                    fact = facts[idx]
-                    word_prob = float(p_fact[idx])
-                    if word_prob <= 0.0:
-                        continue
-                    token = fact.object[0]
-                    rest = tuple(fact.object[1:])
-                    step = TraceStep(token=token, source_probs=probs4,
-                                     chosen=chosen, source_prob=source_prob,
-                                     word_prob=word_prob, fact_id=fact.fact_id)
-                    candidates.append(BeamHypothesis(
-                        state=out.state, prev_id=model.vocab.encode(token),
-                        tokens=hyp.tokens + (token,),
-                        score=hyp.score + math.log(source_prob * word_prob),
-                        pending=rest, pending_fact=fact.fact_id if rest else None,
-                        trace=hyp.trace + (step,)))
-                continue
-
-            expansions = _top_tokens(chosen, out, model, q_tokens, p_tokens, beam_size)
-            for token, word_prob, feedback_id in expansions:
-                step = TraceStep(token=token, source_probs=probs4, chosen=chosen,
-                                 source_prob=source_prob, word_prob=word_prob)
-                candidates.append(BeamHypothesis(
-                    state=out.state, prev_id=feedback_id,
-                    tokens=hyp.tokens + (token,),
-                    score=hyp.score + math.log(source_prob * word_prob),
-                    trace=hyp.trace + (step,),
-                    finished=(token == EOS_TOKEN_SENTINEL)))
 
         if not candidates:
             break
@@ -225,34 +198,38 @@ def _beam_search(model, enc_q, enc_p, q_tokens, p_tokens, facts, fact_matrix,
         live = [h for h in kept if not h.finished]
         if not live:
             break
+        carry = out.state
 
     pool = finished + live
     return max(pool, key=lambda h: (h.normalized_score(), -len(h.trace)))
 
 
-def _top_tokens(source: Source, out, model, q_tokens, p_tokens, beam_size: int):
-    """Top (token, prob, feedback_id) entries of a non-knowledge source."""
-    vocab = model.vocab
+def _top_tokens(source: Source, probs: np.ndarray, words, beam_size: int):
+    """The ``beam_size`` most likely (token, word_prob, fact_id, object_tail)
+    picks of one source, where ``probs[i]`` is the probability of
+    ``words[i]``: a question or passage token, a vocabulary entry, or a fact
+    whose first object token is emitted and the rest queued as the tail.
+    Copy sources pool the mass of repeated tokens first. Ties rank by
+    position, or by token for the copy sources."""
+    if source in (Source.QUESTION, Source.PASSAGE):
+        mass: dict[str, float] = {}
+        for weight, token in zip(probs, words):
+            mass[token] = mass.get(token, 0.0) + float(weight)
+        words = sorted(mass)
+        probs = np.array([mass[token] for token in words])
+    order = np.argsort(-probs, kind="stable")
     if source == Source.VOCAB:
-        probs = vocab_distribution(out.c_q, out.c_p, out.s, model.selector).data
-        order = np.argsort(-probs, kind="stable")
-        picks = []
-        for token_id in order:
-            if token_id in (PAD, BOS):  # never useful at decode time
-                continue
-            if probs[token_id] <= 0.0:
-                break
-            picks.append((vocab.decode(int(token_id)), float(probs[token_id]), int(token_id)))
-            if len(picks) == beam_size:
-                break
-        return picks
-    attention = out.a_q.data if source == Source.QUESTION else out.a_p.data
-    tokens = q_tokens if source == Source.QUESTION else p_tokens
-    mass: dict[str, float] = {}
-    for weight, token in zip(attention, tokens):
-        mass[token] = mass.get(token, 0.0) + float(weight)
-    ranked = sorted(mass.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [(tok, p, vocab.encode(tok)) for tok, p in ranked[:beam_size] if p > 0.0]
+        order = order[(order != PAD) & (order != BOS)]  # never useful at decode time
+    picks = []
+    for i in order[:beam_size]:
+        if probs[i] <= 0.0:
+            break
+        if source == Source.KNOWLEDGE:
+            fact = words[i]
+            picks.append((fact.object[0], float(probs[i]), fact.fact_id, fact.object[1:]))
+        else:
+            picks.append((words[i], float(probs[i]), None, ()))
+    return picks
 
 
 # ---------------------------------------------------------------------------

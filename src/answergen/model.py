@@ -6,6 +6,8 @@ Step dataflow (one decoder timestep): the cell consumes the previous word
 embedding concatenated with the previous contexts, question attention is
 computed first, its context feeds the passage attention, and coverage
 updates after the repetition penalty is taken against the pre-step value.
+Training steps one row at a time; beam search steps a (B, .) batch of rows,
+one per live hypothesis, in one call.
 """
 from __future__ import annotations
 
@@ -34,8 +36,8 @@ from .text import EmbeddingTable, Vocabulary
 
 @dataclass(frozen=True)
 class StepState:
-    """Decoder carry between timesteps; tensors are never mutated, so
-    branching beam hypotheses can share prefixes freely."""
+    """Decoder carry between timesteps: one row per field, or a (B, .) batch
+    of rows. Tensors are never mutated."""
     h: Tensor
     c: Tensor
     c_q: Tensor
@@ -116,8 +118,9 @@ class AnswerModel:
 
     # --- forward pieces ---
 
-    def embed_token(self, token_id: int) -> Tensor:
-        return ad.lookup(self.embedding, int(token_id))
+    def embed_token(self, token_ids) -> Tensor:
+        """One id gives one embedding row; a list of ids gives (B, emb)."""
+        return ad.lookup(self.embedding, token_ids)
 
     def encode_question(self, ids) -> EncoderOutput:
         return encode(ids, self.embedding, self.q_encoder)
@@ -140,7 +143,7 @@ class AnswerModel:
 
     def step(self, enc_q: EncoderOutput, enc_p: EncoderOutput,
              state: StepState, x_emb: Tensor) -> StepOutput:
-        dec_in = ad.concat([x_emb, state.c_q, state.c_p])
+        dec_in = ad.concat([x_emb, state.c_q, state.c_p], axis=-1)
         h, c = lstm_step(self.decoder, dec_in, state.h, state.c)
         a_q = attend(enc_q.states, h, state.cov_q, self.attn_q)
         c_q = context_vector(a_q, enc_q.states)

@@ -5,7 +5,8 @@ the question, copy from the passage, the output vocabulary, or a knowledge
 fact whose object is injected verbatim. The 4-way choice and the
 which-fact choice are discrete latent variables; sampling them with Gumbel
 noise and relaxing the argmax to a temperature softmax keeps the whole
-objective differentiable. Each head takes one step's vectors or (T, .) rows.
+objective differentiable. Each head takes one step's vectors or a stack of
+rows: (T, .) over the steps of a training example, (B, .) over a beam.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .errors import (
     InvalidScheduleError,
 )
 from .knowledge import Fact
-from .seq2seq import _uniform
+from .seq2seq import _uniform, _uniform_in_out, additive_scores
 from .text import PAD, Vocabulary
 
 PROB_FLOOR = 1e-12
@@ -55,7 +56,7 @@ class SelectorParams:
     def init(cls, rng, vocab_size: int, n_relations: int, emb_dim: int,
              hidden_dim: int, fact_dim: int, attn_dim: int) -> "SelectorParams":
         feat = 5 * hidden_dim  # c_q (2H) + c_p (2H) + s (H)
-        params = cls(
+        return cls(
             w_vocab=_uniform(rng, (feat, vocab_size), "sel.w_vocab"),
             b_vocab=_uniform(rng, (vocab_size,), "sel.b_vocab"),
             w_source=_uniform(rng, (feat + emb_dim, 4), "sel.w_source"),
@@ -64,13 +65,10 @@ class SelectorParams:
             w_fact_embed=_uniform(rng, (3 * emb_dim, fact_dim), "sel.w_fact_embed"),
             b_fact_embed=_uniform(rng, (fact_dim,), "sel.b_fact_embed"),
             w_fact=_uniform(rng, (fact_dim, attn_dim), "sel.w_fact"),
-            u_fact=_uniform(rng, (attn_dim, hidden_dim), "sel.u_fact"),
+            u_fact=_uniform_in_out(rng, attn_dim, hidden_dim, "sel.u_fact"),
             b_fact=_uniform(rng, (attn_dim,), "sel.b_fact"),
             gate_fact=_uniform(rng, (attn_dim,), "sel.gate_fact"),
         )
-        # drawn (A, H) in the order above so seeded values stay as they were
-        params.u_fact.data = params.u_fact.data.T.copy()
-        return params
 
 
 def vocab_distribution(c_q: Tensor, c_p: Tensor, s_t: Tensor,
@@ -125,9 +123,8 @@ def fact_logits(fact_matrix: Tensor, s_t: Tensor, params: SelectorParams) -> Ten
     if fact_matrix.shape[0] == 0:
         raise EmptyFactSetError("fact matrix is empty")
     shift = ad.add(ad.matmul(s_t, params.u_fact), params.b_fact)   # (..., A)
-    shift = ad.reshape(shift, shift.shape[:-1] + (1, shift.shape[-1]))  # (..., 1, A)
-    pre = ad.add(ad.matmul(fact_matrix, params.w_fact), shift)     # (..., N_f, A)
-    return ad.sum(ad.mul(ad.tanh(pre), params.gate_fact), axis=-1)  # (..., N_f)
+    return additive_scores(ad.matmul(fact_matrix, params.w_fact), shift,
+                           params.gate_fact)                        # (..., N_f)
 
 
 def fact_distribution(fact_matrix: Tensor, s_t: Tensor, params: SelectorParams) -> Tensor:

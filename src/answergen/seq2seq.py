@@ -1,11 +1,15 @@
 """Bidirectional LSTM encoders, the decoder cell, and coverage-aware attention.
 
 Attention over encoder states e_i at decoder state s is
-    softmax_i( g . tanh(W e_i + U s + b + cov_i * w_cov [+ V c_q]) )
-with the V c_q term present only for the passage side, which conditions on
+    softmax_i( g . tanh(e_i W + cov_i w_cov + s U + b [+ c_q V]) )
+with the c_q V term present only for the passage side, which conditions on
 the same-step question context. Coverage is the running sum of past
 attention vectors and enters both the logits and the training penalty
 sum_i min(a_i, cov_i).
+
+Every weight is stored (in, out), so each layer computes rows @ W. The cell,
+the attention and the coverage penalty take one decoder row or a (B, .)
+batch of rows, one per beam hypothesis.
 """
 from __future__ import annotations
 
@@ -25,34 +29,42 @@ def _uniform(rng: np.random.Generator, shape, name: str) -> Tensor:
                   requires_grad=True, name=name)
 
 
+def _uniform_in_out(rng: np.random.Generator, out_dim: int, in_dim: int, name: str) -> Tensor:
+    """A weight drawn (out, in), the layout it was first drawn in, and stored
+    (in, out), so seeded values are the same in either layout."""
+    t = _uniform(rng, (out_dim, in_dim), name)
+    t.data = t.data.T.copy()
+    return t
+
+
 @dataclass
 class LSTMParams:
-    """Gate weights packed as rows [input, forget, cell, output]."""
-    w_x: Tensor  # (4H, in_dim)
-    w_h: Tensor  # (4H, H)
+    """Gate weights packed as columns [input, forget, cell, output]."""
+    w_x: Tensor  # (in_dim, 4H)
+    w_h: Tensor  # (H, 4H)
     b: Tensor    # (4H,)
 
     @classmethod
     def init(cls, rng, in_dim: int, hidden: int, name: str) -> "LSTMParams":
         return cls(
-            w_x=_uniform(rng, (4 * hidden, in_dim), f"{name}.w_x"),
-            w_h=_uniform(rng, (4 * hidden, hidden), f"{name}.w_h"),
+            w_x=_uniform_in_out(rng, 4 * hidden, in_dim, f"{name}.w_x"),
+            w_h=_uniform_in_out(rng, 4 * hidden, hidden, f"{name}.w_h"),
             b=_uniform(rng, (4 * hidden,), f"{name}.b"),
         )
 
     @property
     def hidden(self) -> int:
-        return self.w_h.shape[1]
+        return self.w_h.shape[0]
 
 
 def lstm_step(p: LSTMParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """One cell update; returns (h', c')."""
+    """One cell update of a row or a batch of rows; returns (h', c')."""
     hid = p.hidden
-    gates = ad.add(ad.add(ad.matmul(p.w_x, x), ad.matmul(p.w_h, h)), p.b)
-    i = ad.sigmoid(ad.slice_(gates, 0, hid))
-    f = ad.sigmoid(ad.slice_(gates, hid, 2 * hid))
-    g = ad.tanh(ad.slice_(gates, 2 * hid, 3 * hid))
-    o = ad.sigmoid(ad.slice_(gates, 3 * hid, 4 * hid))
+    gates = ad.add(ad.add(ad.matmul(x, p.w_x), ad.matmul(h, p.w_h)), p.b)
+    i = ad.sigmoid(ad.slice_(gates, 0, hid, axis=-1))
+    f = ad.sigmoid(ad.slice_(gates, hid, 2 * hid, axis=-1))
+    g = ad.tanh(ad.slice_(gates, 2 * hid, 3 * hid, axis=-1))
+    o = ad.sigmoid(ad.slice_(gates, 3 * hid, 4 * hid, axis=-1))
     c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
     h_new = ad.mul(o, ad.tanh(c_new))
     return h_new, c_new
@@ -110,44 +122,46 @@ def encode(ids, embeddings: Tensor, params: EncoderParams) -> EncoderOutput:
 
 @dataclass
 class AttentionParams:
-    """Weights are stored in the orientation the row-major matmuls use:
-    encoder states are rows, so w_states is (2H, A) rather than (A, 2H)."""
     w_states: Tensor          # (2H, A)
-    u_state: Tensor           # (A, H)
+    u_state: Tensor           # (H, A)
     b: Tensor                 # (A,)
     gate: Tensor              # (A,)
     w_cov: Tensor             # (A,) coverage feature weight
-    v_context: Tensor | None  # (A, 2H) question-context term, passage side only
+    v_context: Tensor | None  # (2H, A) question-context term, passage side only
 
     @classmethod
     def init(cls, rng, state_dim: int, dec_dim: int, attn_dim: int, name: str,
              with_context: bool = False) -> "AttentionParams":
         return cls(
             w_states=_uniform(rng, (state_dim, attn_dim), f"{name}.w_states"),
-            u_state=_uniform(rng, (attn_dim, dec_dim), f"{name}.u_state"),
+            u_state=_uniform_in_out(rng, attn_dim, dec_dim, f"{name}.u_state"),
             b=_uniform(rng, (attn_dim,), f"{name}.b"),
             gate=_uniform(rng, (attn_dim,), f"{name}.gate"),
             w_cov=_uniform(rng, (attn_dim,), f"{name}.w_cov"),
-            v_context=_uniform(rng, (attn_dim, state_dim), f"{name}.v_context")
+            v_context=_uniform_in_out(rng, attn_dim, state_dim, f"{name}.v_context")
             if with_context else None,
         )
 
 
+def additive_scores(keys: Tensor, shift: Tensor, gate: Tensor) -> Tensor:
+    """gate . tanh(key_i + shift) for every key row: keys (..., N, A) and
+    shift (..., A) give (..., N) scores."""
+    shift = ad.reshape(shift, shift.shape[:-1] + (1, shift.shape[-1]))  # (..., 1, A)
+    return ad.matmul(ad.tanh(ad.add(keys, shift)), gate)
+
+
 def attend(states: Tensor, s_t: Tensor, coverage: Tensor, params: AttentionParams,
            context: Tensor | None = None) -> Tensor:
-    """Attention simplex over encoder positions."""
-    n = states.shape[0]
-    pre = ad.matmul(states, params.w_states)                          # (N, A)
-    shift = ad.add(ad.matmul(params.u_state, s_t), params.b)          # (A,)
+    """Attention simplex over the N encoder positions: s_t (..., H),
+    coverage (..., N) and context (..., 2H) give (..., N)."""
+    shift = ad.add(ad.matmul(s_t, params.u_state), params.b)          # (..., A)
     if context is not None:
         if params.v_context is None:
             raise ValueError("attention has no context projection")
-        shift = ad.add(shift, ad.matmul(params.v_context, context))
-    pre = ad.add(pre, shift)                                          # broadcast over rows
-    cov_col = ad.reshape(coverage, (n, 1))
-    pre = ad.add(pre, ad.mul(cov_col, params.w_cov))                  # (N,1)*(A,) -> (N,A)
-    logits = ad.matmul(ad.tanh(pre), params.gate)                     # (N,)
-    return ad.softmax(logits)
+        shift = ad.add(shift, ad.matmul(context, params.v_context))
+    cov = ad.reshape(coverage, coverage.shape + (1,))                  # (..., N, 1)
+    keys = ad.add(ad.matmul(states, params.w_states), ad.mul(cov, params.w_cov))
+    return ad.softmax(additive_scores(keys, shift, params.gate))
 
 
 def context_vector(attention: Tensor, states: Tensor) -> Tensor:
@@ -156,5 +170,5 @@ def context_vector(attention: Tensor, states: Tensor) -> Tensor:
 
 
 def coverage_penalty(attention: Tensor, coverage: Tensor) -> Tensor:
-    """Per-step repetition penalty sum_i min(a_i, cov_i)."""
-    return ad.sum(ad.minimum(attention, coverage))
+    """Per-step repetition penalty sum_i min(a_i, cov_i), one per row."""
+    return ad.sum(ad.minimum(attention, coverage), axis=-1)

@@ -50,7 +50,7 @@ from .selectors import (
 from .text import BOS, EOS_TOKEN_SENTINEL, UNK, Example
 
 CHECKPOINT_MAGIC = b"AGCP"
-CHECKPOINT_VERSION = 2  # 2: sel.u_fact stored (H, A) for s @ u_fact
+CHECKPOINT_VERSION = 3  # 2: sel.u_fact stored (H, A); 3: every weight stored (in, out)
 
 
 @dataclass

@@ -34,6 +34,20 @@ def test_matmul_inner_dim_mismatch():
         ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
 
 
+def test_matmul_stack_times_vector():
+    """(..., N, K) @ (K,), the shape of the additive scorer over a batch."""
+    rng = np.random.default_rng(3)
+    a = ad.Tensor(rng.uniform(-1, 1, (2, 4, 3)), requires_grad=True)
+    b = ad.Tensor(rng.uniform(-1, 1, (3,)), requires_grad=True)
+    np.testing.assert_allclose(ad.matmul(a, b).data, np.einsum("bnk,k->bn", a.data, b.data),
+                               atol=1e-15)
+    report = ad.gradient_check(lambda: _scalarize(ad.matmul(a, b), np.random.default_rng(0)),
+                               [a, b], eps=1e-5)
+    assert not report.flagged, report
+    with pytest.raises(ShapeMismatchError):
+        ad.matmul(a, ad.constant(np.ones((3, 2))))
+
+
 def test_concat_negative_axis():
     a = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     b = ad.Tensor(np.zeros((2, 4)), requires_grad=True)

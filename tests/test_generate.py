@@ -1,13 +1,10 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from answergen import autodiff as ad
-
 from answergen.config import ModelConfig, TrainingConfig
-from answergen.errors import EmptyQuestionError
+from answergen.errors import EmptyPassageError, EmptyQuestionError
 from answergen.generate import (
     GenerationResult,
     TraceStep,
@@ -58,6 +55,28 @@ def test_generate_empty_question(vocab):
     model = make_model(vocab, seed=0)
     with pytest.raises(EmptyQuestionError):
         generate("", "the bridge .", model)
+
+
+def test_long_passage_decodes_like_its_truncation(vocab):
+    """The passage is cut to passage_limit tokens before anything reads it,
+    fact retrieval included, as in training."""
+    model = make_model(vocab, seed=3)
+    kb = make_kb([("bridge", "IsA", "strong water"), ("water", "IsA", "safe")])
+    head = "the old bridge is safe and helps you ."
+    passage = head + " cross water " * 20
+    cut = generate("what is the bridge ?", passage, model, kb=kb, beam_size=4,
+                   max_len=8, passage_limit=len(tokenize(head)))
+    short = generate("what is the bridge ?", head, model, kb=kb, beam_size=4, max_len=8)
+    full = generate("what is the bridge ?", passage, model, kb=kb, beam_size=4, max_len=8)
+    assert cut.to_dict() == short.to_dict()
+    assert cut.to_dict() != full.to_dict()
+
+
+def test_generate_empty_passage(vocab):
+    model = make_model(vocab, seed=0)
+    for passage in ("", "   "):
+        with pytest.raises(EmptyPassageError):
+            generate("what is the bridge ?", passage, model)
 
 
 def test_no_facts_is_not_an_error(vocab):
@@ -126,39 +145,33 @@ def test_oov_copy_emits_raw_surface_form(vocab):
     assert "zyzzyva" not in vocab
 
 
-def copy_readout(vocab, source, attention, tokens):
-    """The beam's word distribution for a copy source, as {token: prob};
-    the other copy source sees a decoy token it must not return."""
-    copied, decoy = ad.constant(attention), ad.constant([1.0])
-    if source == Source.QUESTION:
-        out, q_tokens, p_tokens = SimpleNamespace(a_q=copied, a_p=decoy), tokens, ["decoy"]
-    else:
-        out, q_tokens, p_tokens = SimpleNamespace(a_q=decoy, a_p=copied), ["decoy"], tokens
-    picks = _top_tokens(source, out, SimpleNamespace(vocab=vocab), q_tokens, p_tokens,
+def copy_readout(source, attention, tokens):
+    """The beam's word distribution for a copy source, as {token: prob}."""
+    picks = _top_tokens(source, np.asarray(attention, dtype=float), tokens,
                         beam_size=len(tokens))
-    for token, _, feedback_id in picks:
-        assert feedback_id == vocab.encode(token)
-    return {token: prob for token, prob, _ in picks}
+    for _, _, fact_id, object_tail in picks:
+        assert fact_id is None and object_tail == ()
+    return {token: prob for token, prob, _, _ in picks}
 
 
-def test_copy_distribution_aggregates_duplicates(vocab):
-    dist = copy_readout(vocab, Source.QUESTION, [0.6, 0.4], ["bridge", "bridge"])
+def test_copy_distribution_aggregates_duplicates():
+    dist = copy_readout(Source.QUESTION, [0.6, 0.4], ["bridge", "bridge"])
     assert dist == {"bridge": pytest.approx(1.0)}
 
 
-def test_passage_distribution_distinct_tokens(vocab):
-    dist = copy_readout(vocab, Source.PASSAGE, [0.5, 0.3, 0.2], ["born", "in", "hawaii"])
+def test_passage_distribution_distinct_tokens():
+    dist = copy_readout(Source.PASSAGE, [0.5, 0.3, 0.2], ["born", "in", "hawaii"])
     assert dist == {"born": pytest.approx(0.5), "in": pytest.approx(0.3),
                     "hawaii": pytest.approx(0.2)}
 
 
-def test_copy_mass_sums_to_one_property(vocab):
+def test_copy_mass_sums_to_one_property():
     rng = np.random.default_rng(6)
     for _ in range(20):
         n = rng.integers(1, 8)
         a = rng.dirichlet(np.ones(n))
         tokens = [str(rng.integers(0, 3)) for _ in range(n)]
-        dist = copy_readout(vocab, Source.QUESTION, a, tokens)
+        dist = copy_readout(Source.QUESTION, a, tokens)
         assert abs(sum(dist.values()) - 1.0) < 1e-9
         assert set(dist) == set(tokens)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,7 @@ def test_lstm_step_matches_cell_oracle():
     params = s2s.LSTMParams.init(rng, 4, 3, "cell")
     x, h, c = rng.normal(size=4), rng.normal(size=3), rng.normal(size=3)
     got_h, got_c = s2s.lstm_step(params, ad.constant(x), ad.constant(h), ad.constant(c))
-    want_h, want_c = lstm_cell_oracle(params.w_x.data, params.w_h.data,
+    want_h, want_c = lstm_cell_oracle(params.w_x.data.T, params.w_h.data.T,
                                       params.b.data, x, h, c)
     np.testing.assert_allclose(got_h.data, want_h, atol=1e-12)
     np.testing.assert_allclose(got_c.data, want_c, atol=1e-12)
@@ -148,7 +150,9 @@ def test_attend_matches_transcription_oracle():
     s_t = rng.normal(size=3)
     cov = rng.uniform(0, 2, size=7)
     got = s2s.attend(ad.constant(states), ad.constant(s_t), ad.constant(cov), p)
-    np.testing.assert_allclose(got.data, attention_oracle(states, s_t, cov, p), atol=1e-12)
+    oracle_p = replace(p, u_state=ad.constant(p.u_state.data.T))
+    np.testing.assert_allclose(got.data, attention_oracle(states, s_t, cov, oracle_p),
+                               atol=1e-12)
 
 
 def test_attend_with_context_matches_oracle():
@@ -160,7 +164,9 @@ def test_attend_with_context_matches_oracle():
     ctx = rng.normal(size=6)
     got = s2s.attend(ad.constant(states), ad.constant(s_t), ad.constant(cov), p,
                      context=ad.constant(ctx))
-    np.testing.assert_allclose(got.data, attention_oracle(states, s_t, cov, p, ctx),
+    oracle_p = replace(p, u_state=ad.constant(p.u_state.data.T),
+                       v_context=ad.constant(p.v_context.data.T))
+    np.testing.assert_allclose(got.data, attention_oracle(states, s_t, cov, oracle_p, ctx),
                                atol=1e-12)
 
 

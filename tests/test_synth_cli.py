@@ -1,11 +1,17 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from answergen.cli import main
+from answergen.config import ModelConfig, RunConfig
+from answergen.model import AnswerModel
 from answergen.synth import TASKS, build_synth
 from answergen.text import tokenize
+from answergen.training import save_checkpoint
+
+from conftest import make_vocab
 
 
 # --- synthetic generator construction guarantees ---
@@ -218,3 +224,53 @@ def test_numeric_error_maps_to_exit_4():
 
     result = CliRunner().invoke(boom, [])
     assert result.exit_code == 4
+
+
+def events(result):
+    """The structured stderr records of a CLI run, keyed by event name."""
+    return {rec["event"]: rec for rec in map(json.loads, result.stderr.splitlines())}
+
+
+def test_cli_generate_empty_passage_exits_3(runner, tmp_path):
+    vocab = make_vocab()
+    vocab.save(tmp_path / "vocab.json")
+    cfg = RunConfig.desk()
+    cfg.model = ModelConfig(emb_dim=4, hidden_dim=3, fact_dim=5)
+    model = AnswerModel(vocab, 1, cfg.model, np.random.default_rng(0))
+    save_checkpoint(model, step=0, config=cfg, path=tmp_path / "m.ckpt")
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps({"question": "what is the bridge ?", "passage": ""}) + "\n")
+    result = runner.invoke(main, ["generate", "--checkpoint", str(tmp_path / "m.ckpt"),
+                                  "--vocab", str(tmp_path / "vocab.json"), "--data", str(data),
+                                  "--out", str(tmp_path / "pred.jsonl")])
+    assert result.exit_code == 3, result.output
+    assert events(result)["error"]["kind"] == "data"
+    assert not (tmp_path / "pred.jsonl").exists()
+
+
+def test_cli_events_report_kb_skipped_lines(runner, tmp_path):
+    kb = tmp_path / "kb.tsv"
+    kb.write_text("bridge\tUsedFor\tcross water\nno tabs on this line\nwater\tIsA\tsafe\n")
+    result = runner.invoke(main, ["extract-facts", "--kb", str(kb),
+                                  "--question", "what is a bridge ?",
+                                  "--passage", "you cross water on it ."])
+    assert result.exit_code == 0, result.output
+    assert events(result)["extract-facts"]["kb_skipped_lines"] == 1
+
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps({"question": "what is the bridge ?",
+                                "passage": "the bridge is safe .", "answer": "safe"}) + "\n")
+    vocab_path, ckpt = tmp_path / "vocab.json", tmp_path / "m.ckpt"
+    make_vocab().save(vocab_path)
+    small = ["--profile", "desk", "--set", "model.emb_dim=4", "--set", "model.hidden_dim=3",
+             "--set", "model.fact_dim=5", "--set", "training.max_steps=1"]
+    result = runner.invoke(main, ["train", "--data", str(data), "--vocab", str(vocab_path),
+                                  "--kb", str(kb), "--out", str(ckpt), *small])
+    assert result.exit_code == 0, result.output
+    assert events(result)["train-start"]["kb_skipped_lines"] == 1
+
+    result = runner.invoke(main, ["generate", "--checkpoint", str(ckpt),
+                                  "--vocab", str(vocab_path), "--data", str(data),
+                                  "--kb", str(kb), "--out", str(tmp_path / "pred.jsonl")])
+    assert result.exit_code == 0, result.output
+    assert events(result)["generate"]["kb_skipped_lines"] == 1

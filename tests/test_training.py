@@ -249,12 +249,14 @@ def test_checkpoint_version_mismatch(vocab, tmp_path, monkeypatch):
 
 
 def test_version_one_checkpoint_rejected(vocab, tmp_path, monkeypatch):
-    """Version 1 stored sel.u_fact as (A, H). With attn_dim == hidden_dim the
-    shape check cannot tell the orientations apart, so the version must."""
+    """Version 1 stored sel.u_fact as (A, H), and version 2 stored the LSTM
+    and attention weights (out, in). Square weights (attn_dim == hidden_dim)
+    pass the shape check in either layout, so the version must tell them apart."""
     model = make_model(vocab)
     path = tmp_path / "model.ckpt"
-    monkeypatch.setattr(training, "CHECKPOINT_VERSION", 1)
-    save_checkpoint(model, step=0, config=RunConfig.desk(), path=path)
-    monkeypatch.undo()
-    with pytest.raises(VersionMismatchError):
-        load_checkpoint(path)
+    for old_version in (1, 2):
+        monkeypatch.setattr(training, "CHECKPOINT_VERSION", old_version)
+        save_checkpoint(model, step=0, config=RunConfig.desk(), path=path)
+        monkeypatch.undo()
+        with pytest.raises(VersionMismatchError):
+            load_checkpoint(path)
