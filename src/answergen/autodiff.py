@@ -100,7 +100,8 @@ class Tape:
     """Execution-ordered record of primitive applications.
 
     Nodes are appended in forward order, so every node's inputs precede it
-    and a single reverse sweep is a valid topological order.
+    and a single reverse sweep is a valid topological order. The sweep
+    removes each node as it goes, so ``nodes`` is empty after backward().
     """
 
     def __init__(self):
@@ -130,7 +131,15 @@ class Tape:
             raise ShapeMismatchError(f"loss must be scalar, got shape {loss.shape}")
 
         grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-        for node in reversed(self.nodes):
+        # Tensors whose gradient array this sweep allocated itself. Only those
+        # are added into in place: an array a grad_fn returned may be shared
+        # with another input or with the output gradient it was given.
+        owned: set[Tensor] = set()
+        while self.nodes:
+            # Popping releases each node once it is used. Outputs refer to the
+            # tape and the tape to its nodes, so a tape that kept its nodes
+            # would leave the whole graph to the cyclic garbage collector.
+            node = self.nodes.pop()
             g = grads.pop(node.output, None)
             if g is None:
                 continue
@@ -140,7 +149,13 @@ class Tape:
                     continue
                 if inp.requires_grad or inp._tape is self:
                     seen = grads.get(inp)
-                    grads[inp] = gi if seen is None else seen + gi
+                    if seen is None:
+                        grads[inp] = gi
+                    elif inp in owned:
+                        np.add(seen, gi, out=seen)
+                    else:
+                        grads[inp] = np.add(seen, gi, out=np.empty(inp.shape))
+                        owned.add(inp)
 
         result = {t: g for t, g in grads.items() if t.requires_grad}
         disconnected: list[Tensor] = []
@@ -295,13 +310,18 @@ def tanh(x: Tensor) -> Tensor:
     return _record("tanh", (x,), out, grad_fn)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    xd = x.data
+def _sigmoid(xd: np.ndarray) -> np.ndarray:
+    """Logistic function, never taking exp of a positive number."""
     out = np.empty_like(xd)
     pos = xd >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
     ex = np.exp(xd[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = _sigmoid(x.data)
 
     def grad_fn(g):
         return [(x, g * out * (1.0 - out))]
@@ -419,6 +439,73 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     return _record("maximum", (a, b), out, grad_fn)
 
 
+def lstm_seq(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """An LSTM run from zero state over the N rows of ``x`` (N, in), last row
+    first when ``reverse``. Gates are packed as columns [input, forget, cell,
+    output] of w_x (in, 4H), w_h (H, 4H) and b (4H,). Returns (N+1, H): row t
+    is the hidden state at position t, and row N the cell state after the
+    last step.
+
+    The input projections of all steps are one GEMM; only ``h @ w_h`` runs
+    per step. Backward is hand-written BPTT: one pass back over time for the
+    gate pre-activation gradients dG, then dx = dG w_xᵀ, dw_x = xᵀ dG and
+    dw_h = H_prevᵀ dG as one GEMM each (Appleyard et al. 2016,
+    arXiv 1604.01946).
+    """
+    xd, wx, wh, bd = x.data, w_x.data, w_h.data, b.data
+    if xd.ndim != 2 or wh.ndim != 2 or not xd.shape[0]:
+        raise ShapeMismatchError(f"lstm_seq: x {xd.shape} must be (N>0, in), w_h (H, 4H)")
+    n, hid = xd.shape[0], wh.shape[0]
+    if wh.shape != (hid, 4 * hid) or wx.shape != (xd.shape[1], 4 * hid) or bd.shape != (4 * hid,):
+        raise ShapeMismatchError(f"lstm_seq: x {xd.shape}, w_x {wx.shape}, w_h {wh.shape}, "
+                                 f"b {bd.shape}")
+    order = slice(None, None, -1) if reverse else slice(None)
+    xs = xd[order]                       # rows in the order they are consumed
+    pre = xs @ wx + bd                   # (N, 4H)
+    acts = np.empty_like(pre)            # gates after their nonlinearities
+    cells = np.zeros((n + 1, hid))       # cells[t + 1] is c after step t
+    hs = np.zeros((n + 1, hid))          # hs[t + 1] is h after step t
+    tanh_c = np.empty((n, hid))
+    cell_gate = slice(2 * hid, 3 * hid)
+    for t in range(n):
+        gates = pre[t] + hs[t] @ wh
+        a = acts[t]
+        a[:] = _sigmoid(gates)
+        a[cell_gate] = np.tanh(gates[cell_gate])
+        cells[t + 1] = a[hid:2 * hid] * cells[t] + a[:hid] * a[cell_gate]
+        tanh_c[t] = np.tanh(cells[t + 1])
+        hs[t + 1] = a[3 * hid:] * tanh_c[t]
+    out = np.empty((n + 1, hid))
+    out[:n] = hs[1:][order]
+    out[n] = cells[n]
+
+    def grad_fn(g):
+        i, f, cg, o = (acts[:, k * hid:(k + 1) * hid] for k in range(4))
+        # Per-step factors: dG's input, forget and cell blocks are dc times
+        # `by_dc`, its output block dh times `by_dh`; dc picks up dh * `dc_dh`.
+        by_dc = np.stack([cg * i * (1.0 - i), cells[:-1] * f * (1.0 - f),
+                          i * (1.0 - cg * cg)], axis=1)                # (N, 3, H)
+        by_dh = tanh_c * o * (1.0 - o)
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        dh_out = g[:n][order]
+        d_pre = np.empty((n, 4, hid))
+        dh_next = np.zeros(hid)
+        dc = g[n].copy()
+        for t in range(n - 1, -1, -1):
+            dh = dh_out[t] + dh_next
+            dc = dc + dh * dc_dh[t]
+            d_pre[t, :3] = by_dc[t] * dc
+            d_pre[t, 3] = dh * by_dh[t]
+            dc = dc * f[t]
+            if t:
+                dh_next = wh @ d_pre[t].reshape(-1)
+        dg = d_pre.reshape(n, 4 * hid)
+        return [(x, (dg @ wx.T)[order]), (w_x, xs.T @ dg), (w_h, hs[:-1].T @ dg),
+                (b, dg.sum(axis=0))]
+
+    return _record("lstm_seq", (x, w_x, w_h, b), out, grad_fn)
+
+
 PRIMITIVES: dict[str, Callable] = {
     "matmul": matmul,
     "add": add,
@@ -435,6 +522,7 @@ PRIMITIVES: dict[str, Callable] = {
     "reshape": reshape,
     "minimum": minimum,
     "maximum": maximum,
+    "lstm_seq": lstm_seq,
 }
 
 

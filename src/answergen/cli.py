@@ -223,12 +223,15 @@ def generate_cmd(ckpt_path, vocab_path, data_path, out_path, kb_path, beam, show
 
     beam_size = beam if beam is not None else cfg.generation.beam_size
     results = []
-    for rec in load_jsonl_dataset(data_path):
-        result = run_generate(rec.question, rec.passage, model, kb=kb,
-                              beam_size=beam_size, max_len=cfg.data.answer_limit,
-                              n_facts=cfg.knowledge.max_facts,
-                              knowledge_enabled=cfg.knowledge.enabled,
-                              passage_limit=cfg.data.passage_limit)
+    for i, rec in enumerate(load_jsonl_dataset(data_path)):
+        try:
+            result = run_generate(rec.question, rec.passage, model, kb=kb,
+                                  beam_size=beam_size, max_len=cfg.data.answer_limit,
+                                  n_facts=cfg.knowledge.max_facts,
+                                  knowledge_enabled=cfg.knowledge.enabled,
+                                  passage_limit=cfg.data.passage_limit)
+        except DataError as exc:
+            raise DataError(f"record {i}: {exc}") from None
         results.append((rec.question, result))
         if show_trace:
             click.echo(f"Q: {rec.question}")

@@ -123,10 +123,10 @@ class AnswerModel:
         return ad.lookup(self.embedding, token_ids)
 
     def encode_question(self, ids) -> EncoderOutput:
-        return encode(ids, self.embedding, self.q_encoder)
+        return encode(ids, self.embedding, self.q_encoder, self.attn_q.w_states)
 
     def encode_passage(self, ids) -> EncoderOutput:
-        return encode(ids, self.embedding, self.p_encoder)
+        return encode(ids, self.embedding, self.p_encoder, self.attn_p.w_states)
 
     def initial_state(self, enc_q: EncoderOutput, enc_p: EncoderOutput) -> StepState:
         hid = self.dims.hidden_dim
@@ -145,9 +145,9 @@ class AnswerModel:
              state: StepState, x_emb: Tensor) -> StepOutput:
         dec_in = ad.concat([x_emb, state.c_q, state.c_p], axis=-1)
         h, c = lstm_step(self.decoder, dec_in, state.h, state.c)
-        a_q = attend(enc_q.states, h, state.cov_q, self.attn_q)
+        a_q = attend(enc_q.keys, h, state.cov_q, self.attn_q)
         c_q = context_vector(a_q, enc_q.states)
-        a_p = attend(enc_p.states, h, state.cov_p, self.attn_p, context=c_q)
+        a_p = attend(enc_p.keys, h, state.cov_p, self.attn_p, context=c_q)
         c_p = context_vector(a_p, enc_p.states)
         pen_q = coverage_penalty(a_q, state.cov_q)
         pen_p = coverage_penalty(a_p, state.cov_p)

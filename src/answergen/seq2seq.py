@@ -7,9 +7,11 @@ the same-step question context. Coverage is the running sum of past
 attention vectors and enters both the logits and the training penalty
 sum_i min(a_i, cov_i).
 
-Every weight is stored (in, out), so each layer computes rows @ W. The cell,
-the attention and the coverage penalty take one decoder row or a (B, .)
-batch of rows, one per beam hypothesis.
+Each encoder direction is one fused `autodiff.lstm_seq` over the whole
+sequence, with hand-written backpropagation through time; the decoder steps
+`lstm_step`. Every weight is stored (in, out), so each layer computes
+rows @ W. The cell, the attention and the coverage penalty take one decoder
+row or a (B, .) batch of rows, one per beam hypothesis.
 """
 from __future__ import annotations
 
@@ -84,6 +86,7 @@ class EncoderParams:
 @dataclass
 class EncoderOutput:
     states: Tensor   # (N, 2H): forward and backward states concatenated per token
+    keys: Tensor     # (N, A): states @ w_states of the attention that reads them
     final_h: Tensor  # (2H,)
     final_c: Tensor  # (2H,)
 
@@ -92,31 +95,27 @@ class EncoderOutput:
         return self.states.shape[0]
 
 
-def encode(ids, embeddings: Tensor, params: EncoderParams) -> EncoderOutput:
-    """Run both directions over the token ids and concatenate per position."""
-    if len(ids) == 0:
+def encode(ids, embeddings: Tensor, params: EncoderParams, w_keys: Tensor) -> EncoderOutput:
+    """Run both directions over the token ids and concatenate per position.
+    ``w_keys`` is the (2H, A) state projection of the attention over these
+    states, applied here once rather than on every decoder step."""
+    n = len(ids)
+    if n == 0:
         raise EmptySequenceError("cannot encode an empty sequence")
     hid = params.fwd.hidden
-    table = ad.lookup(embeddings, ids)  # one lookup; rows below come from this small table
-    embs = [ad.lookup(table, i) for i in range(len(ids))]
-
-    def run(cell: LSTMParams, seq):
-        h = ad.constant(np.zeros(hid))
-        c = ad.constant(np.zeros(hid))
-        states = []
-        for x in seq:
-            h, c = lstm_step(cell, x, h, c)
-            states.append(h)
-        return states, h, c
-
-    fwd_states, fwd_h, fwd_c = run(params.fwd, embs)
-    bwd_states, bwd_h, bwd_c = run(params.bwd, embs[::-1])
-    bwd_states = bwd_states[::-1]
-    per_token = [ad.concat([f, b]) for f, b in zip(fwd_states, bwd_states)]
+    x = ad.lookup(embeddings, ids)                                     # (N, emb)
+    fwd = ad.lstm_seq(x, params.fwd.w_x, params.fwd.w_h, params.fwd.b)
+    bwd = ad.lstm_seq(x, params.bwd.w_x, params.bwd.w_h, params.bwd.b, reverse=True)
+    both = ad.concat([fwd, bwd], axis=-1)             # (N+1, 2H); row N is the final c
+    states = ad.slice_(both, 0, n)
+    # one (H,) row per position and direction: the forward pass ends at
+    # position N-1, the backward pass at position 0
+    rows = ad.reshape(both, (2 * (n + 1), hid))
     return EncoderOutput(
-        states=ad.stack(per_token),
-        final_h=ad.concat([fwd_h, bwd_h]),
-        final_c=ad.concat([fwd_c, bwd_c]),
+        states=states,
+        keys=ad.matmul(states, w_keys),
+        final_h=ad.reshape(ad.lookup(rows, [2 * (n - 1), 1]), (2 * hid,)),
+        final_c=ad.reshape(ad.lookup(rows, [2 * n, 2 * n + 1]), (2 * hid,)),
     )
 
 
@@ -150,17 +149,18 @@ def additive_scores(keys: Tensor, shift: Tensor, gate: Tensor) -> Tensor:
     return ad.matmul(ad.tanh(ad.add(keys, shift)), gate)
 
 
-def attend(states: Tensor, s_t: Tensor, coverage: Tensor, params: AttentionParams,
+def attend(keys: Tensor, s_t: Tensor, coverage: Tensor, params: AttentionParams,
            context: Tensor | None = None) -> Tensor:
-    """Attention simplex over the N encoder positions: s_t (..., H),
-    coverage (..., N) and context (..., 2H) give (..., N)."""
+    """Attention simplex over the N encoder positions, whose states enter as
+    ``keys`` = states @ w_states (N, A): s_t (..., H), coverage (..., N) and
+    context (..., 2H) give (..., N)."""
     shift = ad.add(ad.matmul(s_t, params.u_state), params.b)          # (..., A)
     if context is not None:
         if params.v_context is None:
             raise ValueError("attention has no context projection")
         shift = ad.add(shift, ad.matmul(context, params.v_context))
     cov = ad.reshape(coverage, coverage.shape + (1,))                  # (..., N, 1)
-    keys = ad.add(ad.matmul(states, params.w_states), ad.mul(cov, params.w_cov))
+    keys = ad.add(keys, ad.mul(cov, params.w_cov))
     return ad.softmax(additive_scores(keys, shift, params.gate))
 
 

@@ -1,3 +1,5 @@
+import gc
+import weakref
 import zlib
 
 import numpy as np
@@ -199,6 +201,16 @@ def _primitive_case(kind, rng):
     if kind == "reshape":
         x = ad.Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
         return (lambda: _scalarize(ad.reshape(x, (6,)), np.random.default_rng(0))), [x]
+    if kind == "lstm_seq":
+        n, in_dim, hid = (int(v) for v in rng.integers(1, [6, 4, 4]))
+        x = ad.Tensor(rng.uniform(-1, 1, (n, in_dim)), requires_grad=True)
+        w_x, w_h = (ad.Tensor(rng.uniform(-1, 1, (rows, 4 * hid)), requires_grad=True)
+                    for rows in (in_dim, hid))
+        b = ad.Tensor(rng.uniform(-1, 1, (4 * hid,)), requires_grad=True)
+        reverse = bool(rng.integers(2))
+        # _scalarize weights every state row and the final cell row
+        return (lambda: _scalarize(ad.lstm_seq(x, w_x, w_h, b, reverse=reverse),
+                                   np.random.default_rng(0))), [x, w_x, w_h, b]
     raise AssertionError(kind)
 
 
@@ -238,3 +250,36 @@ def test_second_use_of_tensor_accumulates():
         loss = ad.sum(ad.mul(x, x))  # same tensor twice in one node
     gm = tape.backward(loss)
     np.testing.assert_allclose(gm[x], [6.0])
+
+
+def test_accumulation_leaves_shared_gradients_alone():
+    """add hands one gradient array to both of its inputs; adding later uses
+    of one input into it must not change the other's gradient."""
+    rng = np.random.default_rng(3)
+    a, b = (ad.Tensor(rng.normal(size=4), requires_grad=True) for _ in range(2))
+    w, w2, w3 = (ad.constant(rng.normal(size=4)) for _ in range(3))
+    with ad.Tape() as tape:
+        p, q = ad.mul(a, w2), ad.mul(a, w3)
+        s = ad.add(a, b)  # recorded last among a's uses, so swept back first
+        loss = ad.sum(ad.add(ad.add(ad.mul(s, w), p), q))
+    gm = tape.backward(loss)
+    np.testing.assert_array_equal(gm[b], w.data)
+    np.testing.assert_allclose(gm[a], w.data + w2.data + w3.data, rtol=1e-15)
+
+
+def test_backward_frees_the_graph_without_the_cycle_collector():
+    x = ad.Tensor(np.ones(3), requires_grad=True)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with ad.Tape() as tape:
+            y = ad.tanh(x)
+            loss = ad.sum(y)
+        probe = weakref.ref(y.data)  # also held by tanh's node
+        tape.backward(loss)
+        assert tape.nodes == []
+        del y, loss, tape
+        assert probe() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -28,12 +28,18 @@ def make_encoder(rng, emb_dim=4, hidden=3):
     return s2s.EncoderParams.init(rng, emb_dim, hidden, "enc")
 
 
+def make_keys(rng, hidden=3, attn_dim=4):
+    """An attention's (2H, A) state projection, for encode's keys."""
+    return ad.Tensor(rng.uniform(-0.5, 0.5, (2 * hidden, attn_dim)), requires_grad=True)
+
+
 def test_encode_single_token_full_scale_dims():
     rng = np.random.default_rng(0)
     emb = ad.Tensor(rng.uniform(-0.1, 0.1, (5, 300)), requires_grad=True)
     params = s2s.EncoderParams.init(rng, 300, 256, "enc")
-    out = s2s.encode([2], emb, params)
+    out = s2s.encode([2], emb, params, make_keys(rng, 256, 500))
     assert out.states.shape == (1, 512)
+    assert out.keys.shape == (1, 500)
     assert out.final_h.shape == (512,)
 
 
@@ -43,7 +49,7 @@ def test_encode_zero_params_zero_states():
     for cell in (params.fwd, params.bwd):
         for t in (cell.w_x, cell.w_h, cell.b):
             t.data[:] = 0.0
-    out = s2s.encode([0, 1, 2], emb, params)
+    out = s2s.encode([0, 1, 2], emb, params, make_keys(np.random.default_rng(1), 2))
     assert np.all(out.states.data == 0.0)
 
 
@@ -51,7 +57,7 @@ def test_encode_empty_sequence():
     emb = ad.constant(np.zeros((4, 3)))
     params = make_encoder(np.random.default_rng(0), 3, 2)
     with pytest.raises(EmptySequenceError):
-        s2s.encode([], emb, params)
+        s2s.encode([], emb, params, make_keys(np.random.default_rng(1), 2))
 
 
 def test_encode_direction_symmetry():
@@ -64,9 +70,81 @@ def test_encode_direction_symmetry():
         getattr(params.bwd, name).data[:] = getattr(params.fwd, name).data
     ids = [0, 2, 4, 1, 5]
     hid = 3
-    fwd_half = s2s.encode(ids, emb, params).states.data[:, :hid]
-    bwd_half_rev = s2s.encode(ids[::-1], emb, params).states.data[:, hid:]
+    w_keys = make_keys(rng, hid)
+    fwd_half = s2s.encode(ids, emb, params, w_keys).states.data[:, :hid]
+    bwd_half_rev = s2s.encode(ids[::-1], emb, params, w_keys).states.data[:, hid:]
     np.testing.assert_allclose(bwd_half_rev, fwd_half[::-1], atol=1e-12)
+
+
+def encode_loop(ids, embeddings, params, w_keys):
+    """Reference encoder: one taped lstm_step per token and direction."""
+    hid = params.fwd.hidden
+    embs = [ad.lookup(embeddings, i) for i in ids]
+
+    def run(cell, seq):
+        h = c = ad.constant(np.zeros(hid))
+        states = []
+        for x in seq:
+            h, c = s2s.lstm_step(cell, x, h, c)
+            states.append(h)
+        return states, h, c
+
+    fwd_states, fwd_h, fwd_c = run(params.fwd, embs)
+    bwd_states, bwd_h, bwd_c = run(params.bwd, embs[::-1])
+    states = ad.stack([ad.concat([f, b]) for f, b in zip(fwd_states, bwd_states[::-1])])
+    return s2s.EncoderOutput(states=states, keys=ad.matmul(states, w_keys),
+                             final_h=ad.concat([fwd_h, bwd_h]),
+                             final_c=ad.concat([fwd_c, bwd_c]))
+
+
+@pytest.mark.parametrize("ids", [[3], [0, 5], [2, 4, 4, 1, 0, 5, 3, 2, 6]])
+def test_encode_matches_lstm_step_loop(ids):
+    """The fused encoder gives the per-step loop's values and gradients for
+    every encoder weight, the key projection and the embedding table."""
+    rng = np.random.default_rng(len(ids))
+    hid = 3
+    emb = ad.Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+    params = make_encoder(rng, 4, hid)
+    for cell in (params.fwd, params.bwd):
+        for t in (cell.w_x, cell.w_h, cell.b):
+            t.data *= 10.0  # well away from the linear regime of the gates
+    w_keys = make_keys(rng, hid)
+    fields = ("states", "keys", "final_h", "final_c")
+    weights = {name: ad.constant(rng.normal(size=shape)) for name, shape in
+               (("states", (len(ids), 2 * hid)), ("keys", (len(ids), 4)),
+                ("final_h", (2 * hid,)), ("final_c", (2 * hid,)))}
+    wrt = [emb, w_keys] + [getattr(cell, name) for cell in (params.fwd, params.bwd)
+                           for name in ("w_x", "w_h", "b")]
+    results = []
+    for encoder in (s2s.encode, encode_loop):
+        with ad.Tape() as tape:
+            out = encoder(ids, emb, params, w_keys)
+            loss = ad.sum(ad.concat([ad.reshape(ad.mul(getattr(out, name), weights[name]), (-1,))
+                                     for name in fields]))
+        results.append((out, tape.backward(loss, params=wrt)))
+    (fused, fused_grads), (loop, loop_grads) = results
+    for name in fields:
+        np.testing.assert_allclose(getattr(fused, name).data, getattr(loop, name).data,
+                                   rtol=1e-12, atol=1e-12, err_msg=name)
+    for t in wrt:
+        np.testing.assert_allclose(fused_grads[t], loop_grads[t], rtol=1e-12, atol=1e-12,
+                                   err_msg=t.name)
+
+
+def test_encode_tape_size_independent_of_length():
+    """One encode records the same nodes for 1 token as for 200: the time
+    loop runs inside the lstm_seq primitive, not on the tape."""
+    rng = np.random.default_rng(4)
+    emb = ad.Tensor(rng.normal(size=(10, 4)), requires_grad=True)
+    params = make_encoder(rng, 4, 3)
+    w_keys = make_keys(rng)
+    kinds = []
+    for n in (1, 200):
+        with ad.Tape() as tape:
+            s2s.encode(rng.integers(0, 10, size=n).tolist(), emb, params, w_keys)
+        kinds.append([node.op_kind for node in tape.nodes])
+    assert kinds[0] == kinds[1]
+    assert kinds[0].count("lstm_seq") == 2 and len(kinds[0]) <= 12, kinds[0]
 
 
 def test_lstm_step_matches_cell_oracle():
@@ -130,7 +208,7 @@ def test_attend_uniform_for_identical_states():
     rng = np.random.default_rng(8)
     p = make_attention(rng)
     states = np.tile(rng.normal(size=6), (5, 1))
-    a = s2s.attend(ad.constant(states), ad.constant(rng.normal(size=3)),
+    a = s2s.attend(ad.constant(states @ p.w_states.data), ad.constant(rng.normal(size=3)),
                    ad.constant(np.zeros(5)), p)
     np.testing.assert_allclose(a.data, np.full(5, 0.2), atol=1e-12)
 
@@ -138,7 +216,7 @@ def test_attend_uniform_for_identical_states():
 def test_attend_single_position():
     rng = np.random.default_rng(9)
     p = make_attention(rng)
-    a = s2s.attend(ad.constant(rng.normal(size=(1, 6))),
+    a = s2s.attend(ad.constant(rng.normal(size=(1, 6)) @ p.w_states.data),
                    ad.constant(rng.normal(size=3)), ad.constant(np.zeros(1)), p)
     np.testing.assert_allclose(a.data, [1.0])
 
@@ -149,7 +227,8 @@ def test_attend_matches_transcription_oracle():
     states = rng.normal(size=(7, 6))
     s_t = rng.normal(size=3)
     cov = rng.uniform(0, 2, size=7)
-    got = s2s.attend(ad.constant(states), ad.constant(s_t), ad.constant(cov), p)
+    got = s2s.attend(ad.constant(states @ p.w_states.data), ad.constant(s_t),
+                     ad.constant(cov), p)
     oracle_p = replace(p, u_state=ad.constant(p.u_state.data.T))
     np.testing.assert_allclose(got.data, attention_oracle(states, s_t, cov, oracle_p),
                                atol=1e-12)
@@ -162,8 +241,8 @@ def test_attend_with_context_matches_oracle():
     s_t = rng.normal(size=3)
     cov = rng.uniform(0, 1, size=4)
     ctx = rng.normal(size=6)
-    got = s2s.attend(ad.constant(states), ad.constant(s_t), ad.constant(cov), p,
-                     context=ad.constant(ctx))
+    got = s2s.attend(ad.constant(states @ p.w_states.data), ad.constant(s_t),
+                     ad.constant(cov), p, context=ad.constant(ctx))
     oracle_p = replace(p, u_state=ad.constant(p.u_state.data.T),
                        v_context=ad.constant(p.v_context.data.T))
     np.testing.assert_allclose(got.data, attention_oracle(states, s_t, cov, oracle_p, ctx),

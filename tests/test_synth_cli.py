@@ -231,7 +231,9 @@ def events(result):
     return {rec["event"]: rec for rec in map(json.loads, result.stderr.splitlines())}
 
 
-def test_cli_generate_empty_passage_exits_3(runner, tmp_path):
+def generate_records(runner, tmp_path, passages):
+    """``answergen generate`` with a small untrained checkpoint over one
+    record per passage."""
     vocab = make_vocab()
     vocab.save(tmp_path / "vocab.json")
     cfg = RunConfig.desk()
@@ -239,12 +241,26 @@ def test_cli_generate_empty_passage_exits_3(runner, tmp_path):
     model = AnswerModel(vocab, 1, cfg.model, np.random.default_rng(0))
     save_checkpoint(model, step=0, config=cfg, path=tmp_path / "m.ckpt")
     data = tmp_path / "d.jsonl"
-    data.write_text(json.dumps({"question": "what is the bridge ?", "passage": ""}) + "\n")
-    result = runner.invoke(main, ["generate", "--checkpoint", str(tmp_path / "m.ckpt"),
-                                  "--vocab", str(tmp_path / "vocab.json"), "--data", str(data),
-                                  "--out", str(tmp_path / "pred.jsonl")])
+    data.write_text("".join(json.dumps({"question": "what is the bridge ?", "passage": p}) + "\n"
+                            for p in passages))
+    return runner.invoke(main, ["generate", "--checkpoint", str(tmp_path / "m.ckpt"),
+                                "--vocab", str(tmp_path / "vocab.json"), "--data", str(data),
+                                "--out", str(tmp_path / "pred.jsonl")])
+
+
+def test_cli_generate_empty_passage_exits_3(runner, tmp_path):
+    result = generate_records(runner, tmp_path, [""])
     assert result.exit_code == 3, result.output
     assert events(result)["error"]["kind"] == "data"
+    assert not (tmp_path / "pred.jsonl").exists()
+
+
+def test_cli_generate_names_the_failing_record(runner, tmp_path):
+    result = generate_records(runner, tmp_path, ["the bridge is safe .", ""])
+    assert result.exit_code == 3, result.output
+    error = events(result)["error"]
+    assert error["kind"] == "data"
+    assert error["message"].startswith("record 1: "), error["message"]
     assert not (tmp_path / "pred.jsonl").exists()
 
 
