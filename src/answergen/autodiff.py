@@ -112,9 +112,13 @@ class Tape:
         _tape_stack().append(self)
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, exc_type, *exc):
         popped = _tape_stack().pop()
         assert popped is self
+        if exc_type is not None:
+            # No backward will sweep this tape, and its outputs refer back to
+            # it: drop the nodes so the graph is freed by reference counting.
+            self.nodes.clear()
         return False
 
     def backward(self, loss: Tensor, params: Iterable[Tensor] | None = None) -> GradientMap:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -50,7 +51,10 @@ from .selectors import (
 from .text import BOS, EOS_TOKEN_SENTINEL, UNK, Example
 
 CHECKPOINT_MAGIC = b"AGCP"
-CHECKPOINT_VERSION = 3  # 2: sel.u_fact stored (H, A); 3: every weight stored (in, out)
+# 2: sel.u_fact stored (H, A); 3: every weight stored (in, out);
+# 4: the trailing checksum is sha256 cut to 8 bytes, not blake2b
+CHECKPOINT_VERSION = 4
+CHECKSUM_BYTES = 8
 
 
 @dataclass
@@ -173,8 +177,21 @@ def elbo_loss(model: AnswerModel, example: Example, facts: Sequence[Fact],
 # Optimization.
 # ---------------------------------------------------------------------------
 
+# Adam works through each parameter in blocks of this many entries (256 KiB),
+# so a block's slices of p, g, m and v and both scratch buffers stay in cache
+# while the dozen ufuncs of one update pass over them.
+ADAM_BLOCK = 32 * 1024
+
+
 class Adam:
-    """Per-parameter adaptive steps; moments keyed by parameter name."""
+    """Per-parameter adaptive steps; moments keyed by parameter name.
+
+    ``step`` updates every parameter in place, one ``ADAM_BLOCK`` of entries
+    at a time, with the operations of
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
+    in that order, so it makes no full-size temporary.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
@@ -183,26 +200,45 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.m = {name: np.zeros(p.data.size) for name, p in params.items()}
+        self.v = {name: np.zeros(p.data.size) for name, p in params.items()}
+        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for name, p in self.params.items():
-            g = grads[name]
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1 ** self.t)
-            v_hat = self.v[name] / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if not p.data.flags.c_contiguous:
+                raise ValueError(f"parameter {name} is not contiguous; Adam updates it in place")
+            flat_p, g_all = p.data.reshape(-1), grads[name].reshape(-1)
+            m_all, v_all = self.m[name], self.v[name]
+            for start in range(0, flat_p.size, ADAM_BLOCK):
+                block = slice(start, start + ADAM_BLOCK)
+                w, g, m, v = flat_p[block], g_all[block], m_all[block], v_all[block]
+                s1, s2 = self._scratch[0][:w.size], self._scratch[1][:w.size]
+                np.multiply(m, b1, out=m)
+                np.multiply(g, 1 - b1, out=s1)
+                np.add(m, s1, out=m)
+                np.multiply(v, b2, out=v)
+                np.multiply(g, 1 - b2, out=s1)
+                np.multiply(s1, g, out=s1)
+                np.add(v, s1, out=v)
+                np.divide(m, c1, out=s1)
+                np.multiply(s1, lr, out=s1)
+                np.divide(v, c2, out=s2)
+                np.sqrt(s2, out=s2)
+                np.add(s2, eps, out=s2)
+                np.divide(s1, s2, out=s1)
+                np.subtract(w, s1, out=w)
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their joint L2 norm is <= max_norm."""
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(g * g))
+        flat = g.reshape(-1)
+        total += float(flat @ flat)
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
@@ -327,64 +363,79 @@ class CheckpointData:
     tensors: dict[str, np.ndarray]
 
 
-def _checksum(blob: bytes) -> bytes:
-    return hashlib.blake2b(blob, digest_size=8).digest()
+def _digest(hasher) -> bytes:
+    return hasher.digest()[:CHECKSUM_BYTES]
 
 
 def save_checkpoint(model: AnswerModel, step: int, config: RunConfig, path) -> None:
+    """Write the container with each tensor's buffer handed to the file as is;
+    the checksum is taken over the same chunks as they go out."""
     config_bytes = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-    parts = [CHECKPOINT_MAGIC,
-             struct.pack("<IQQ", CHECKPOINT_VERSION, step, model.vocab.content_hash()),
-             struct.pack("<I", len(config_bytes)), config_bytes,
-             struct.pack("<I", len(model.parameters))]
+    parts: list = [CHECKPOINT_MAGIC,
+                   struct.pack("<IQQ", CHECKPOINT_VERSION, step, model.vocab.content_hash()),
+                   struct.pack("<I", len(config_bytes)), config_bytes,
+                   struct.pack("<I", len(model.parameters))]
     for name, tensor in model.parameters.items():
         encoded = name.encode("utf-8")
         data = np.ascontiguousarray(tensor.data, dtype="<f8")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<B", data.ndim))
-        parts.append(struct.pack(f"<{data.ndim}Q", *data.shape))
-        parts.append(data.tobytes())
-    blob = b"".join(parts)
-    replace_file(path, [blob, _checksum(blob)])
+        parts.append(struct.pack("<H", len(encoded)) + encoded
+                     + struct.pack(f"<B{data.ndim}Q", data.ndim, *data.shape))
+        parts.append(memoryview(data))
+
+    def chunks():
+        hasher = hashlib.sha256()
+        for part in parts:
+            hasher.update(part)
+            yield part
+        yield _digest(hasher)
+
+    replace_file(path, chunks())
 
 
 def load_checkpoint(path) -> CheckpointData:
+    """Read the file into one buffer; the tensors are views into it.
+
+    Magic and version are read before the checksum, so a file of another
+    version is refused as such rather than as corrupt.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(CHECKPOINT_MAGIC) + 8:
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        fh.readinto(buf)
+    prefix = len(CHECKPOINT_MAGIC) + struct.calcsize("<IQQ")
+    if len(buf) < prefix + CHECKSUM_BYTES:
         raise CorruptFileError("checkpoint too short")
-    body, declared = blob[:-8], blob[-8:]
-    if _checksum(body) != declared:
-        raise CorruptFileError("checkpoint checksum mismatch")
-    if body[:4] != CHECKPOINT_MAGIC:
+    if buf[:4] != CHECKPOINT_MAGIC:
         raise CorruptFileError("not a checkpoint file")
-    offset = 4
-    version, step, vocab_hash = struct.unpack_from("<IQQ", body, offset)
-    offset += struct.calcsize("<IQQ")
+    version, step, vocab_hash = struct.unpack_from("<IQQ", buf, 4)
     if version != CHECKPOINT_VERSION:
         raise VersionMismatchError(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    (config_len,) = struct.unpack_from("<I", body, offset)
+    end = len(buf) - CHECKSUM_BYTES
+    if _digest(hashlib.sha256(memoryview(buf)[:end])) != buf[end:]:
+        raise CorruptFileError("checkpoint checksum mismatch")
+    offset = prefix
+    (config_len,) = struct.unpack_from("<I", buf, offset)
     offset += 4
-    config = json.loads(body[offset:offset + config_len].decode("utf-8"))
+    config = json.loads(buf[offset:offset + config_len].decode("utf-8"))
     offset += config_len
-    (n_tensors,) = struct.unpack_from("<I", body, offset)
+    (n_tensors,) = struct.unpack_from("<I", buf, offset)
     offset += 4
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
-        (name_len,) = struct.unpack_from("<H", body, offset)
+        (name_len,) = struct.unpack_from("<H", buf, offset)
         offset += 2
-        name = body[offset:offset + name_len].decode("utf-8")
+        name = buf[offset:offset + name_len].decode("utf-8")
         offset += name_len
-        (rank,) = struct.unpack_from("<B", body, offset)
+        (rank,) = struct.unpack_from("<B", buf, offset)
         offset += 1
-        shape = struct.unpack_from(f"<{rank}Q", body, offset)
+        shape = struct.unpack_from(f"<{rank}Q", buf, offset)
         offset += 8 * rank
         count = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(body, dtype="<f8", count=count, offset=offset).reshape(shape)
+        if offset + 8 * count > end:
+            raise CorruptFileError("checkpoint tensor runs past the end of the file")
+        tensors[name] = np.frombuffer(buf, dtype="<f8", count=count,
+                                      offset=offset).reshape(shape)
         offset += 8 * count
-        tensors[name] = data.astype(np.float64)
-    if offset != len(body):
+    if offset != end:
         raise CorruptFileError("trailing bytes in checkpoint")
     return CheckpointData(step=step, vocab_hash=vocab_hash, config=config, tensors=tensors)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from answergen import autodiff as ad
 from answergen.errors import (
+    NonFiniteLossError,
     NonFiniteValueError,
     ShapeMismatchError,
     TapeConsumedError,
@@ -279,6 +280,26 @@ def test_backward_frees_the_graph_without_the_cycle_collector():
         tape.backward(loss)
         assert tape.nodes == []
         del y, loss, tape
+        assert probe() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_forward_that_raises_frees_the_graph_without_the_cycle_collector():
+    """A NonFiniteLossError inside train_step's tape leaves a tape that no
+    backward will sweep; leaving the block must still release its nodes."""
+    x = ad.Tensor(np.ones(3), requires_grad=True)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(NonFiniteLossError):
+            with ad.Tape() as tape:
+                y = ad.tanh(x)
+                probe = weakref.ref(y.data)  # also held by tanh's node
+                raise NonFiniteLossError("loss is not finite")
+        assert tape.nodes == []
+        del y, tape
         assert probe() is None
     finally:
         if was_enabled:

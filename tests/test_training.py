@@ -1,3 +1,7 @@
+import hashlib
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from answergen.config import RunConfig, TrainingConfig
 from answergen.errors import CorruptFileError, VersionMismatchError
 from answergen.selectors import PROB_FLOOR
 from answergen.training import (
+    ADAM_BLOCK,
     Adam,
     TrainItem,
     clip_global_norm,
@@ -161,6 +166,66 @@ def test_adam_zero_lr_keeps_parameters(vocab):
         np.testing.assert_array_equal(v.data, before[k])
 
 
+def reference_adam_step(params, m, v, grads, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam as written before the blocked in-place update, kept as the
+    reference it must equal bit for bit."""
+    for name, p in params.items():
+        g = grads[name]
+        m[name] = b1 * m[name] + (1 - b1) * g
+        v[name] = b2 * v[name] + (1 - b2) * g * g
+        m_hat = m[name] / (1 - b1 ** t)
+        v_hat = v[name] / (1 - b2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_adam_equals_the_unblocked_formula():
+    shapes = {"one": (1,), "below": (ADAM_BLOCK - 1,), "block": (ADAM_BLOCK,),
+              "above": (ADAM_BLOCK + 1,), "matrix": (5, ADAM_BLOCK // 2)}
+    rng = np.random.default_rng(0)
+    start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    params = {name: ad.Tensor(arr.copy()) for name, arr in start.items()}
+    expected = {name: arr.copy() for name, arr in start.items()}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    opt = Adam(params, lr=1e-2)
+    for t in range(1, 6):
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        opt.step(grads)
+        reference_adam_step(expected, m, v, grads, t, lr=1e-2)
+    for name in shapes:
+        assert not np.array_equal(params[name].data, start[name])
+        np.testing.assert_array_equal(params[name].data, expected[name])
+
+
+def test_adam_step_makes_no_full_size_temporary():
+    n = 2_000_000
+    rng = np.random.default_rng(1)
+    params = {"w": ad.Tensor(rng.normal(size=n))}
+    grads = {"w": rng.normal(size=n)}
+    opt = Adam(params, lr=1e-3)
+    tracemalloc.start()
+    try:
+        opt.step(grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_clip_global_norm_over_many_tensors_scales_in_place():
+    rng = np.random.default_rng(2)
+    grads = {"a": rng.normal(size=7), "b": rng.normal(size=(3, 5)),
+             "c": rng.normal(size=1), "d": rng.normal(size=(40, 2))}
+    before = {name: g.copy() for name, g in grads.items()}
+    arrays = dict(grads)
+    expected = np.sqrt(sum(np.sum(g ** 2) for g in before.values()))
+    norm = clip_global_norm(grads, max_norm=0.5)
+    assert norm == pytest.approx(expected, rel=1e-12)
+    for name, g in grads.items():
+        assert g is arrays[name]
+        np.testing.assert_allclose(g, before[name] * (0.5 / expected), rtol=1e-12)
+
+
 def test_clip_global_norm():
     grads = {"a": np.array([3.0, 4.0])}
     norm = clip_global_norm(grads, max_norm=1.0)
@@ -260,3 +325,29 @@ def test_version_one_checkpoint_rejected(vocab, tmp_path, monkeypatch):
         monkeypatch.undo()
         with pytest.raises(VersionMismatchError):
             load_checkpoint(path)
+
+
+def test_version_three_checkpoint_rejected(vocab, tmp_path):
+    """Version 3 closed the file with a blake2b digest. Magic and version are
+    read first, so the old file is refused as a version mismatch (exit 3),
+    not as a corrupt file."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_model(vocab), step=0, config=RunConfig.desk(), path=path)
+    body = bytearray(path.read_bytes()[:-8])
+    struct.pack_into("<I", body, 4, 3)
+    path.write_bytes(bytes(body) + hashlib.blake2b(body, digest_size=8).digest())
+    with pytest.raises(VersionMismatchError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_flipped_payload_byte_is_corrupt(vocab, tmp_path):
+    model = make_model(vocab)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, step=0, config=RunConfig.desk(), path=path)
+    blob = bytearray(path.read_bytes())
+    payload = blob.find(model.embedding.data.tobytes())
+    assert payload > 0
+    blob[payload + model.embedding.data.nbytes // 2] ^= 0x01
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptFileError):
+        load_checkpoint(path)
