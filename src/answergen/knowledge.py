@@ -3,9 +3,11 @@
 A fact scores against a (question, passage) pair by three additive rules:
 +4 when its subject occurs in the question and its object in the passage,
 +2 when subject and object both occur in the passage, and +1 when the
-subject occurs in either text. "Occurs" means a contiguous run of
-lowercased tokens. Facts that only match through their object score 0 and
-are dropped.
+subject occurs in either text. A phrase occurs in a text when it is one of
+the text's contiguous runs of lowercased tokens (its n-grams), so each rule
+is a set-membership test. A query builds each text's set of runs of a given
+length once, on first use. Facts that only match through their object score
+0 and are dropped.
 """
 from __future__ import annotations
 
@@ -80,22 +82,29 @@ def ingest_triples(path) -> KnowledgeBase:
     return kb
 
 
-def occurs(needle: Sequence[str], hay: Sequence[str]) -> bool:
-    """Contiguous token-subsequence containment."""
-    n = len(needle)
-    if n == 0 or n > len(hay):
-        return False
-    first = needle[0]
-    for i in range(len(hay) - n + 1):
-        if hay[i] == first and tuple(hay[i:i + n]) == tuple(needle):
-            return True
-    return False
+class RunSets(dict):
+    """One text's contiguous token runs (n-grams), a set per run length, each
+    built on first use.
+
+    A text shorter than a length has no runs of it, and no text has a run of
+    length 0: ``zip()`` over no slices is empty, so an empty phrase never
+    occurs.
+    """
+
+    def __init__(self, tokens: Sequence[str]):
+        super().__init__()
+        self.tokens = tokens
+
+    def __missing__(self, length: int) -> set[tuple[str, ...]]:
+        runs = self[length] = set(zip(*(self.tokens[i:] for i in range(length))))
+        return runs
 
 
-def score_fact(fact: Fact, q_tokens: Sequence[str], p_tokens: Sequence[str]) -> int:
-    subj_in_q = occurs(fact.subject, q_tokens)
-    subj_in_p = occurs(fact.subject, p_tokens)
-    obj_in_p = occurs(fact.object, p_tokens)
+def score_fact(fact: Fact, q_runs: RunSets, p_runs: RunSets) -> int:
+    subject, obj = fact.subject, fact.object
+    subj_in_q = subject in q_runs[len(subject)]
+    subj_in_p = subject in p_runs[len(subject)]
+    obj_in_p = obj in p_runs[len(obj)]
     score = 0
     if subj_in_q and obj_in_p:
         score += 4
@@ -114,13 +123,14 @@ def extract_related_facts(kb: KnowledgeBase, q_tokens: Sequence[str],
     candidate_ids: set[int] = set()
     for token in set(q_tokens) | set(p_tokens):
         candidate_ids.update(kb.surface_index.get(token, ()))
-    scored = []
+    q_runs, p_runs = RunSets(q_tokens), RunSets(p_tokens)
+    ranked = []
     for fact_id in candidate_ids:
-        score = score_fact(kb.facts[fact_id], q_tokens, p_tokens)
+        score = score_fact(kb.facts[fact_id], q_runs, p_runs)
         if score > 0:
-            scored.append(ScoredFact(fact_id, score))
-    scored.sort(key=lambda sf: (-sf.score, sf.fact_id))
-    return scored[:n_facts]
+            ranked.append((-score, fact_id))
+    ranked.sort()
+    return [ScoredFact(fact_id, -neg_score) for neg_score, fact_id in ranked[:n_facts]]
 
 
 def resolve_facts(kb: KnowledgeBase, scored: Sequence[ScoredFact]) -> list[Fact]:

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .knowledge import Fact
 from .seq2seq import _uniform, _uniform_in_out, additive_scores
-from .text import PAD, Vocabulary
+from .text import PAD, UNK, Vocabulary
 
 PROB_FLOOR = 1e-12
 MASK_LOGIT = -1e30  # additive pre-softmax mask; exact zero after normalization
@@ -105,12 +105,11 @@ def embed_facts(facts: Sequence[Fact], embeddings: Tensor, vocab: Vocabulary,
         raise EmptyFactSetError("no facts to embed")
     n = len(facts)
     segments = [f.subject for f in facts] + [f.object for f in facts]
-    width = max(len(seg) for seg in segments)
-    ids = np.full((2 * n, width), PAD, dtype=np.intp)
-    weights = np.zeros((2 * n, width, 1))
-    for row, seg in enumerate(segments):
-        ids[row, :len(seg)] = [vocab.encode(t) for t in seg]
-        weights[row, :len(seg)] = 1.0 / len(seg)
+    lengths = np.array([len(seg) for seg in segments])[:, None]          # (2N_f, 1)
+    filled = np.arange(lengths.max()) < lengths                          # (2N_f, L)
+    ids = np.full(filled.shape, PAD, dtype=np.intp)
+    ids[filled] = [vocab.id_by_token.get(t, UNK) for seg in segments for t in seg]
+    weights = (filled / lengths)[..., None]                              # 1/len, 0 on PAD
     rows = ad.lookup(embeddings, ids)                                   # (2N_f, L, emb)
     pooled = ad.sum(ad.mul(rows, ad.constant(weights)), axis=1)         # (2N_f, emb)
     e_r = ad.lookup(params.relation_table, [f.relation for f in facts])

@@ -2,13 +2,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from answergen import knowledge
 from answergen.knowledge import (
     Fact,
     KnowledgeBase,
+    RunSets,
     ScoredFact,
     extract_related_facts,
     ingest_triples,
-    occurs,
     score_fact,
 )
 
@@ -26,6 +27,10 @@ def make_kb(triples):
         for token in set(fact.subject) | set(fact.object):
             kb.surface_index.setdefault(token, []).append(fact.fact_id)
     return kb
+
+
+def score(fact, q, p):
+    return score_fact(fact, RunSets(q), RunSets(p))
 
 
 # --- independent brute-force oracle: literal rule application on every fact ---
@@ -81,12 +86,12 @@ def test_ingest_empty_file(tmp_path):
 
 def test_score_subject_in_question_only():
     fact = Fact(("bridge",), 0, ("tower",), 0)
-    assert score_fact(fact, ["the", "bridge"], ["nothing", "here"]) == 1
+    assert score(fact, ["the", "bridge"], ["nothing", "here"]) == 1
 
 
 def test_score_subject_q_object_p():
     fact = Fact(("bridge",), 0, ("cross", "water"), 0)
-    assert score_fact(fact, ["the", "bridge", "?"], ["you", "cross", "water", "there"]) == 5
+    assert score(fact, ["the", "bridge", "?"], ["you", "cross", "water", "there"]) == 5
 
 
 def test_score_full_overlap_ranks_first():
@@ -94,8 +99,8 @@ def test_score_full_overlap_ranks_first():
     p = ["a", "bridge", "helps", "cross", "water"]
     both = Fact(("bridge",), 0, ("cross", "water"), 0)   # subj in q and p, obj in p
     q_only = Fact(("bridge",), 0, ("steel",), 1)
-    assert score_fact(both, q, p) == 7
-    assert score_fact(q_only, q, p) == 1
+    assert score(both, q, p) == 7
+    assert score(q_only, q, p) == 1
 
 
 def test_unrelated_fact_excluded():
@@ -110,26 +115,73 @@ def test_object_only_match_scores_zero_and_drops():
 
 def test_multiword_requires_contiguous():
     fact = Fact(("red", "bridge"), 0, ("x",), 0)
-    assert score_fact(fact, ["red", "bridge"], []) == 1
-    assert score_fact(fact, ["red", "old", "bridge"], []) == 0
+    assert score(fact, ["red", "bridge"], []) == 1
+    assert score(fact, ["red", "old", "bridge"], []) == 0
 
 
-def test_occurs_edge_cases():
-    assert not occurs([], ["a"])
-    assert not occurs(["a", "b"], ["a"])
-    assert occurs(["a"], ["b", "a"])
+def test_empty_or_overlong_phrase_never_matches():
+    q, p = ["a"], ["b", "a"]
+    assert RunSets(q)[0] == set() and RunSets(q)[2] == set()
+    empty_subject = Fact((), 0, ("a",), 0)
+    empty_object = Fact(("a",), 0, (), 1)
+    long_subject = Fact(("b", "a", "c"), 0, ("a",), 2)
+    long_object = Fact(("a",), 0, ("b", "a", "c"), 3)
+    matching = Fact(("a",), 0, ("b", "a"), 4)
+    assert score(empty_subject, q, p) == 0      # only its object occurs
+    assert score(empty_object, q, p) == 1       # subject alone: +1, no +4 or +2
+    assert score(long_subject, q, p) == 0
+    assert score(long_object, q, p) == 1
+    assert score(matching, q, p) == 7
+    kb = make_kb([((), "R", ("a",)), (("a",), "R", ()), (("b", "a", "c"), "R", ("a",)),
+                  (("a",), "R", ("b", "a", "c")), (("a",), "R", ("b", "a"))])
+    assert extract_related_facts(kb, q, p, 10) == [
+        ScoredFact(4, 7), ScoredFact(1, 1), ScoredFact(3, 1)]
+
+
+def test_extraction_scores_each_candidate_once(monkeypatch):
+    """One score_fact call per distinct candidate, and at most one run set
+    per text and phrase length, on a full-profile passage and a 10K KB."""
+    rng = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(2000)]
+    draw = lambda k: [words[i] for i in rng.integers(len(words), size=k)]  # noqa: E731
+    kb = make_kb([(draw(rng.integers(1, 4)), "R", draw(rng.integers(1, 4)))
+                  for _ in range(10_000)])
+    q, p = draw(12), draw(800)
+    scored_ids, built = [], []
+    real_score, real_missing = knowledge.score_fact, RunSets.__missing__
+
+    def counting_score(fact, q_runs, p_runs):
+        scored_ids.append(fact.fact_id)
+        return real_score(fact, q_runs, p_runs)
+
+    def counting_missing(run_sets, length):
+        built.append((id(run_sets.tokens), length))
+        return real_missing(run_sets, length)
+
+    monkeypatch.setattr(knowledge, "score_fact", counting_score)
+    monkeypatch.setattr(RunSets, "__missing__", counting_missing)
+    extract_related_facts(kb, q, p, 256)
+    candidates = {f.fact_id for f in kb.facts
+                  if set(f.subject + f.object) & (set(q) | set(p))}
+    assert len(scored_ids) == len(set(scored_ids))
+    assert set(scored_ids) == candidates
+    assert len(built) == len(set(built))
+    assert {length for _, length in built} <= {1, 2, 3}
 
 
 token_st = st.sampled_from(["red", "bridge", "water", "cross", "cat", "dog", "x", "y"])
-phrase_st = st.lists(token_st, min_size=1, max_size=3)
+phrase_st = st.lists(token_st, min_size=1, max_size=5)
+# a short pattern said several times over: every run occurs more than once
+repeated_st = st.lists(token_st, min_size=1, max_size=3).flatmap(
+    lambda pattern: st.integers(1, 4).map(lambda times: pattern * times))
 
 
 @given(
     st.lists(st.tuples(phrase_st, st.sampled_from(["R1", "R2"]), phrase_st),
-             min_size=0, max_size=30),
-    st.lists(token_st, min_size=1, max_size=8),
-    st.lists(token_st, min_size=1, max_size=12),
-    st.integers(1, 10),
+             min_size=0, max_size=60),
+    st.one_of(st.lists(token_st, min_size=1, max_size=8), repeated_st),
+    st.one_of(st.lists(token_st, min_size=1, max_size=12), repeated_st),
+    st.integers(1, 40),
 )
 @settings(max_examples=200, deadline=None)
 def test_extraction_matches_brute_force(triples, q, p, n_facts):
