@@ -234,28 +234,34 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product for the 2D/1D shape combinations, and a stack of
-    matrices (..., N, K) times a vector (K,)."""
+    """Rows times a matrix or a vector: a (..., K) @ b (K, N) gives (..., N)
+    and a (..., K) @ b (K,) gives (...). A stack of rows times a stack of
+    matrices, a (B, K) @ b (B, K, N), gives (B, N), one row per matrix."""
     ad, bd = a.data, b.data
-    stacked = ad.ndim > 2 and bd.ndim == 1
-    if not stacked and (ad.ndim not in (1, 2) or bd.ndim not in (1, 2)):
+    per_row = ad.ndim == 2 and bd.ndim == 3
+    if not per_row and (ad.ndim < 1 or bd.ndim not in (1, 2)):
         raise ShapeMismatchError(f"matmul: ranks {ad.ndim} and {bd.ndim} unsupported")
-    inner_a = ad.shape[-1]
-    inner_b = bd.shape[0]
-    if inner_a != inner_b:
+    k = ad.shape[-1]
+    if bd.shape[-2 if per_row else 0] != k or (per_row and bd.shape[0] != ad.shape[0]):
         raise ShapeMismatchError(f"matmul: inner dims {ad.shape} @ {bd.shape}")
-    out = ad @ bd
+    if per_row:
+        out = np.matmul(ad[:, None, :], bd)[:, 0, :]
+    elif bd.ndim == 2:  # one GEMM over all rows, whatever the leading axes
+        out = (ad.reshape(-1, k) @ bd).reshape(ad.shape[:-1] + bd.shape[1:])
+    else:
+        out = ad @ bd
 
     def grad_fn(g):
-        if stacked:
-            return [(a, np.multiply.outer(g, bd)), (b, g.reshape(-1) @ ad.reshape(-1, bd.size))]
-        if ad.ndim == 2 and bd.ndim == 2:
-            return [(a, g @ bd.T), (b, ad.T @ g)]
-        if ad.ndim == 2 and bd.ndim == 1:
-            return [(a, np.outer(g, bd)), (b, ad.T @ g)]
-        if ad.ndim == 1 and bd.ndim == 2:
-            return [(a, bd @ g), (b, np.outer(ad, g))]
-        return [(a, g * bd), (b, g * ad)]
+        if per_row:
+            return [(a, np.matmul(bd, g[:, :, None])[:, :, 0]),
+                    (b, ad[:, :, None] * g[:, None, :])]
+        if bd.ndim == 1:
+            return [(a, np.multiply.outer(g, bd)), (b, g.reshape(-1) @ ad.reshape(-1, k))]
+        a2, g2 = ad.reshape(-1, k), g.reshape(-1, bd.shape[1])
+        # one row's weight gradient is an outer product, which numpy writes
+        # faster than a GEMM of inner extent 1
+        gb = np.outer(a2, g2) if a2.shape[0] == 1 else a2.T @ g2
+        return [(a, (g2 @ bd.T).reshape(ad.shape)), (b, gb)]
 
     return _record("matmul", (a, b), out, grad_fn)
 
@@ -370,21 +376,28 @@ def sum(x: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - numpy-sty
 
 
 def lookup(table: Tensor, indices) -> Tensor:
-    """Row lookup in a 2-D table: an int gives one row; a sequence or a 2-D
-    index array gives one row per index, shaped like the indices plus a
-    trailing row axis."""
-    if table.data.ndim != 2:
-        raise ShapeMismatchError("lookup table must be 2-D")
+    """Row lookup along the first axis of a table of rank 2 or more: an int
+    gives one row; a sequence or an index array gives one row per index,
+    shaped like the indices plus the row's shape."""
+    if table.data.ndim < 2:
+        raise ShapeMismatchError("lookup table must be at least 2-D")
     single = isinstance(indices, (int, np.integer))
-    idx = int(indices) if single else np.asarray(list(indices), dtype=np.intp)
+    idx = int(indices) if single else np.asarray(indices, dtype=np.intp)
     out = table.data[idx]
 
     def grad_fn(g):
         gt = np.zeros_like(table.data)
         if single:
             gt[idx] += g
-        else:
-            np.add.at(gt, idx, g)
+        elif idx.size:
+            # Sum the gradient rows of each distinct index in one pass: sort
+            # the rows by index (stably), then add each run with reduceat.
+            flat = idx.reshape(-1)
+            order = np.argsort(flat, kind="stable")
+            ids = flat[order]
+            starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+            rows = g.reshape((flat.size,) + table.data.shape[1:])[order]
+            gt[ids[starts]] = np.add.reduceat(rows, starts, axis=0)
         return [(table, gt)]
 
     return _record("lookup", (table,), np.array(out), grad_fn)
@@ -443,12 +456,50 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     return _record("maximum", (a, b), out, grad_fn)
 
 
-def lstm_seq(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+def additive_scores(keys: Tensor, shift: Tensor, gate: Tensor) -> Tensor:
+    """gate . tanh(key_i + shift) for every key row, the additive attention
+    score: keys (..., N, A) and shift (..., A), whose leading axes broadcast,
+    give (..., N) scores.
+
+    One node that keeps only the tanh output: the (..., N, A) sum before it
+    is never stored, and backward makes two temporaries of that size.
+    """
+    kd, sd, gd = keys.data, shift.data, gate.data
+    try:
+        if kd.ndim < 2 or gd.shape != (kd.shape[-1],):
+            raise ValueError
+        z = np.add(kd, sd[..., None, :])
+    except (ValueError, IndexError):
+        raise ShapeMismatchError(f"additive_scores: keys {kd.shape}, shift {sd.shape} and "
+                                 f"gate {gd.shape} do not fit (..., N, A), (..., A), (A,)")
+    np.tanh(z, out=z)
+    out = z @ gd
+
+    def grad_fn(g):
+        d_pre = np.multiply(z, z)
+        np.subtract(1.0, d_pre, out=d_pre)
+        d_pre *= g[..., None]
+        d_pre *= gd                                # d(loss)/d(key_i + shift)
+        return [(keys, _unbroadcast(d_pre, kd.shape)),
+                (shift, _unbroadcast(d_pre.sum(axis=-2), sd.shape)),
+                (gate, z.reshape(-1, gd.size).T @ g.reshape(-1))]
+
+    return _record("additive_scores", (keys, shift, gate), out, grad_fn)
+
+
+def lstm_seq(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = False,
+             lengths=None) -> Tensor:
     """An LSTM run from zero state over the N rows of ``x`` (N, in), last row
     first when ``reverse``. Gates are packed as columns [input, forget, cell,
     output] of w_x (in, 4H), w_h (H, 4H) and b (4H,). Returns (N+1, H): row t
     is the hidden state at position t, and row N the cell state after the
     last step.
+
+    A padded batch x (B, N, in) with ``lengths`` (B,) runs as B rows at once
+    and returns (B, N+1, H). Row b consumes its own ``lengths[b]`` tokens
+    first, last to first when ``reverse``, and its padding after them, so the
+    states at its tokens and its row N, the cell after its last token, do
+    not depend on the padding.
 
     The input projections of all steps are one GEMM; only ``h @ w_h`` runs
     per step. Backward is hand-written BPTT: one pass back over time for the
@@ -457,56 +508,76 @@ def lstm_seq(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = Fal
     arXiv 1604.01946).
     """
     xd, wx, wh, bd = x.data, w_x.data, w_h.data, b.data
-    if xd.ndim != 2 or wh.ndim != 2 or not xd.shape[0]:
-        raise ShapeMismatchError(f"lstm_seq: x {xd.shape} must be (N>0, in), w_h (H, 4H)")
-    n, hid = xd.shape[0], wh.shape[0]
-    if wh.shape != (hid, 4 * hid) or wx.shape != (xd.shape[1], 4 * hid) or bd.shape != (4 * hid,):
-        raise ShapeMismatchError(f"lstm_seq: x {xd.shape}, w_x {wx.shape}, w_h {wh.shape}, "
+    single = xd.ndim == 2
+    if single:
+        xd = xd[None]
+    if xd.ndim != 3 or wh.ndim != 2 or not xd.shape[1]:
+        raise ShapeMismatchError(f"lstm_seq: x {x.shape} must be (N>0, in) or (B, N>0, in)")
+    rows, n, in_dim = xd.shape
+    hid = wh.shape[0]
+    if wh.shape != (hid, 4 * hid) or wx.shape != (in_dim, 4 * hid) or bd.shape != (4 * hid,):
+        raise ShapeMismatchError(f"lstm_seq: x {x.shape}, w_x {wx.shape}, w_h {wh.shape}, "
                                  f"b {bd.shape}")
-    order = slice(None, None, -1) if reverse else slice(None)
-    xs = xd[order]                       # rows in the order they are consumed
-    pre = xs @ wx + bd                   # (N, 4H)
-    acts = np.empty_like(pre)            # gates after their nonlinearities
-    cells = np.zeros((n + 1, hid))       # cells[t + 1] is c after step t
-    hs = np.zeros((n + 1, hid))          # hs[t + 1] is h after step t
-    tanh_c = np.empty((n, hid))
-    cell_gate = slice(2 * hid, 3 * hid)
+    lens = np.full(rows, n) if lengths is None else np.asarray(lengths, dtype=np.intp)
+    if lens.shape != (rows,) or lens.min() < 1 or lens.max() > n:
+        raise ShapeMismatchError(f"lstm_seq: lengths {lens} for {rows} rows of {n} positions")
+    # a[consumed][r, t] is a[r, p] for the position p row r consumes at step
+    # t; the map is its own inverse, so it also puts step t back at p
+    consumed = (slice(None), slice(None, None, -1) if reverse else slice(None))
+    if reverse and (lens < n).any():
+        steps = np.arange(n)
+        consumed = (np.arange(rows)[:, None],
+                    np.where(steps < lens[:, None], lens[:, None] - 1 - steps, steps))
+    xs = np.ascontiguousarray(xd[consumed].transpose(1, 0, 2))  # (N, B, in), as consumed
+    pre = (xs.reshape(-1, in_dim) @ wx + bd).reshape(n, rows, 4 * hid)
+    acts = np.empty_like(pre)                 # gates after their nonlinearities
+    cells = np.zeros((n + 1, rows, hid))      # cells[t + 1] is c after step t
+    hs = np.zeros((n + 1, rows, hid))         # hs[t + 1] is h after step t
+    tanh_c = np.empty((n, rows, hid))
+    i, f, cg, o = (acts[..., k * hid:(k + 1) * hid] for k in range(4))
     for t in range(n):
         gates = pre[t] + hs[t] @ wh
-        a = acts[t]
-        a[:] = _sigmoid(gates)
-        a[cell_gate] = np.tanh(gates[cell_gate])
-        cells[t + 1] = a[hid:2 * hid] * cells[t] + a[:hid] * a[cell_gate]
-        tanh_c[t] = np.tanh(cells[t + 1])
-        hs[t + 1] = a[3 * hid:] * tanh_c[t]
-    out = np.empty((n + 1, hid))
-    out[:n] = hs[1:][order]
-    out[n] = cells[n]
+        acts[t] = _sigmoid(gates)
+        np.tanh(gates[:, 2 * hid:3 * hid], out=cg[t])
+        cells[t + 1] = f[t] * cells[t] + i[t] * cg[t]
+        np.tanh(cells[t + 1], out=tanh_c[t])
+        np.multiply(o[t], tanh_c[t], out=hs[t + 1])
+    out = np.empty((rows, n + 1, hid))
+    out[:, :n] = hs[1:].transpose(1, 0, 2)[consumed]
+    out[:, n] = cells[lens, np.arange(rows)]
+    last_step = {int(t): np.flatnonzero(lens - 1 == t) for t in np.unique(lens - 1)}
 
     def grad_fn(g):
-        i, f, cg, o = (acts[:, k * hid:(k + 1) * hid] for k in range(4))
+        g = g[None] if single else g
         # Per-step factors: dG's input, forget and cell blocks are dc times
         # `by_dc`, its output block dh times `by_dh`; dc picks up dh * `dc_dh`.
         by_dc = np.stack([cg * i * (1.0 - i), cells[:-1] * f * (1.0 - f),
-                          i * (1.0 - cg * cg)], axis=1)                # (N, 3, H)
+                          i * (1.0 - cg * cg)], axis=2)                # (N, B, 3, H)
         by_dh = tanh_c * o * (1.0 - o)
         dc_dh = o * (1.0 - tanh_c * tanh_c)
-        dh_out = g[:n][order]
-        d_pre = np.empty((n, 4, hid))
-        dh_next = np.zeros(hid)
-        dc = g[n].copy()
+        dh_out = g[:, :n][consumed].transpose(1, 0, 2)                # (N, B, H)
+        d_pre = np.empty((n, rows, 4, hid))
+        dh_next = np.zeros((rows, hid))
+        dc = np.zeros((rows, hid))
         for t in range(n - 1, -1, -1):
+            ending = last_step.get(t)
+            if ending is not None:  # each row's final cell ends at its last token
+                dc[ending] += g[ending, n]
             dh = dh_out[t] + dh_next
             dc = dc + dh * dc_dh[t]
-            d_pre[t, :3] = by_dc[t] * dc
-            d_pre[t, 3] = dh * by_dh[t]
+            d_pre[t, :, :3] = by_dc[t] * dc[:, None]
+            d_pre[t, :, 3] = dh * by_dh[t]
             dc = dc * f[t]
             if t:
-                dh_next = wh @ d_pre[t].reshape(-1)
-        dg = d_pre.reshape(n, 4 * hid)
-        return [(x, (dg @ wx.T)[order]), (w_x, xs.T @ dg), (w_h, hs[:-1].T @ dg),
-                (b, dg.sum(axis=0))]
+                dh_next = d_pre[t].reshape(rows, 4 * hid) @ wh.T
+        dg = d_pre.reshape(n, rows, 4 * hid)
+        dx = np.empty_like(xd)
+        flat_dg = dg.reshape(-1, 4 * hid)
+        dx[consumed] = (flat_dg @ wx.T).reshape(n, rows, in_dim).transpose(1, 0, 2)
+        return [(x, dx[0] if single else dx), (w_x, xs.reshape(-1, in_dim).T @ flat_dg),
+                (w_h, hs[:-1].reshape(-1, hid).T @ flat_dg), (b, flat_dg.sum(axis=0))]
 
+    out = out[0] if single else out
     return _record("lstm_seq", (x, w_x, w_h, b), out, grad_fn)
 
 
@@ -527,6 +598,7 @@ PRIMITIVES: dict[str, Callable] = {
     "minimum": minimum,
     "maximum": maximum,
     "lstm_seq": lstm_seq,
+    "additive_scores": additive_scores,
 }
 
 

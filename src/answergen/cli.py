@@ -193,7 +193,8 @@ def train_cmd(data_path, vocab_path, out_path, kb_path, emb_path, metrics_path,
     history = train(model, items, cfg.training,
                     knowledge_enabled=cfg.knowledge.enabled,
                     metrics_path=metrics_path)
-    save_checkpoint(model, step=cfg.training.max_steps, config=cfg, path=out_path)
+    save_checkpoint(model, step=cfg.training.max_steps, config=cfg, path=out_path,
+                    relation_names=kb.relation_names if kb else ())
     log_event("train-done", seconds=round(time.time() - started, 2),
               final_loss=history[-1].loss if history else None, out=str(out_path))
     click.echo(f"trained {cfg.training.max_steps} steps -> {out_path}")
@@ -215,9 +216,12 @@ def generate_cmd(ckpt_path, vocab_path, data_path, out_path, kb_path, beam, show
     cfg = RunConfig.from_dict(ckpt.config)
     vocab = Vocabulary.load(vocab_path)
     kb = ingest_triples(kb_path) if kb_path else None
+    # relation ids follow the KB's line order, so another KB, or the same
+    # triples reordered, would silently remap the trained relation rows
+    if kb is not None and kb.relation_names != ckpt.relation_names:
+        raise DataError(f"knowledge base relations {kb.relation_names} differ from the "
+                        f"checkpoint's {ckpt.relation_names}")
     n_relations = ckpt.tensors["sel.relations"].shape[0]
-    if kb is not None and len(kb.relation_names) > n_relations:
-        raise DataError("knowledge base has more relation types than the checkpoint")
     model = AnswerModel(vocab, n_relations, cfg.model, np.random.default_rng(0))
     restore_model(model, ckpt)
 

@@ -6,8 +6,9 @@ Step dataflow (one decoder timestep): the cell consumes the previous word
 embedding concatenated with the previous contexts, question attention is
 computed first, its context feeds the passage attention, and coverage
 updates after the repetition penalty is taken against the pre-step value.
-Training steps one row at a time; beam search steps a (B, .) batch of rows,
-one per live hypothesis, in one call.
+Training steps a (B, .) batch of rows, one per example, against the padded
+batch's encoder outputs; beam search steps a (B, .) batch of rows, one per
+live hypothesis, against one example's, which broadcast across the rows.
 """
 from __future__ import annotations
 
@@ -123,31 +124,34 @@ class AnswerModel:
         return ad.lookup(self.embedding, token_ids)
 
     def encode_question(self, ids) -> EncoderOutput:
+        """One id sequence, or a batch of them (see `seq2seq.encode`)."""
         return encode(ids, self.embedding, self.q_encoder, self.attn_q.w_states)
 
     def encode_passage(self, ids) -> EncoderOutput:
         return encode(ids, self.embedding, self.p_encoder, self.attn_p.w_states)
 
     def initial_state(self, enc_q: EncoderOutput, enc_p: EncoderOutput) -> StepState:
+        """One row for one example's encoder outputs, (B, .) rows for a batch's."""
         hid = self.dims.hidden_dim
-        both_h = ad.concat([enc_q.final_h, enc_p.final_h])
-        both_c = ad.concat([enc_q.final_c, enc_p.final_c])
+        lead = enc_q.final_h.shape[:-1]
+        both_h = ad.concat([enc_q.final_h, enc_p.final_h], axis=-1)
+        both_c = ad.concat([enc_q.final_c, enc_p.final_c], axis=-1)
         h0 = ad.tanh(ad.add(ad.matmul(both_h, self.w_init_h), self.b_init_h))
         c0 = ad.tanh(ad.add(ad.matmul(both_c, self.w_init_c), self.b_init_c))
-        zeros_ctx = ad.constant(np.zeros(2 * hid))
+        zeros_ctx = ad.constant(np.zeros(lead + (2 * hid,)))
         return StepState(
             h=h0, c=c0, c_q=zeros_ctx, c_p=zeros_ctx,
-            cov_q=ad.constant(np.zeros(enc_q.length)),
-            cov_p=ad.constant(np.zeros(enc_p.length)),
+            cov_q=ad.constant(np.zeros(lead + (enc_q.length,))),
+            cov_p=ad.constant(np.zeros(lead + (enc_p.length,))),
         )
 
     def step(self, enc_q: EncoderOutput, enc_p: EncoderOutput,
              state: StepState, x_emb: Tensor) -> StepOutput:
         dec_in = ad.concat([x_emb, state.c_q, state.c_p], axis=-1)
         h, c = lstm_step(self.decoder, dec_in, state.h, state.c)
-        a_q = attend(enc_q.keys, h, state.cov_q, self.attn_q)
+        a_q = attend(enc_q.keys, h, state.cov_q, self.attn_q, mask=enc_q.mask)
         c_q = context_vector(a_q, enc_q.states)
-        a_p = attend(enc_p.keys, h, state.cov_p, self.attn_p, context=c_q)
+        a_p = attend(enc_p.keys, h, state.cov_p, self.attn_p, context=c_q, mask=enc_p.mask)
         c_p = context_vector(a_p, enc_p.states)
         pen_q = coverage_penalty(a_q, state.cov_q)
         pen_p = coverage_penalty(a_p, state.cov_p)

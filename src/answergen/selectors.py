@@ -6,7 +6,7 @@ fact whose object is injected verbatim. The 4-way choice and the
 which-fact choice are discrete latent variables; sampling them with Gumbel
 noise and relaxing the argmax to a temperature softmax keeps the whole
 objective differentiable. Each head takes one step's vectors or a stack of
-rows: (T, .) over the steps of a training example, (B, .) over a beam.
+rows: (T, B, .) over the steps of a training batch, (B, .) over a beam.
 """
 from __future__ import annotations
 
@@ -24,11 +24,10 @@ from .errors import (
     InvalidScheduleError,
 )
 from .knowledge import Fact
-from .seq2seq import _uniform, _uniform_in_out, additive_scores
+from .seq2seq import MASK_LOGIT, _uniform, _uniform_in_out
 from .text import PAD, UNK, Vocabulary
 
 PROB_FLOOR = 1e-12
-MASK_LOGIT = -1e30  # additive pre-softmax mask; exact zero after normalization
 
 
 class Source(enum.IntEnum):
@@ -79,16 +78,20 @@ def vocab_distribution(c_q: Tensor, c_p: Tensor, s_t: Tensor,
 
 
 def source_distribution(c_q: Tensor, c_p: Tensor, s_t: Tensor, x_t: Tensor,
-                        params: SelectorParams, knowledge_available: bool = True) -> Tensor:
+                        params: SelectorParams, knowledge_available=True) -> Tensor:
     """4-simplex over sources; x_t is the decoder-input word embedding.
 
     With no related facts the knowledge entry is masked to exactly zero and
     the rest renormalize, which the additive pre-softmax mask does in one go.
+    ``knowledge_available`` is one flag, or an array of flags that broadcasts
+    against the rows' leading axes, such as one per example of a batch.
     """
     feats = ad.concat([c_q, c_p, s_t, x_t], axis=-1)
     logits = ad.add(ad.matmul(feats, params.w_source), params.b_source)
-    if not knowledge_available:
-        logits = ad.add(logits, ad.constant([0.0, 0.0, 0.0, MASK_LOGIT]))
+    available = np.asarray(knowledge_available)
+    if not available.all():
+        logits = ad.add(logits, ad.constant(
+            np.where(available[..., None], 0.0, [0.0, 0.0, 0.0, MASK_LOGIT])))
     return ad.softmax(logits)
 
 
@@ -119,16 +122,21 @@ def embed_facts(facts: Sequence[Fact], embeddings: Tensor, vocab: Vocabulary,
 
 
 def fact_logits(fact_matrix: Tensor, s_t: Tensor, params: SelectorParams) -> Tensor:
-    if fact_matrix.shape[0] == 0:
+    """Scores of the facts (N_f, fact_dim) against s_t (..., H), or of each
+    example's facts (B, N_f, fact_dim) against its rows s_t (..., B, H)."""
+    if fact_matrix.shape[-2] == 0:
         raise EmptyFactSetError("fact matrix is empty")
     shift = ad.add(ad.matmul(s_t, params.u_fact), params.b_fact)   # (..., A)
-    return additive_scores(ad.matmul(fact_matrix, params.w_fact), shift,
-                           params.gate_fact)                        # (..., N_f)
+    return ad.additive_scores(ad.matmul(fact_matrix, params.w_fact), shift,
+                              params.gate_fact)                        # (..., N_f)
 
 
-def fact_distribution(fact_matrix: Tensor, s_t: Tensor, params: SelectorParams) -> Tensor:
-    """Simplex over the related facts given the decoder state."""
-    return ad.softmax(fact_logits(fact_matrix, s_t, params))
+def fact_distribution(fact_matrix: Tensor, s_t: Tensor, params: SelectorParams,
+                      mask: Tensor | None = None) -> Tensor:
+    """Simplex over the related facts given the decoder state; an additive
+    ``mask`` (B, N_f) gives a batch's padded fact slots exactly zero weight."""
+    logits = fact_logits(fact_matrix, s_t, params)
+    return ad.softmax(logits if mask is None else ad.add(logits, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -138,26 +146,37 @@ def fact_distribution(fact_matrix: Tensor, s_t: Tensor, params: SelectorParams) 
 @dataclass
 class GumbelSample:
     soft: Tensor        # relaxed sample on the simplex; gradients flow here
-    hard_index: int     # argmax of soft, distributed by the Gumbel-Max law
+    hard_index: int | np.ndarray  # argmax of soft, distributed by the Gumbel-Max law
     temperature: float
 
 
-def gumbel_softmax_sample(probs: Tensor, tau: float, rng: np.random.Generator) -> GumbelSample:
-    """Draw a relaxed categorical sample: softmax((log pi + g) / tau).
+def gumbel_softmax_sample(probs: Tensor, tau: float, rng: np.random.Generator | None = None,
+                          *, uniforms: np.ndarray | None = None,
+                          mask: Tensor | None = None) -> GumbelSample:
+    """Draw relaxed categorical samples over the last axis of ``probs``:
+    softmax((log pi + g) / tau), one per row.
 
     probs are floored at 1e-12 before the log so masked-out categories stay
-    legal; the Gumbel noise g = -log(-log(u)) uses the same floor on u.
+    legal; the Gumbel noise g = -log(-log(u)) uses the same floor on u. The
+    u come from ``rng``, drawn in the shape of ``probs``, or are given as
+    ``uniforms`` drawn in the order the caller needs, in a shape that
+    broadcasts against ``probs`` (several draws per row). An additive
+    ``mask`` gives padded categories exactly zero weight. ``hard_index`` is
+    an int for one row and an array of one index per row otherwise.
     """
     if tau <= 0:
         raise InvalidScheduleError(f"temperature must be > 0, got {tau}")
-    if np.all(probs.data < PROB_FLOOR):
+    if np.all(probs.data < PROB_FLOOR, axis=-1).any():
         raise DegenerateDistributionError("all probability mass below the floor")
-    u = np.clip(rng.random(probs.shape[0]), PROB_FLOOR, 1.0)
-    noise = -np.log(-np.log(u))
+    if uniforms is None:
+        uniforms = rng.random(probs.shape)
+    noise = -np.log(-np.log(np.clip(uniforms, PROB_FLOOR, 1.0)))
     logits = ad.log(ad.maximum(probs, ad.constant(PROB_FLOOR)))
     shifted = ad.mul(ad.add(logits, ad.constant(noise)), ad.constant(1.0 / tau))
-    soft = ad.softmax(shifted)
-    return GumbelSample(soft=soft, hard_index=int(np.argmax(soft.data)), temperature=tau)
+    soft = ad.softmax(shifted if mask is None else ad.add(shifted, mask))
+    hard = np.argmax(soft.data, axis=-1)
+    return GumbelSample(soft=soft, hard_index=int(hard) if hard.ndim == 0 else hard,
+                        temperature=tau)
 
 
 def gumbel_hard_indices(probs: np.ndarray, draws: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,8 +10,11 @@ sum_i min(a_i, cov_i).
 Each encoder direction is one fused `autodiff.lstm_seq` over the whole
 sequence, with hand-written backpropagation through time; the decoder steps
 `lstm_step`. Every weight is stored (in, out), so each layer computes
-rows @ W. The cell, the attention and the coverage penalty take one decoder
-row or a (B, .) batch of rows, one per beam hypothesis.
+rows @ W. The encoders take one sequence or a padded batch of them. The
+cell, the attention and the coverage penalty take one decoder row or a
+(B, .) batch of rows: one per beam hypothesis against one example's encoder
+states, or one per example against a padded batch's, whose padded positions
+get an additive MASK_LOGIT before the softmax.
 """
 from __future__ import annotations
 
@@ -22,8 +25,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import EmptySequenceError
+from .text import PAD
 
 INIT_SCALE = 0.08  # uniform parameter init range
+MASK_LOGIT = -1e30  # additive pre-softmax mask; exact zero after normalization
 
 
 def _uniform(rng: np.random.Generator, shape, name: str) -> Tensor:
@@ -85,37 +90,51 @@ class EncoderParams:
 
 @dataclass
 class EncoderOutput:
-    states: Tensor   # (N, 2H): forward and backward states concatenated per token
-    keys: Tensor     # (N, A): states @ w_states of the attention that reads them
-    final_h: Tensor  # (2H,)
-    final_c: Tensor  # (2H,)
+    """One sequence's (N, .) fields, or a padded batch's (B, N, .) fields."""
+    states: Tensor       # (..., N, 2H): forward and backward states concatenated per token
+    keys: Tensor         # (..., N, A): states @ w_states of the attention that reads them
+    final_h: Tensor      # (..., 2H)
+    final_c: Tensor      # (..., 2H)
+    mask: Tensor | None = None  # (B, N): 0 at tokens, MASK_LOGIT at padding; None unpadded
 
     @property
     def length(self) -> int:
-        return self.states.shape[0]
+        return self.states.shape[-2]
 
 
 def encode(ids, embeddings: Tensor, params: EncoderParams, w_keys: Tensor) -> EncoderOutput:
-    """Run both directions over the token ids and concatenate per position.
+    """Run both directions over one sequence of token ids, or over a batch of
+    sequences padded to the longest, and concatenate per position.
     ``w_keys`` is the (2H, A) state projection of the attention over these
     states, applied here once rather than on every decoder step."""
-    n = len(ids)
-    if n == 0:
+    single = len(ids) > 0 and np.ndim(ids[0]) == 0
+    seqs = [ids] if single else ids
+    lens = np.array([len(seq) for seq in seqs], dtype=np.intp)
+    if not lens.size or lens.min() == 0:
         raise EmptySequenceError("cannot encode an empty sequence")
-    hid = params.fwd.hidden
-    x = ad.lookup(embeddings, ids)                                     # (N, emb)
-    fwd = ad.lstm_seq(x, params.fwd.w_x, params.fwd.w_h, params.fwd.b)
-    bwd = ad.lstm_seq(x, params.bwd.w_x, params.bwd.w_h, params.bwd.b, reverse=True)
-    both = ad.concat([fwd, bwd], axis=-1)             # (N+1, 2H); row N is the final c
-    states = ad.slice_(both, 0, n)
-    # one (H,) row per position and direction: the forward pass ends at
-    # position N-1, the backward pass at position 0
-    rows = ad.reshape(both, (2 * (n + 1), hid))
+    n, hid = int(lens.max()), params.fwd.hidden
+    padded = np.arange(n) >= lens[:, None]                               # (B, N)
+    id_rows = np.full(padded.shape, PAD, dtype=np.intp)
+    id_rows[~padded] = [i for seq in seqs for i in seq]
+    x = ad.lookup(embeddings, id_rows[0] if single else id_rows)       # (..., N, emb)
+    lengths = None if single else lens
+    fwd = ad.lstm_seq(x, params.fwd.w_x, params.fwd.w_h, params.fwd.b, lengths=lengths)
+    bwd = ad.lstm_seq(x, params.bwd.w_x, params.bwd.w_h, params.bwd.b, reverse=True,
+                      lengths=lengths)
+    both = ad.concat([fwd, bwd], axis=-1)       # (..., N+1, 2H); row N is the final c
+    states = ad.slice_(both, 0, n, axis=-2)
+    # one (H,) row per sequence, position and direction: the forward pass
+    # ends at a sequence's last token, the backward pass at its first
+    rows = ad.reshape(both, (-1, hid))
+    first = 2 * (n + 1) * np.arange(len(seqs))[:, None]
+    lead = () if single else (len(seqs),)
     return EncoderOutput(
         states=states,
         keys=ad.matmul(states, w_keys),
-        final_h=ad.reshape(ad.lookup(rows, [2 * (n - 1), 1]), (2 * hid,)),
-        final_c=ad.reshape(ad.lookup(rows, [2 * n, 2 * n + 1]), (2 * hid,)),
+        final_h=ad.reshape(ad.lookup(rows, first + np.stack([2 * (lens - 1), np.ones_like(lens)],
+                                                           axis=1)), lead + (2 * hid,)),
+        final_c=ad.reshape(ad.lookup(rows, first + [2 * n, 2 * n + 1]), lead + (2 * hid,)),
+        mask=ad.constant(np.where(padded, MASK_LOGIT, 0.0)) if padded.any() else None,
     )
 
 
@@ -142,18 +161,12 @@ class AttentionParams:
         )
 
 
-def additive_scores(keys: Tensor, shift: Tensor, gate: Tensor) -> Tensor:
-    """gate . tanh(key_i + shift) for every key row: keys (..., N, A) and
-    shift (..., A) give (..., N) scores."""
-    shift = ad.reshape(shift, shift.shape[:-1] + (1, shift.shape[-1]))  # (..., 1, A)
-    return ad.matmul(ad.tanh(ad.add(keys, shift)), gate)
-
-
 def attend(keys: Tensor, s_t: Tensor, coverage: Tensor, params: AttentionParams,
-           context: Tensor | None = None) -> Tensor:
+           context: Tensor | None = None, mask: Tensor | None = None) -> Tensor:
     """Attention simplex over the N encoder positions, whose states enter as
-    ``keys`` = states @ w_states (N, A): s_t (..., H), coverage (..., N) and
-    context (..., 2H) give (..., N)."""
+    ``keys`` = states @ w_states, (N, A) or one (B, N, A) per row: s_t
+    (..., H), coverage (..., N) and context (..., 2H) give (..., N). An
+    additive ``mask`` (B, N) gives padded positions exactly zero weight."""
     shift = ad.add(ad.matmul(s_t, params.u_state), params.b)          # (..., A)
     if context is not None:
         if params.v_context is None:
@@ -161,11 +174,13 @@ def attend(keys: Tensor, s_t: Tensor, coverage: Tensor, params: AttentionParams,
         shift = ad.add(shift, ad.matmul(context, params.v_context))
     cov = ad.reshape(coverage, coverage.shape + (1,))                  # (..., N, 1)
     keys = ad.add(keys, ad.mul(cov, params.w_cov))
-    return ad.softmax(additive_scores(keys, shift, params.gate))
+    scores = ad.additive_scores(keys, shift, params.gate)
+    return ad.softmax(scores if mask is None else ad.add(scores, mask))
 
 
 def context_vector(attention: Tensor, states: Tensor) -> Tensor:
-    """Convex combination of encoder states, c = sum_i a_i e_i."""
+    """Convex combination of encoder states, c = sum_i a_i e_i: (..., N)
+    against (N, 2H), or (B, N) against a batch's (B, N, 2H)."""
     return ad.matmul(attention, states)
 
 

@@ -1,5 +1,5 @@
-"""Training: the per-example variational objective, the optimization loop,
-and checkpoint serialization.
+"""Training: the variational objective over a padded batch of examples,
+the optimization loop, and checkpoint serialization.
 
 The per-word log-likelihood lower bound at step t is
     E_{y_t}[ log P(w_{t+1} | y_t) ]
@@ -10,10 +10,22 @@ likelihoods of the teacher-forced target are floored at 1e-12 before the
 log, so an infeasible source contributes log(1e-12) instead of blowing up
 the objective. The coverage penalty is added with weight lambda_cov.
 
-Under teacher forcing no head output feeds back into the recurrence, so the
-decoder loop only advances the state and the vocabulary, source and fact
-heads run once over all steps afterwards. The Gumbel noise is still drawn
-per step (fact sample, then source samples), in the order seeded runs expect.
+A batch runs as one padded computation. Its questions, passages, decoder
+inputs and fact segments are one embedding lookup each; each encoder
+direction is one `lstm_seq` over the (B, N, .) batch with per-row lengths;
+the decoder makes T_max steps of (B, .) rows. Under teacher forcing no head
+output feeds back into the recurrence, so the decoder loop only advances the
+state, and the vocabulary, source and fact heads, the Gumbel relaxation and
+the likelihoods run once over the (T, B, .) rows afterwards, time-major as
+the loop stacks them. Padded encoder positions, padded fact slots and the
+fact rows of examples without facts get an additive MASK_LOGIT before each
+softmax, so they get exactly zero weight and zero gradient, and a (T, B)
+step mask keeps padded steps out of the bound and the coverage penalty.
+
+The Gumbel noise is drawn per example, in batch order, and per step within
+an example: the fact sample, then the source samples. One example's loss is
+a batch of one through the same code, and a batch's loss is the sum of its
+examples' losses to rounding.
 """
 from __future__ import annotations
 
@@ -38,6 +50,7 @@ from .errors import (
 from .files import replace_file
 from .knowledge import Fact
 from .model import AnswerModel
+from .seq2seq import MASK_LOGIT
 from .selectors import (
     PROB_FLOOR,
     TemperatureSchedule,
@@ -48,12 +61,13 @@ from .selectors import (
     source_distribution,
     vocab_distribution,
 )
-from .text import BOS, EOS_TOKEN_SENTINEL, UNK, Example
+from .text import BOS, EOS_TOKEN_SENTINEL, PAD, UNK, Example
 
 CHECKPOINT_MAGIC = b"AGCP"
 # 2: sel.u_fact stored (H, A); 3: every weight stored (in, out);
-# 4: the trailing checksum is sha256 cut to 8 bytes, not blake2b
-CHECKPOINT_VERSION = 4
+# 4: the trailing checksum is sha256 cut to 8 bytes, not blake2b;
+# 5: the knowledge base's relation names, in relation-id order, follow the config
+CHECKPOINT_VERSION = 5
 CHECKSUM_BYTES = 8
 
 
@@ -63,9 +77,16 @@ class ElboDiagnostics:
     objective: float          # sum_t of the per-step expected log term
     coverage: float           # sum_t of both coverage penalties
     source_counts: np.ndarray  # 4-vector of selected-source tallies
-    # (T, 4) per-timestep rows, for external verification of the bound:
+    # (T, 4) per-timestep rows of one example, for external verification of
+    # the bound; (T_max, B, 4) for a batch, meaningless past an example's end:
     step_source_probs: np.ndarray
     step_log_likelihoods: np.ndarray
+
+
+@dataclass
+class TrainItem:
+    example: Example
+    facts: list[Fact] = field(default_factory=list)
 
 
 def teacher_inputs(example: Example) -> tuple[list[int], list[tuple[int, str]]]:
@@ -88,82 +109,139 @@ def elbo_loss(model: AnswerModel, example: Example, facts: Sequence[Fact],
     mode "gumbel" is the training estimator; "exact" enumerates the 4-way
     expectation against P(y) and marginalizes the fact choice; "marginal"
     computes the exact log-marginal likelihood (the quantity the bound
-    relaxes), used to verify the Jensen gap.
+    relaxes), used to verify the Jensen gap. It is `batch_elbo_loss` over a
+    batch of one.
     """
+    loss, diag = batch_elbo_loss(model, [TrainItem(example, list(facts))], tau, rng,
+                                 mode=mode, mc_samples=mc_samples, lambda_cov=lambda_cov,
+                                 knowledge_enabled=knowledge_enabled)
+    diag.step_source_probs = diag.step_source_probs[:, 0]
+    diag.step_log_likelihoods = diag.step_log_likelihoods[:, 0]
+    return loss, diag
+
+
+def _padded(rows, fill: int) -> np.ndarray:
+    """The rows as one (len(rows), longest) int array, filled out with ``fill``."""
+    out = np.full((len(rows), max(map(len, rows))), fill, dtype=np.intp)
+    for i, row in enumerate(rows):
+        out[i, :len(row)] = row
+    return out
+
+
+def batch_elbo_loss(model: AnswerModel, batch: Sequence[TrainItem], tau: float,
+                    rng: np.random.Generator, *, mode: str = "gumbel",
+                    mc_samples: int = 1, lambda_cov: float = 1.0,
+                    knowledge_enabled: bool = True) -> tuple[Tensor, ElboDiagnostics]:
+    """The sum over ``batch`` of each example's `elbo_loss`, computed as one
+    padded (T, B, .) batch."""
     if mode not in ("gumbel", "exact", "marginal"):
         raise ValueError(f"unknown elbo mode {mode!r}")
-    enc_q = model.encode_question(example.question_ids)
-    enc_p = model.encode_passage(example.passage_ids)
-    knowledge_ok = knowledge_enabled and len(facts) > 0
-    fact_matrix = embed_facts(facts, model.embedding, model.vocab, model.selector) \
-        if knowledge_ok else None
+    examples = [item.example for item in batch]
+    fact_sets = [list(item.facts) if knowledge_enabled else [] for item in batch]
+    n_batch, n_facts = len(batch), max(len(facts) for facts in fact_sets)
+    has_facts = np.array([len(facts) > 0 for facts in fact_sets])
+    knowledge_ok = bool(has_facts.any())
+    enc_q = model.encode_question([ex.question_ids for ex in examples])
+    enc_p = model.encode_passage([ex.passage_ids for ex in examples])
 
-    inputs, targets = teacher_inputs(example)
-    x = ad.lookup(model.embedding, inputs)                          # (T, emb)
+    teacher = [teacher_inputs(ex) for ex in examples]
+    steps = np.array([len(inputs) for inputs, _ in teacher])
+    n_steps = int(steps.max())
+    valid = np.arange(n_steps)[:, None] < steps                        # (T, B)
+    input_ids = _padded([inputs for inputs, _ in teacher], PAD).T     # (T, B)
+    x = ad.lookup(model.embedding, input_ids)                          # (T, B, emb)
     state = model.initial_state(enc_q, enc_p)
     outs = []
-    for t in range(len(inputs)):
+    for t in range(n_steps):
         outs.append(model.step(enc_q, enc_p, state, ad.lookup(x, t)))
         state = outs[-1].state
 
     def rows(name: str) -> Tensor:
-        return ad.stack([getattr(out, name) for out in outs])
+        return ad.stack([getattr(out, name) for out in outs])        # (T, B, .)
 
     s, c_q, c_p = rows("s"), rows("c_q"), rows("c_p")
-    p_vocab = vocab_distribution(c_q, c_p, s, model.selector)         # (T, |V|)
+    p_vocab = vocab_distribution(c_q, c_p, s, model.selector)         # (T, B, |V|)
     p_source = source_distribution(c_q, c_p, s, x, model.selector,
-                                   knowledge_available=knowledge_ok)  # (T, 4)
-    p_fact = fact_distribution(fact_matrix, s, model.selector) \
-        if knowledge_ok else None                                     # (T, N_f)
+                                   knowledge_available=has_facts)     # (T, B, 4)
+    p_fact = fact_mask = None
+    if knowledge_ok:
+        # every example's facts are embedded in one call, then gathered into
+        # (B, N_f) slots; padded slots point at fact 0 and are masked
+        slots = np.arange(n_facts) < np.array([len(f) for f in fact_sets])[:, None]
+        slot_ids = np.zeros(slots.shape, dtype=np.intp)
+        slot_ids[slots] = np.arange(slots.sum())
+        fact_mask = ad.constant(np.where(slots, 0.0, MASK_LOGIT))
+        fact_matrix = ad.lookup(embed_facts([f for facts in fact_sets for f in facts],
+                                            model.embedding, model.vocab, model.selector),
+                                slot_ids)                             # (B, N_f, fact_dim)
+        p_fact = fact_distribution(fact_matrix, s, model.selector, mask=fact_mask)
+    step_weight = valid.astype(float)                                  # (T, B)
 
-    n_steps = len(targets)
-    source_counts = np.zeros(4)
     if mode == "gumbel":
-        fact_soft, source_soft = [], []
-        for t in range(n_steps):
-            if knowledge_ok:
-                fact_soft.append(gumbel_softmax_sample(ad.lookup(p_fact, t), tau, rng).soft)
-            source_row = ad.lookup(p_source, t)
-            draws = [gumbel_softmax_sample(source_row, tau, rng) for _ in range(mc_samples)]
-            np.add.at(source_counts, [y.hard_index for y in draws], 1.0 / mc_samples)
-            source_soft.append(ad.sum(ad.stack([y.soft for y in draws]), axis=0))
-        fact_weights = ad.stack(fact_soft) if knowledge_ok else None
-        source_weights = ad.mul(ad.stack(source_soft), ad.constant(1.0 / mc_samples))
+        # one draw per example of (T_b, N_f_b + 4 mc) uniforms: per step, the
+        # fact noise, then each source sample's
+        u_fact = np.full((n_steps, n_batch, n_facts), 0.5)
+        u_source = np.full((n_steps, n_batch, mc_samples, 4), 0.5)
+        for b, facts in enumerate(fact_sets):
+            u = rng.random((steps[b], len(facts) + 4 * mc_samples))
+            u_fact[:steps[b], b, :len(facts)] = u[:, :len(facts)]
+            u_source[:steps[b], b] = u[:, len(facts):].reshape(steps[b], mc_samples, 4)
+        draws = gumbel_softmax_sample(ad.reshape(p_source, (n_steps, n_batch, 1, 4)), tau,
+                                      uniforms=u_source)              # (T, B, mc, 4)
+        source_counts = np.bincount(draws.hard_index[valid].reshape(-1),
+                                    minlength=4) / mc_samples
+        source_weights = ad.mul(ad.sum(draws.soft, axis=2), ad.constant(1.0 / mc_samples))
+        fact_weights = gumbel_softmax_sample(p_fact, tau, uniforms=u_fact,
+                                             mask=fact_mask).soft if knowledge_ok else None
     else:
-        np.add.at(source_counts, np.argmax(p_source.data, axis=1), 1.0)
+        source_counts = np.bincount(np.argmax(p_source.data, axis=-1)[valid],
+                                    minlength=4).astype(float)
         fact_weights, source_weights = p_fact, p_source
 
-    raws = [raw for _, raw in targets]
+    # Surface forms as small ints, so matching a target is an array compare;
+    # padding gets codes that match nothing.
+    codes: dict[str, int] = {}
 
-    def matched(mask_tokens, weights: Tensor) -> Tensor:
-        """(T, 1) weight on the tokens whose surface form is step t's target."""
-        mask = [[float(tok == raw) for tok in mask_tokens] for raw in raws]
-        return ad.reshape(ad.sum(ad.mul(ad.constant(mask), weights), axis=1), (n_steps, 1))
+    def coded(token_lists, pad: int) -> np.ndarray:
+        return _padded([[codes.setdefault(tok, len(codes)) for tok in tokens]
+                        for tokens in token_lists], pad)
 
-    target_ids = np.array([target_id for target_id, _ in targets])
+    target_codes = coded([[raw for _, raw in targets] for _, targets in teacher], -1).T  # (T, B)
+
+    def matched(token_lists, weights: Tensor) -> Tensor:
+        """(T, B, 1) weight on the tokens whose surface form is step t's target."""
+        mask = target_codes[..., None] == coded(token_lists, -2)[None]   # (T, B, N)
+        return ad.reshape(ad.sum(ad.mul(ad.constant(mask.astype(float)), weights), axis=-1),
+                          (n_steps, n_batch, 1))
+
+    target_ids = _padded([[i for i, _ in targets] for _, targets in teacher], PAD).T
     # the vocabulary cannot emit an OOV surface form, so UNK targets get 0
+    n_vocab = p_vocab.shape[-1]
     like_v = ad.mul(ad.lookup(ad.reshape(p_vocab, (-1, 1)),
-                              np.arange(n_steps) * p_vocab.shape[1] + target_ids),
-                    ad.constant((target_ids != UNK)[:, None].astype(float)))
-    like_k = matched([f.object[0] for f in facts], fact_weights) if knowledge_ok \
-        else ad.constant(np.zeros((n_steps, 1)))
-    likes = ad.add(ad.concat([matched(example.question_tokens, rows("a_q")),
-                              matched(example.passage_tokens, rows("a_p")),
+                              np.arange(valid.size).reshape(valid.shape) * n_vocab + target_ids),
+                    ad.constant((valid & (target_ids != UNK))[..., None].astype(float)))
+    like_k = matched([[f.object[0] for f in facts] for facts in fact_sets], fact_weights) \
+        if knowledge_ok else ad.constant(np.zeros((n_steps, n_batch, 1)))
+    likes = ad.add(ad.concat([matched([ex.question_tokens for ex in examples], rows("a_q")),
+                              matched([ex.passage_tokens for ex in examples], rows("a_p")),
                               like_v, like_k], axis=-1),
-                   ad.constant(PROB_FLOOR))                           # (T, 4)
+                   ad.constant(PROB_FLOOR))                           # (T, B, 4)
     logs = ad.log(likes)
     if mode == "marginal":  # sum_t log sum_y P(y) * likelihood_y
-        objective = ad.sum(ad.log(ad.sum(ad.mul(p_source, likes), axis=1)))
+        objective = ad.sum(ad.mul(ad.log(ad.sum(ad.mul(p_source, likes), axis=-1)),
+                                  ad.constant(step_weight)))
     else:
-        objective = ad.sum(ad.mul(source_weights, logs))
-    cov_total = ad.sum(ad.add(rows("cov_pen_q"), rows("cov_pen_p")))
+        objective = ad.sum(ad.mul(ad.mul(source_weights, logs),
+                                  ad.constant(step_weight[..., None])))
+    cov_total = ad.sum(ad.mul(ad.add(rows("cov_pen_q"), rows("cov_pen_p")),
+                              ad.constant(step_weight)))
 
     loss = ad.add(ad.mul(objective, ad.constant(-1.0)),
                   ad.mul(cov_total, ad.constant(lambda_cov)))
     if not np.isfinite(loss.data):
         raise NonFiniteLossError("loss is not finite")
     diag = ElboDiagnostics(
-        n_tokens=n_steps,
+        n_tokens=int(steps.sum()),
         objective=float(objective.data),
         coverage=float(cov_total.data),
         source_counts=source_counts,
@@ -258,31 +336,18 @@ class StepMetrics:
     skipped: bool = False
 
 
-@dataclass
-class TrainItem:
-    example: Example
-    facts: list[Fact] = field(default_factory=list)
-
-
 def train_step(model: AnswerModel, batch: Sequence[TrainItem], optimizer: Adam,
                tau: float, rng: np.random.Generator, cfg: TrainingConfig,
                step: int, knowledge_enabled: bool = True) -> StepMetrics:
     """One gradient step on the mean batch loss; non-finite gradients skip
     the update rather than poisoning the parameters."""
     registry = model.parameters
-    counts = np.zeros(4)
-    token_total = 0
     with Tape() as tape:
-        total: Tensor | None = None
-        for item in batch:
-            loss, diag = elbo_loss(model, item.example, item.facts, tau, rng,
-                                   mode="gumbel", mc_samples=cfg.mc_samples,
-                                   lambda_cov=cfg.lambda_cov,
-                                   knowledge_enabled=knowledge_enabled)
-            counts += diag.source_counts
-            token_total += diag.n_tokens
-            total = loss if total is None else ad.add(total, loss)
+        total, diag = batch_elbo_loss(model, batch, tau, rng, mode="gumbel",
+                                      mc_samples=cfg.mc_samples, lambda_cov=cfg.lambda_cov,
+                                      knowledge_enabled=knowledge_enabled)
         mean_loss = ad.mul(total, ad.constant(1.0 / len(batch)))
+    counts, token_total = diag.source_counts, diag.n_tokens
 
     try:
         gmap = tape.backward(mean_loss, params=registry.values())
@@ -342,6 +407,7 @@ def train(model: AnswerModel, dataset: Sequence[TrainItem], cfg: TrainingConfig,
                 sink.write(json.dumps({
                     "step": metrics.step, "loss": metrics.loss,
                     "loss_per_token": metrics.loss_per_token,
+                    "grad_norm": None if metrics.skipped else metrics.grad_norm,
                     "source_freqs": metrics.source_freqs,
                     "tau": metrics.tau, "skipped": skipped,
                 }) + "\n")
@@ -361,19 +427,25 @@ class CheckpointData:
     vocab_hash: int
     config: dict
     tensors: dict[str, np.ndarray]
+    relation_names: list[str] = field(default_factory=list)  # rows of sel.relations
 
 
 def _digest(hasher) -> bytes:
     return hasher.digest()[:CHECKSUM_BYTES]
 
 
-def save_checkpoint(model: AnswerModel, step: int, config: RunConfig, path) -> None:
+def save_checkpoint(model: AnswerModel, step: int, config: RunConfig, path, *,
+                    relation_names: Sequence[str] = ()) -> None:
     """Write the container with each tensor's buffer handed to the file as is;
-    the checksum is taken over the same chunks as they go out."""
+    the checksum is taken over the same chunks as they go out.
+    ``relation_names`` are the knowledge base's relations in id order, the
+    order of the relation table's rows; generation checks its KB against them."""
     config_bytes = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
+    relation_bytes = json.dumps(list(relation_names)).encode("utf-8")
     parts: list = [CHECKPOINT_MAGIC,
                    struct.pack("<IQQ", CHECKPOINT_VERSION, step, model.vocab.content_hash()),
                    struct.pack("<I", len(config_bytes)), config_bytes,
+                   struct.pack("<I", len(relation_bytes)), relation_bytes,
                    struct.pack("<I", len(model.parameters))]
     for name, tensor in model.parameters.items():
         encoded = name.encode("utf-8")
@@ -417,6 +489,10 @@ def load_checkpoint(path) -> CheckpointData:
     offset += 4
     config = json.loads(buf[offset:offset + config_len].decode("utf-8"))
     offset += config_len
+    (relations_len,) = struct.unpack_from("<I", buf, offset)
+    offset += 4
+    relation_names = json.loads(buf[offset:offset + relations_len].decode("utf-8"))
+    offset += relations_len
     (n_tensors,) = struct.unpack_from("<I", buf, offset)
     offset += 4
     tensors: dict[str, np.ndarray] = {}
@@ -437,7 +513,8 @@ def load_checkpoint(path) -> CheckpointData:
         offset += 8 * count
     if offset != end:
         raise CorruptFileError("trailing bytes in checkpoint")
-    return CheckpointData(step=step, vocab_hash=vocab_hash, config=config, tensors=tensors)
+    return CheckpointData(step=step, vocab_hash=vocab_hash, config=config, tensors=tensors,
+                          relation_names=relation_names)
 
 
 def restore_model(model: AnswerModel, ckpt: CheckpointData) -> None:

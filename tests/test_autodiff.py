@@ -38,7 +38,9 @@ def test_matmul_inner_dim_mismatch():
 
 
 def test_matmul_stack_times_vector():
-    """(..., N, K) @ (K,), the shape of the additive scorer over a batch."""
+    """(..., N, K) @ (K,), the shape of the additive scorer over a batch;
+    (..., K) @ (K, M), a layer over (T, B, .) rows; and (B, K) @ (B, K, M),
+    each row against its own matrix, as a context vector over a batch."""
     rng = np.random.default_rng(3)
     a = ad.Tensor(rng.uniform(-1, 1, (2, 4, 3)), requires_grad=True)
     b = ad.Tensor(rng.uniform(-1, 1, (3,)), requires_grad=True)
@@ -47,8 +49,20 @@ def test_matmul_stack_times_vector():
     report = ad.gradient_check(lambda: _scalarize(ad.matmul(a, b), np.random.default_rng(0)),
                                [a, b], eps=1e-5)
     assert not report.flagged, report
+    m = ad.Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
+    np.testing.assert_allclose(ad.matmul(a, m).data, np.einsum("bnk,km->bnm", a.data, m.data),
+                               atol=1e-15)
+    rows = ad.Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
+    np.testing.assert_allclose(ad.matmul(rows, a).data, np.einsum("bn,bnk->bk", rows.data, a.data),
+                               atol=1e-15)
+    for x, y in ((a, m), (rows, a)):
+        report = ad.gradient_check(lambda: _scalarize(ad.matmul(x, y), np.random.default_rng(0)),
+                                   [x, y], eps=1e-5)
+        assert not report.flagged, report
     with pytest.raises(ShapeMismatchError):
-        ad.matmul(a, ad.constant(np.ones((3, 2))))
+        ad.matmul(a, ad.constant(np.ones((2, 2))))
+    with pytest.raises(ShapeMismatchError):
+        ad.matmul(ad.constant(np.ones((3, 4))), a)
 
 
 def test_concat_negative_axis():
@@ -202,6 +216,14 @@ def _primitive_case(kind, rng):
     if kind == "reshape":
         x = ad.Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
         return (lambda: _scalarize(ad.reshape(x, (6,)), np.random.default_rng(0))), [x]
+    if kind == "additive_scores":
+        # a (2, 3, A) batch of keys against (4, 2, A) shifts, as the fact
+        # head scores each example's facts against its (T, B) rows
+        keys = ad.Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
+        shift = ad.Tensor(rng.uniform(-1, 1, (4, 2, 4)), requires_grad=True)
+        gate = ad.Tensor(rng.uniform(-1, 1, (4,)), requires_grad=True)
+        return (lambda: _scalarize(ad.additive_scores(keys, shift, gate),
+                                   np.random.default_rng(0))), [keys, shift, gate]
     if kind == "lstm_seq":
         n, in_dim, hid = (int(v) for v in rng.integers(1, [6, 4, 4]))
         x = ad.Tensor(rng.uniform(-1, 1, (n, in_dim)), requires_grad=True)
@@ -304,3 +326,56 @@ def test_a_forward_that_raises_frees_the_graph_without_the_cycle_collector():
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_batched_lstm_seq_equals_each_row(reverse):
+    """A padded (B, N, in) batch with lengths 1..N gives, row for row, the
+    states and final cell of each row's own unpadded run, and the same
+    gradients, whatever the padding holds."""
+    rng = np.random.default_rng(8)
+    n, in_dim, hid = 5, 3, 4
+    lengths = np.arange(1, n + 1)
+    x = ad.Tensor(rng.uniform(-1, 1, (n, n, in_dim)), requires_grad=True)
+    w_x, w_h = (ad.Tensor(rng.uniform(-1, 1, (rows, 4 * hid)), requires_grad=True)
+                for rows in (in_dim, hid))
+    b = ad.Tensor(rng.uniform(-1, 1, (4 * hid,)), requires_grad=True)
+    weights = rng.uniform(-1, 1, (n, n + 1, hid))
+    weights[:, :n][np.arange(n) >= lengths[:, None]] = 0.0  # padded states are not read
+    with ad.Tape() as tape:
+        out = ad.lstm_seq(x, w_x, w_h, b, reverse=reverse, lengths=lengths)
+        loss = ad.sum(ad.mul(out, ad.constant(weights)))
+    got = tape.backward(loss, params=[x, w_x, w_h, b])
+
+    want = {t: np.zeros_like(t.data) for t in (x, w_x, w_h, b)}
+    for row, length in enumerate(lengths):
+        x_row = ad.Tensor(x.data[row, :length], requires_grad=True)
+        with ad.Tape() as tape:
+            single = ad.lstm_seq(x_row, w_x, w_h, b, reverse=reverse)
+            w_row = np.concatenate([weights[row, :length], weights[row, n:]])
+            row_loss = ad.sum(ad.mul(single, ad.constant(w_row)))
+        grads = tape.backward(row_loss, params=[x_row, w_x, w_h, b])
+        np.testing.assert_allclose(out.data[row, :length], single.data[:length],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data[row, n], single.data[length], rtol=0, atol=1e-12)
+        want[x][row, :length] = grads[x_row]
+        for t in (w_x, w_h, b):
+            want[t] += grads[t]
+    for t in (x, w_x, w_h, b):
+        np.testing.assert_allclose(got[t], want[t], rtol=0, atol=1e-12)
+
+
+def test_lookup_gradient_matches_add_at():
+    """The sorted reduceat accumulation against np.add.at, with repeated and
+    absent rows, a single row, and a table of rank 3."""
+    rng = np.random.default_rng(12)
+    for shape, index_shape in (((50, 8), (512, 3)), ((6, 2, 3), (4, 5)), ((7, 3), (1,))):
+        table = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+        ids = rng.integers(0, shape[0], size=index_shape)
+        weights = rng.normal(size=index_shape + shape[1:])
+        with ad.Tape() as tape:
+            loss = ad.sum(ad.mul(ad.lookup(table, ids), ad.constant(weights)))
+        got = tape.backward(loss)[table]
+        want = np.zeros(shape)
+        np.add.at(want, ids, weights)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())

@@ -8,7 +8,7 @@ import answergen
 PACKAGE = Path(answergen.__file__).parent
 
 # Kept as references that tests or the benchmark compare the program against.
-KEPT_REFERENCES = {"gradient_check", "gumbel_hard_indices", "trace_score"}
+KEPT_REFERENCES = {"elbo_loss", "gradient_check", "gumbel_hard_indices", "trace_score"}
 
 
 def is_cli_command(node):

@@ -358,3 +358,31 @@ def test_anneal_invalid_schedule():
         anneal_temperature(0, TemperatureSchedule(tau_min=0.0))
     with pytest.raises(InvalidScheduleError):
         anneal_temperature(0, TemperatureSchedule(tau0=0.01, tau_min=0.1))
+
+
+def test_padded_fact_slots_get_zero_weight_and_zero_gradient(vocab):
+    """Each example's facts against its own (T, B, H) rows: padded slots get
+    exactly zero probability and zero Gumbel weight, and the fact rows behind
+    them exactly zero gradient; real slots match the example scored alone."""
+    rng = np.random.default_rng(17)
+    params = make_params(rng, vocab)
+    counts = np.array([1, 4, 3])
+    slots = np.arange(4) < counts[:, None]
+    facts = ad.Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+    mask = ad.constant(np.where(slots, 0.0, sel.MASK_LOGIT))
+    s_t = ad.constant(rng.normal(size=(2, 3, 3)))
+    with ad.Tape() as tape:
+        probs = fact_distribution(facts, s_t, params, mask=mask)
+        sample = gumbel_softmax_sample(probs, 0.5, uniforms=rng.uniform(size=probs.shape),
+                                       mask=mask)
+        loss = ad.sum(ad.mul(ad.add(probs, sample.soft),
+                             ad.constant(rng.normal(size=probs.shape))))
+    grads = tape.backward(loss)
+    assert probs.shape == (2, 3, 4)
+    assert (probs.data[:, ~slots] == 0.0).all() and (sample.soft.data[:, ~slots] == 0.0).all()
+    # a lone fact has probability 1 whatever its row, so only rows 1-2 move
+    assert not grads[facts][~slots].any() and grads[facts][1:][slots[1:]].all()
+    for row, n in enumerate(counts):
+        alone = fact_distribution(ad.constant(facts.data[row, :n]),
+                                  ad.constant(s_t.data[:, row]), params)
+        np.testing.assert_allclose(probs.data[:, row, :n], alone.data, rtol=0, atol=1e-15)

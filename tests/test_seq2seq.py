@@ -6,6 +6,15 @@ import pytest
 from answergen import autodiff as ad
 from answergen import seq2seq as s2s
 from answergen.errors import EmptySequenceError
+from answergen.seq2seq import (
+    MASK_LOGIT,
+    AttentionParams,
+    EncoderParams,
+    attend,
+    context_vector,
+    coverage_penalty,
+    encode,
+)
 
 
 def sig(x):
@@ -280,3 +289,57 @@ def test_coverage_penalty_increases_on_repetition():
     assert repeat.item() > move_on.item()
     zero = s2s.coverage_penalty(ad.constant(focus), ad.constant(np.zeros(5)))
     assert zero.item() == 0.0
+
+
+def test_padded_positions_get_zero_weight_and_zero_gradient():
+    """Attention over a padded batch puts exactly zero weight on padded
+    positions, and their states and keys get exactly zero gradient."""
+    rng = np.random.default_rng(6)
+    hid, attn = 3, 4
+    params = AttentionParams.init(rng, 2 * hid, hid, attn, "a", with_context=True)
+    lengths = np.array([2, 5, 4])
+    states = ad.Tensor(rng.normal(size=(3, 5, 2 * hid)), requires_grad=True)
+    keys = ad.Tensor(rng.normal(size=(3, 5, attn)), requires_grad=True)
+    padded = np.arange(5) >= lengths[:, None]
+    mask = ad.constant(np.where(padded, MASK_LOGIT, 0.0))
+    s_t = ad.constant(rng.normal(size=(3, hid)))
+    context = ad.constant(rng.normal(size=(3, 2 * hid)))
+    coverage = ad.constant(np.where(padded, 0.0, rng.uniform(0, 1, (3, 5))))
+    with ad.Tape() as tape:
+        a = attend(keys, s_t, coverage, params, context=context, mask=mask)
+        c = context_vector(a, states)
+        loss = ad.sum(ad.mul(c, ad.constant(rng.normal(size=c.shape))))
+        loss = ad.add(loss, ad.sum(coverage_penalty(a, coverage)))
+    grads = tape.backward(loss)
+    assert (a.data[padded] == 0.0).all()
+    np.testing.assert_allclose(a.data.sum(axis=1), 1.0, atol=1e-12)
+    assert not grads[states][padded].any() and not grads[keys][padded].any()
+    assert grads[states][~padded].any() and grads[keys][~padded].any()
+    for row, n in enumerate(lengths):
+        alone = attend(ad.constant(keys.data[row, :n]), ad.constant(s_t.data[row]),
+                       ad.constant(coverage.data[row, :n]), params,
+                       context=ad.constant(context.data[row]))
+        np.testing.assert_allclose(a.data[row, :n], alone.data, rtol=0, atol=1e-15)
+
+
+def test_encode_batch_equals_each_sequence():
+    """A batch of sequences of different lengths encodes, row for row, as
+    each sequence alone; the mask marks the padding."""
+    rng = np.random.default_rng(9)
+    emb = ad.Tensor(rng.uniform(-0.5, 0.5, (12, 4)))
+    params = EncoderParams.init(rng, 4, 3, "enc")
+    w_keys = ad.Tensor(rng.uniform(-0.5, 0.5, (6, 5)))
+    seqs = [[4, 5], [6, 7, 8, 9, 10], [11], [4, 4, 4]]
+    batch = encode(seqs, emb, params, w_keys)
+    assert batch.states.shape == (4, 5, 6) and batch.final_h.shape == (4, 6)
+    np.testing.assert_array_equal(batch.mask.data == MASK_LOGIT,
+                                  np.arange(5) >= np.array([2, 5, 1, 3])[:, None])
+    for row, seq in enumerate(seqs):
+        alone = encode(seq, emb, params, w_keys)
+        assert alone.mask is None
+        for name in ("states", "keys"):
+            np.testing.assert_allclose(getattr(batch, name).data[row, :len(seq)],
+                                       getattr(alone, name).data, rtol=0, atol=1e-12)
+        for name in ("final_h", "final_c"):
+            np.testing.assert_allclose(getattr(batch, name).data[row],
+                                       getattr(alone, name).data, rtol=0, atol=1e-12)

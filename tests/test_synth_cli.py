@@ -290,3 +290,48 @@ def test_cli_events_report_kb_skipped_lines(runner, tmp_path):
                                   "--kb", str(kb), "--out", str(tmp_path / "pred.jsonl")])
     assert result.exit_code == 0, result.output
     assert events(result)["generate"]["kb_skipped_lines"] == 1
+
+
+def test_cli_generate_refuses_a_kb_whose_relations_differ(runner, tmp_path):
+    """Relation ids follow the KB's line order, and the checkpoint pins the
+    names: the same KB is accepted, the same triples reordered exit 3."""
+    lines = ["bridge\tUsedFor\tcross water\n", "water\tIsA\tsafe\n"]
+    kb, reordered = tmp_path / "kb.tsv", tmp_path / "reordered.tsv"
+    kb.write_text("".join(lines))
+    reordered.write_text("".join(lines[::-1]))
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps({"question": "what is the bridge ?",
+                                "passage": "the bridge is safe .", "answer": "safe"}) + "\n")
+    vocab_path, ckpt = tmp_path / "vocab.json", tmp_path / "m.ckpt"
+    make_vocab().save(vocab_path)
+    small = ["--profile", "desk", "--set", "model.emb_dim=4", "--set", "model.hidden_dim=3",
+             "--set", "model.fact_dim=5", "--set", "training.max_steps=1"]
+    result = runner.invoke(main, ["train", "--data", str(data), "--vocab", str(vocab_path),
+                                  "--kb", str(kb), "--out", str(ckpt), *small])
+    assert result.exit_code == 0, result.output
+
+    def generate(kb_path):
+        return runner.invoke(main, ["generate", "--checkpoint", str(ckpt),
+                                    "--vocab", str(vocab_path), "--data", str(data),
+                                    "--kb", str(kb_path), "--out", str(tmp_path / "pred.jsonl")])
+
+    assert generate(kb).exit_code == 0
+    result = generate(reordered)
+    assert result.exit_code == 3, result.output
+    assert events(result)["error"]["kind"] == "data"
+
+
+def test_cli_generate_refuses_a_version_four_checkpoint(runner, tmp_path):
+    """A checkpoint written before the relation names were pinned exits 3."""
+    result = generate_records(runner, tmp_path, ["the bridge is safe ."])
+    assert result.exit_code == 0, result.output
+    path = tmp_path / "m.ckpt"
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = (4).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    result = runner.invoke(main, ["generate", "--checkpoint", str(path),
+                                  "--vocab", str(tmp_path / "vocab.json"),
+                                  "--data", str(tmp_path / "d.jsonl"),
+                                  "--out", str(tmp_path / "pred.jsonl")])
+    assert result.exit_code == 3, result.output
+    assert events(result)["error"]["kind"] == "data"

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import struct
 import tracemalloc
 
@@ -8,8 +9,10 @@ import pytest
 from answergen import autodiff as ad
 from answergen import training
 from answergen.config import RunConfig, TrainingConfig
-from answergen.errors import CorruptFileError, VersionMismatchError
+from answergen.errors import CorruptFileError, NonFiniteGradientError, VersionMismatchError
+from answergen.knowledge import Fact
 from answergen.selectors import PROB_FLOOR
+from answergen.text import PAD, EncodeLimits, encode_example
 from answergen.training import (
     ADAM_BLOCK,
     Adam,
@@ -351,3 +354,121 @@ def test_checkpoint_flipped_payload_byte_is_corrupt(vocab, tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptFileError):
         load_checkpoint(path)
+
+
+# --- the padded batch ---
+
+def mixed_batch(vocab):
+    """Examples of different question, passage and answer lengths, with
+    0, 1, 3 and 5 related facts."""
+    facts = [Fact(("bridge",), 0, ("safe",), 0), Fact(("water",), 1, ("strong", "water"), 1),
+             Fact(("old", "bridge"), 1, ("cross",), 2), Fact(("you",), 0, ("helps",), 3),
+             Fact(("safe",), 1, ("old",), 4)]
+    rows = [("what is the bridge ?", "the old bridge is safe and helps you cross water .",
+             "bridge is safe .", facts[:1]),
+            ("what ?", "water .", "strong water", []),
+            ("is the old bridge safe to cross ?", "you cross the bridge .",
+             "the old bridge is safe and strong and helps you cross water .", facts[:3]),
+            ("what helps you ?", "the old bridge helps you cross water and is safe .",
+             "qwerty helps", facts)]
+    return [TrainItem(encode_example(q, p, a, vocab, EncodeLimits(passage=50, answer=20)), fs)
+            for q, p, a, fs in rows]
+
+
+@pytest.mark.parametrize("mc_samples", [1, 2])
+@pytest.mark.parametrize("knowledge", [True, False])
+def test_batch_equals_the_mean_of_its_examples(vocab, mc_samples, knowledge):
+    """One padded batch gives, to rounding, the mean of its examples' losses
+    computed one at a time, the same gradients, the same source counts, and
+    leaves the generator where the per-example calls leave it."""
+    model = make_model(vocab, seed=11)
+    batch = mixed_batch(vocab)
+    params = list(model.parameters.values())
+    rng_batch, rng_each = np.random.default_rng(4), np.random.default_rng(4)
+
+    with ad.Tape() as tape:
+        total, diag = training.batch_elbo_loss(model, batch, 0.7, rng_batch,
+                                               mc_samples=mc_samples,
+                                               knowledge_enabled=knowledge)
+        mean = ad.mul(total, ad.constant(1.0 / len(batch)))
+    batch_grads = tape.backward(mean, params=params)
+
+    losses, counts = [], np.zeros(4)
+    each_grads = [np.zeros_like(p.data) for p in params]
+    for item in batch:
+        with ad.Tape() as tape:
+            loss, one = elbo_loss(model, item.example, item.facts, 0.7, rng_each,
+                                  mc_samples=mc_samples, knowledge_enabled=knowledge)
+        grads = tape.backward(loss, params=params)
+        losses.append(float(loss.data))
+        counts += one.source_counts
+        for acc, p in zip(each_grads, params):
+            acc += grads[p] / len(batch)
+
+    assert float(mean.data) == pytest.approx(np.mean(losses), rel=1e-12, abs=0.0)
+    np.testing.assert_array_equal(diag.source_counts, counts)
+    assert diag.n_tokens == sum(len(item.example.answer_ids) for item in batch)
+    assert rng_batch.bit_generator.state == rng_each.bit_generator.state
+    for p, want in zip(params, each_grads):
+        np.testing.assert_allclose(batch_grads[p], want, rtol=1e-10,
+                                   atol=1e-10 * max(1e-300, np.abs(want).max()), err_msg=p.name)
+    # padding reads the PAD row, and padded steps, positions and fact slots
+    # send it exactly nothing
+    assert not batch_grads[model.embedding][PAD].any()
+
+    optimizer = Adam(model.parameters, lr=1e-3)
+    metrics = training.train_step(model, batch, optimizer, 0.7, np.random.default_rng(4),
+                                  TrainingConfig(mc_samples=mc_samples, clip_norm=1e9), step=0,
+                                  knowledge_enabled=knowledge)
+    assert metrics.loss == float(mean.data)
+    assert metrics.source_freqs == (counts / counts.sum()).tolist()
+
+
+def test_metrics_log_carries_the_grad_norm(vocab, tmp_path, monkeypatch):
+    """Each metrics line holds the step's gradient norm before clipping, and
+    null on a step skipped for a non-finite gradient."""
+    model = make_model(vocab, seed=2)
+    data = [TrainItem(toy_example(vocab), toy_facts())]
+    backward = ad.Tape.backward
+
+    def fail_second_step(tape, loss, params=None):
+        fail_second_step.calls += 1
+        if fail_second_step.calls == 2:
+            raise NonFiniteGradientError("injected")
+        return backward(tape, loss, params)
+
+    fail_second_step.calls = 0
+    monkeypatch.setattr(ad.Tape, "backward", fail_second_step)
+    path = tmp_path / "metrics.jsonl"
+    history = train(model, data, overfit_cfg(seed=1, steps=3), metrics_path=path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [line["grad_norm"] for line in lines] == \
+        [history[0].grad_norm, None, history[2].grad_norm]
+    assert history[1].skipped and lines[1]["skipped"] == 1
+    assert all(line["grad_norm"] > 0 for line in (lines[0], lines[2]))
+
+
+def test_version_four_checkpoint_rejected(vocab, tmp_path):
+    """Version 4 had no relation names after the config; it is refused as a
+    version mismatch (exit 3)."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_model(vocab), step=0, config=RunConfig.desk(), path=path,
+                    relation_names=["born in", "part of"])
+    blob = path.read_bytes()[:-8]
+    (config_len,) = struct.unpack_from("<I", blob, 24)
+    names_at = 28 + config_len
+    (names_len,) = struct.unpack_from("<I", blob, names_at)
+    body = bytearray(blob[:names_at] + blob[names_at + 4 + names_len:])
+    struct.pack_into("<I", body, 4, 4)
+    path.write_bytes(bytes(body) + hashlib.sha256(body).digest()[:8])
+    with pytest.raises(VersionMismatchError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_keeps_relation_names(vocab, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_model(vocab), step=0, config=RunConfig.desk(), path=path,
+                    relation_names=["born in", "part of"])
+    assert load_checkpoint(path).relation_names == ["born in", "part of"]
+    save_checkpoint(make_model(vocab), step=0, config=RunConfig.desk(), path=path)
+    assert load_checkpoint(path).relation_names == []
