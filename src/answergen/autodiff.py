@@ -4,12 +4,33 @@ Operations record TapeNodes while a Tape is active (see `Tape.__enter__`);
 outside a tape they just compute, which is what generation-time code uses.
 A tape can be walked backward exactly once. Tensors are confined to the
 worker that owns their tape; distinct tapes are independent.
+
+Backward builds each tensor's gradient in one place from the parts the
+grad_fns hand out, of three kinds:
+
+- a dense array, added into the tensor's running sum;
+- ``Factors(a, g)``, a matmul's weight gradient aᵀg kept as its (R, K)
+  input rows and (R, N) output-gradient rows. A weight fed at every decoder
+  step collects one pair per step, and they are multiplied out together, as
+  one GEMM over the stacked rows, once the gradient is needed. Size rule:
+  pairs are kept only while their total size stays below the K×N product
+  they stand for; the pair that would reach it is multiplied out with the
+  kept ones at once, so kept factors never outgrow the dense gradient;
+- ``Rows(index, rows)``, a lookup's gradient, nonzero only at the rows it
+  read. Each such part is scatter-added on arrival into one zero buffer per
+  tensor, allocated once.
+
+A gradient is complete when the node that produced its tensor is popped
+(intermediates) or when the sweep ends (leaves). The grad_fns of ``add``,
+``mul``, ``matmul``, ``minimum``, ``maximum`` and ``additive_scores``
+return None instead of a part for an input that is neither
+``requires_grad`` nor on a tape, so they compute no gradient of a constant.
 """
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,16 +92,38 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
+def _tracked(t: Tensor) -> bool:
+    """True when ``t`` may need a gradient: a leaf that asks for one or the
+    output of a recorded node. A grad_fn skips the gradient of any other."""
+    return t.requires_grad or t._tape is not None
+
+
+class Factors(NamedTuple):
+    """The weight gradient ``a.T @ g`` of ``rows @ weight``, not multiplied
+    out: ``a`` (R, K) holds the input rows and ``g`` (R, N) the gradient rows
+    of the output."""
+    a: np.ndarray
+    g: np.ndarray
+
+
+class Rows(NamedTuple):
+    """A lookup's gradient: ``rows[i]`` belongs to table row ``index[i]`` (an
+    int index takes one row); every other row's gradient is zero."""
+    index: "np.ndarray | int"
+    rows: np.ndarray
+
+
 @dataclass
 class TapeNode:
     """One recorded primitive application.
 
-    grad_fn maps the output gradient to (input, input-gradient) pairs.
+    grad_fn maps the output gradient to (input, part) pairs, where a part is
+    a dense array, ``Factors``, ``Rows`` or None (see the module docstring).
     """
     op_kind: str
     inputs: tuple[Tensor, ...]
     output: Tensor
-    grad_fn: Callable[[np.ndarray], list[tuple[Tensor, np.ndarray]]]
+    grad_fn: Callable[[np.ndarray], list[tuple[Tensor, "np.ndarray | Factors | Rows | None"]]]
 
 
 @dataclass
@@ -124,6 +167,15 @@ class Tape:
     def backward(self, loss: Tensor, params: Iterable[Tensor] | None = None) -> GradientMap:
         """Accumulate d(loss)/d(leaf) for every tracked leaf tensor.
 
+        One sweep, newest node first. Each tensor's gradient is assembled in
+        one place from its parts: dense arrays are summed, a lookup's
+        ``Rows`` are scatter-added on arrival into one zero buffer, and a
+        matmul's weight ``Factors`` are kept, under the size rule of the
+        module docstring, and multiplied out as one GEMM over their stacked
+        rows. An intermediate's gradient is complete when its producer node
+        is popped; a leaf's when the sweep ends. Each leaf gets an array no
+        other entry shares, so one can be scaled in place.
+
         ``params``, when given, lists tensors the caller cares about; any of
         them not reached by the sweep get a zero gradient and are flagged in
         ``disconnected`` rather than raising.
@@ -134,34 +186,22 @@ class Tape:
         if loss.data.size != 1:
             raise ShapeMismatchError(f"loss must be scalar, got shape {loss.shape}")
 
-        grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-        # Tensors whose gradient array this sweep allocated itself. Only those
-        # are added into in place: an array a grad_fn returned may be shared
-        # with another input or with the output gradient it was given.
-        owned: set[Tensor] = set()
+        sums = _GradientSums()
+        sums.receive(loss, np.ones_like(loss.data))
         while self.nodes:
             # Popping releases each node once it is used. Outputs refer to the
             # tape and the tape to its nodes, so a tape that kept its nodes
             # would leave the whole graph to the cyclic garbage collector.
             node = self.nodes.pop()
-            g = grads.pop(node.output, None)
+            g = sums.take(node.output)
             if g is None:
                 continue
             assert g.shape == node.output.data.shape
-            for inp, gi in node.grad_fn(g):
-                if gi is None:
-                    continue
-                if inp.requires_grad or inp._tape is self:
-                    seen = grads.get(inp)
-                    if seen is None:
-                        grads[inp] = gi
-                    elif inp in owned:
-                        np.add(seen, gi, out=seen)
-                    else:
-                        grads[inp] = np.add(seen, gi, out=np.empty(inp.shape))
-                        owned.add(inp)
+            for inp, part in node.grad_fn(g):
+                if part is not None and (inp.requires_grad or inp._tape is self):
+                    sums.receive(inp, part)
 
-        result = {t: g for t, g in grads.items() if t.requires_grad}
+        result = sums.leaf_gradients()
         disconnected: list[Tensor] = []
         if params is not None:
             for p in params:
@@ -172,6 +212,119 @@ class Tape:
             if not _all_finite(g):
                 raise NonFiniteGradientError(f"non-finite gradient for {t.name or t.shape}")
         return GradientMap(result, disconnected)
+
+
+class _GradientSums:
+    """The gradients one backward sweep is assembling, one per tensor."""
+
+    def __init__(self):
+        self.dense: dict[Tensor, np.ndarray] = {}
+        # Tensors whose dense array this sweep allocated itself. Only those
+        # are added into in place: an array a grad_fn returned may be shared
+        # with another input or with the output gradient it was given.
+        self.owned: set[Tensor] = set()
+        # Factor pairs not yet multiplied out, with their total size.
+        self.held: dict[Tensor, tuple[int, list[Factors]]] = {}
+
+    def receive(self, t: Tensor, part) -> None:
+        """Take one part of ``t``'s gradient: dense, ``Factors`` or ``Rows``."""
+        kind = type(part)
+        if kind is Factors:
+            size, pairs = self.held.pop(t, (0, []))
+            size += part.a.size + part.g.size
+            pairs.append(part)
+            if size < part.a.shape[1] * part.g.shape[1]:
+                self.held[t] = (size, pairs)
+            else:
+                self._add(t, _multiply_out(pairs), fresh=True)
+        elif kind is Rows:
+            _scatter_add(self._buffer(t), part)
+        else:
+            self._add(t, part, fresh=False)
+
+    def take(self, t: Tensor) -> "np.ndarray | None":
+        """Remove and return ``t``'s complete gradient, None if it has none."""
+        if t in self.held:
+            self._settle(t)
+        self.owned.discard(t)
+        return self.dense.pop(t, None)
+
+    def leaf_gradients(self) -> dict[Tensor, np.ndarray]:
+        for t in list(self.held):
+            self._settle(t)
+        result = {t: g for t, g in self.dense.items() if t.requires_grad}
+        # A grad_fn may hand one array, or views of it, to several inputs
+        # (add does), and clip_global_norm scales each leaf's array in place.
+        # The arrays this sweep allocated are never handed out, so only the
+        # others can share memory: copy each that shares its owner with an
+        # earlier one.
+        owners: set[int] = set()
+        for t, g in result.items():
+            if t not in self.owned:
+                owner = g
+                while isinstance(owner.base, np.ndarray):
+                    owner = owner.base
+                if id(owner) in owners:
+                    result[t] = g.copy()
+                owners.add(id(owner))
+        return result
+
+    def _settle(self, t: Tensor) -> None:
+        """Multiply out the factor pairs ``t`` holds into its dense array."""
+        self._add(t, _multiply_out(self.held.pop(t)[1]), fresh=True)
+
+    def _add(self, t: Tensor, g: np.ndarray, fresh: bool) -> None:
+        """Add a dense part; a ``fresh`` one was allocated for this sweep and
+        may become ``t``'s array or be added into."""
+        seen = self.dense.get(t)
+        if seen is None:
+            self.dense[t] = g
+            if fresh:
+                self.owned.add(t)
+        elif t in self.owned:
+            np.add(seen, g, out=seen)
+        else:
+            self.dense[t] = np.add(seen, g, out=g if fresh else np.empty(t.shape))
+            self.owned.add(t)
+
+    def _buffer(self, t: Tensor) -> np.ndarray:
+        """``t``'s dense array, made one this sweep owns if it is not yet."""
+        if t in self.owned:
+            return self.dense[t]
+        seen = self.dense.get(t)
+        buf = np.zeros(t.shape) if seen is None else np.array(seen)
+        self.dense[t] = buf
+        self.owned.add(t)
+        return buf
+
+
+def _multiply_out(pairs: list[Factors]) -> np.ndarray:
+    """The sum of ``a.T @ g`` over the pairs, as one product of their
+    stacked rows."""
+    if len(pairs) == 1:
+        a, g = pairs[0]
+    else:
+        a = np.concatenate([p.a for p in pairs])
+        g = np.concatenate([p.g for p in pairs])
+    # one row's product is an outer product, which numpy writes faster than
+    # a GEMM of inner extent 1
+    return np.outer(a, g) if a.shape[0] == 1 else a.T @ g
+
+
+def _scatter_add(buf: np.ndarray, part: Rows) -> None:
+    """Add a lookup's gradient rows into ``buf`` at their table rows."""
+    index, rows = part
+    if isinstance(index, int):
+        buf[index] += rows
+    elif index.size:
+        # Sum the gradient rows of each distinct index in one pass: sort the
+        # rows by index (stably), then add each run with reduceat.
+        flat = index.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        ids = flat[order]
+        starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+        rows = rows.reshape((flat.size,) + buf.shape[1:])[order]
+        buf[ids[starts]] += np.add.reduceat(rows, starts, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +370,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def grad_fn(g):
-        return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape))]
+        return [(a, _unbroadcast(g, a.shape) if _tracked(a) else None),
+                (b, _unbroadcast(g, b.shape) if _tracked(b) else None)]
 
     return _record("add", (a, b), out, grad_fn)
 
@@ -227,8 +381,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def grad_fn(g):
-        return [(a, _unbroadcast(g * b.data, a.shape)),
-                (b, _unbroadcast(g * a.data, b.shape))]
+        return [(a, _unbroadcast(g * b.data, a.shape) if _tracked(a) else None),
+                (b, _unbroadcast(g * a.data, b.shape) if _tracked(b) else None)]
 
     return _record("mul", (a, b), out, grad_fn)
 
@@ -252,16 +406,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out = ad @ bd
 
     def grad_fn(g):
+        need_a, need_b = _tracked(a), _tracked(b)
         if per_row:
-            return [(a, np.matmul(bd, g[:, :, None])[:, :, 0]),
-                    (b, ad[:, :, None] * g[:, None, :])]
+            return [(a, np.matmul(bd, g[:, :, None])[:, :, 0] if need_a else None),
+                    (b, ad[:, :, None] * g[:, None, :] if need_b else None)]
         if bd.ndim == 1:
-            return [(a, np.multiply.outer(g, bd)), (b, g.reshape(-1) @ ad.reshape(-1, k))]
-        a2, g2 = ad.reshape(-1, k), g.reshape(-1, bd.shape[1])
-        # one row's weight gradient is an outer product, which numpy writes
-        # faster than a GEMM of inner extent 1
-        gb = np.outer(a2, g2) if a2.shape[0] == 1 else a2.T @ g2
-        return [(a, (g2 @ bd.T).reshape(ad.shape)), (b, gb)]
+            return [(a, np.multiply.outer(g, bd) if need_a else None),
+                    (b, g.reshape(-1) @ ad.reshape(-1, k) if need_b else None)]
+        g2 = g.reshape(-1, bd.shape[1])
+        return [(a, (g2 @ bd.T).reshape(ad.shape) if need_a else None),
+                (b, Factors(ad.reshape(-1, k), g2) if need_b else None)]
 
     return _record("matmul", (a, b), out, grad_fn)
 
@@ -386,19 +540,7 @@ def lookup(table: Tensor, indices) -> Tensor:
     out = table.data[idx]
 
     def grad_fn(g):
-        gt = np.zeros_like(table.data)
-        if single:
-            gt[idx] += g
-        elif idx.size:
-            # Sum the gradient rows of each distinct index in one pass: sort
-            # the rows by index (stably), then add each run with reduceat.
-            flat = idx.reshape(-1)
-            order = np.argsort(flat, kind="stable")
-            ids = flat[order]
-            starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-            rows = g.reshape((flat.size,) + table.data.shape[1:])[order]
-            gt[ids[starts]] = np.add.reduceat(rows, starts, axis=0)
-        return [(table, gt)]
+        return [(table, Rows(idx, g))]
 
     return _record("lookup", (table,), np.array(out), grad_fn)
 
@@ -435,9 +577,8 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g):
         take_a = a.data <= b.data
-        ga = np.where(take_a, g * np.ones_like(out), 0.0)
-        gb = np.where(take_a, 0.0, g * np.ones_like(out))
-        return [(a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape))]
+        return [(a, _unbroadcast(np.where(take_a, g, 0.0), a.shape) if _tracked(a) else None),
+                (b, _unbroadcast(np.where(take_a, 0.0, g), b.shape) if _tracked(b) else None)]
 
     return _record("minimum", (a, b), out, grad_fn)
 
@@ -449,9 +590,8 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g):
         take_a = a.data >= b.data
-        ga = np.where(take_a, g * np.ones_like(out), 0.0)
-        gb = np.where(take_a, 0.0, g * np.ones_like(out))
-        return [(a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape))]
+        return [(a, _unbroadcast(np.where(take_a, g, 0.0), a.shape) if _tracked(a) else None),
+                (b, _unbroadcast(np.where(take_a, 0.0, g), b.shape) if _tracked(b) else None)]
 
     return _record("maximum", (a, b), out, grad_fn)
 
@@ -476,13 +616,16 @@ def additive_scores(keys: Tensor, shift: Tensor, gate: Tensor) -> Tensor:
     out = z @ gd
 
     def grad_fn(g):
-        d_pre = np.multiply(z, z)
-        np.subtract(1.0, d_pre, out=d_pre)
-        d_pre *= g[..., None]
-        d_pre *= gd                                # d(loss)/d(key_i + shift)
-        return [(keys, _unbroadcast(d_pre, kd.shape)),
-                (shift, _unbroadcast(d_pre.sum(axis=-2), sd.shape)),
-                (gate, z.reshape(-1, gd.size).T @ g.reshape(-1))]
+        need_keys, need_shift = _tracked(keys), _tracked(shift)
+        d_pre = None
+        if need_keys or need_shift:
+            d_pre = np.multiply(z, z)
+            np.subtract(1.0, d_pre, out=d_pre)
+            d_pre *= g[..., None]
+            d_pre *= gd                            # d(loss)/d(key_i + shift)
+        return [(keys, _unbroadcast(d_pre, kd.shape) if need_keys else None),
+                (shift, _unbroadcast(d_pre.sum(axis=-2), sd.shape) if need_shift else None),
+                (gate, z.reshape(-1, gd.size).T @ g.reshape(-1) if _tracked(gate) else None)]
 
     return _record("additive_scores", (keys, shift, gate), out, grad_fn)
 

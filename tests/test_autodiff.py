@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 import zlib
 
@@ -14,6 +15,7 @@ from answergen.errors import (
     ShapeMismatchError,
     TapeConsumedError,
 )
+from answergen.training import clip_global_norm
 
 
 def test_softmax_uniform_logits():
@@ -379,3 +381,155 @@ def test_lookup_gradient_matches_add_at():
         want = np.zeros(shape)
         np.add.at(want, ids, weights)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+# ---------------------------------------------------------------------------
+# Gradient parts: weight factors, lookup rows, constants, unshared leaves.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("steps", [1, 2, 9])
+@pytest.mark.parametrize("rank", [1, 8])
+def test_weight_gradient_over_steps_is_the_sum_of_its_products(steps, rank):
+    """A weight fed at every step gets the sum of each step's a.T @ g."""
+    rng = np.random.default_rng(steps * 10 + rank)
+    # a rank-1 pair is 22 entries of the 120 the product has, so rank-1
+    # steps are kept and multiplied out in stacks; rank-8 pairs are not kept
+    w = ad.Tensor(rng.normal(size=(12, 10)), requires_grad=True)
+    xs = [rng.normal(size=(rank, 12)) for _ in range(steps)]
+    cs = [rng.normal(size=(rank, 10)) for _ in range(steps)]
+    with ad.Tape() as tape:
+        terms = [ad.sum(ad.mul(ad.matmul(ad.constant(x), w), ad.constant(c)))
+                 for x, c in zip(xs, cs)]
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = ad.add(loss, term)
+    got = tape.backward(loss)[w]
+    want = np.zeros_like(w.data)
+    for x, c in zip(xs, cs):
+        want += x.T @ c
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_dense_factor_and_row_parts_of_one_tensor_add_up():
+    """A table that is read by lookup, used as a matmul weight (by one row,
+    whose factors are kept, and by three, whose product is formed at once)
+    and scaled elementwise gets the sum of all parts. Small integers keep
+    every sum exact, whatever order the parts arrive in."""
+    rng = np.random.default_rng(21)
+    table = ad.Tensor(rng.integers(-3, 4, size=(5, 4)).astype(float), requires_grad=True)
+    ids = np.array([[4, 0], [4, 2]])
+    x1, x3 = (rng.integers(-3, 4, size=(n, 5)).astype(float) for n in (1, 3))
+    c_rows, c1, c3, c_dense = (rng.integers(-3, 4, size=s).astype(float)
+                               for s in ((2, 2, 4), (1, 4), (3, 4), (5, 4)))
+
+    def weighted(t, c):
+        return ad.sum(ad.mul(t, ad.constant(c)))
+
+    with ad.Tape() as tape:
+        rows = weighted(ad.lookup(table, ids), c_rows)
+        one = weighted(ad.matmul(ad.constant(x1), table), c1)
+        dense = weighted(table, c_dense)
+        three = weighted(ad.matmul(ad.constant(x3), table), c3)
+        loss = ad.add(ad.add(ad.add(rows, one), dense), three)
+    got = tape.backward(loss)[table]
+    want = x1.T @ c1 + x3.T @ c3 + c_dense
+    np.add.at(want, ids, c_rows)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_backward_of_a_rank_one_chain_holds_one_weight_gradient():
+    """Sixteen rank-1 products into one 512x512 weight are kept as factors
+    and multiplied out once, so backward never holds a second weight-sized
+    array."""
+    rng = np.random.default_rng(5)
+    w = ad.Tensor(rng.normal(scale=0.05, size=(512, 512)), requires_grad=True)
+    h = ad.constant(rng.normal(size=(1, 512)))
+    with ad.Tape() as tape:
+        for _ in range(16):
+            h = ad.tanh(ad.matmul(h, w))
+        loss = ad.sum(h)
+    tracemalloc.start()
+    try:
+        grads = tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grads[w].shape == w.shape
+    assert peak < 2 * w.data.nbytes, peak / w.data.nbytes
+
+
+@pytest.mark.parametrize("rows, kept", [(1, True), (2048, False)])
+def test_factor_pairs_are_kept_only_while_smaller_than_their_product(rows, kept):
+    """A (rows, 96) x (rows, 48) weight gradient is kept as factors when they
+    are smaller than the 96x48 product and multiplied out on arrival when
+    they are not, which releases the upstream gradient they refer to."""
+    rng = np.random.default_rng(6)
+    x = ad.Tensor(rng.normal(size=(rows, 96)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(96, 48)), requires_grad=True)
+    upstream, alive = [], []
+
+    def probe(t, grad_fn):
+        return ad._record("probe", (t,), t.data.copy(), grad_fn)
+
+    def note_upstream(g):
+        upstream.append(weakref.ref(g))
+        return [(y, g)]
+
+    def check_released(g):
+        alive.append(upstream[0]() is not None)
+        return [(x, g)]
+
+    with ad.Tape() as tape:
+        a = ad.tanh(probe(x, check_released))  # swept last
+        y = ad.matmul(a, w)
+        loss = ad.sum(probe(y, note_upstream))
+    grads = tape.backward(loss)
+    assert alive == [kept]
+    np.testing.assert_allclose(grads[w], np.tanh(x.data).T @ np.ones((rows, 48)), rtol=1e-12)
+
+
+def test_leaves_never_share_a_gradient_array():
+    """add hands one array to both of its inputs; each leaf must still get
+    its own, since clip_global_norm scales every gradient in place."""
+    a, b = (ad.Tensor(np.ones(3), requires_grad=True) for _ in range(2))
+    with ad.Tape() as tape:
+        loss = ad.sum(ad.add(a, b))
+    gm = tape.backward(loss)
+    assert not np.shares_memory(gm[a], gm[b])
+    grads = {"a": gm[a], "b": gm[b]}
+    norm = clip_global_norm(grads, 1.0)
+    assert norm == pytest.approx(np.sqrt(6.0))
+    for g in grads.values():
+        np.testing.assert_allclose(g, np.full(3, 1.0 / np.sqrt(6.0)), rtol=1e-15)
+
+
+# (primitive, input shapes) for each primitive with more than one input
+# and each of matmul's three cases
+_MULTI_INPUT_CASES = {
+    "add": (ad.add, [(2, 3), (2, 3)]),
+    "mul": (ad.mul, [(2, 3), (2, 3)]),
+    "minimum": (ad.minimum, [(2, 3), (2, 3)]),
+    "maximum": (ad.maximum, [(2, 3), (2, 3)]),
+    "matmul": (ad.matmul, [(2, 3), (3, 4)]),
+    "matmul_vector": (ad.matmul, [(2, 3), (3,)]),
+    "matmul_per_row": (ad.matmul, [(2, 3), (2, 3, 4)]),
+    "additive_scores": (ad.additive_scores, [(3, 4), (4,), (4,)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MULTI_INPUT_CASES))
+def test_no_gradient_is_computed_for_a_constant_input(kind):
+    """With one input tracked and the others constant, the grad_fn returns
+    None in place of each constant's gradient."""
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    make, shapes = _MULTI_INPUT_CASES[kind]
+    for tracked in range(len(shapes)):
+        inputs = [ad.Tensor(rng.normal(size=s), requires_grad=(i == tracked))
+                  for i, s in enumerate(shapes)]
+        with ad.Tape() as tape:
+            out = make(*inputs)
+        node = tape.nodes[-1]
+        parts = node.grad_fn(np.ones_like(out.data))
+        for i, (inp, part) in enumerate(parts):
+            assert inp is inputs[i]
+            assert (part is None) == (i != tracked), (kind, i, tracked)
