@@ -484,15 +484,6 @@ def _sigmoid(xd: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out = _sigmoid(x.data)
-
-    def grad_fn(g):
-        return [(x, g * out * (1.0 - out))]
-
-    return _record("sigmoid", (x,), out, grad_fn)
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted softmax along ``axis``; rows sum to 1."""
     xd = x.data
@@ -631,24 +622,24 @@ def additive_scores(keys: Tensor, shift: Tensor, gate: Tensor) -> Tensor:
 
 
 def lstm_seq(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = False,
-             lengths=None) -> Tensor:
-    """An LSTM run from zero state over the N rows of ``x`` (N, in), last row
-    first when ``reverse``. Gates are packed as columns [input, forget, cell,
-    output] of w_x (in, 4H), w_h (H, 4H) and b (4H,). Returns (N+1, H): row t
-    is the hidden state at position t, and row N the cell state after the
-    last step.
+             lengths=None, state: "tuple[Tensor, Tensor] | None" = None) -> Tensor:
+    """An LSTM run over the N rows of ``x`` (N, in), last row first when
+    ``reverse``, from ``state`` = (h, c), each (H,), or from zero. Gates are
+    packed as columns [input, forget, cell, output] of w_x (in, 4H), w_h
+    (H, 4H) and b (4H,). Returns (N+1, H): row t is the hidden state at
+    position t, and row N the cell state after the last step.
 
-    A padded batch x (B, N, in) with ``lengths`` (B,) runs as B rows at once
-    and returns (B, N+1, H). Row b consumes its own ``lengths[b]`` tokens
-    first, last to first when ``reverse``, and its padding after them, so the
-    states at its tokens and its row N, the cell after its last token, do
-    not depend on the padding.
+    A padded batch x (B, N, in) with ``lengths`` (B,) and a (B, H) state
+    runs as B rows at once and returns (B, N+1, H). Row b consumes its own
+    ``lengths[b]`` tokens first, last to first when ``reverse``, and its
+    padding after them, so the states at its tokens and its row N, the cell
+    after its last token, do not depend on the padding.
 
     The input projections of all steps are one GEMM; only ``h @ w_h`` runs
     per step. Backward is hand-written BPTT: one pass back over time for the
-    gate pre-activation gradients dG, then dx = dG w_xᵀ, dw_x = xᵀ dG and
-    dw_h = H_prevᵀ dG as one GEMM each (Appleyard et al. 2016,
-    arXiv 1604.01946).
+    gate pre-activation gradients dG and the state's, then dx = dG w_xᵀ as
+    one GEMM; the weights get ``Factors(x rows, dG)`` and ``Factors(h_prev
+    rows, dG)`` (Appleyard et al. 2016, arXiv 1604.01946).
     """
     xd, wx, wh, bd = x.data, w_x.data, w_h.data, b.data
     single = xd.ndim == 2
@@ -661,6 +652,9 @@ def lstm_seq(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = Fal
     if wh.shape != (hid, 4 * hid) or wx.shape != (in_dim, 4 * hid) or bd.shape != (4 * hid,):
         raise ShapeMismatchError(f"lstm_seq: x {x.shape}, w_x {wx.shape}, w_h {wh.shape}, "
                                  f"b {bd.shape}")
+    inputs = (x, w_x, w_h, b) + tuple(state or ())
+    if any(t.shape != x.shape[:-2] + (hid,) for t in inputs[4:]):
+        raise ShapeMismatchError(f"lstm_seq: state {[t.shape for t in state]} for x {x.shape}")
     lens = np.full(rows, n) if lengths is None else np.asarray(lengths, dtype=np.intp)
     if lens.shape != (rows,) or lens.min() < 1 or lens.max() > n:
         raise ShapeMismatchError(f"lstm_seq: lengths {lens} for {rows} rows of {n} positions")
@@ -676,6 +670,8 @@ def lstm_seq(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = Fal
     acts = np.empty_like(pre)                 # gates after their nonlinearities
     cells = np.zeros((n + 1, rows, hid))      # cells[t + 1] is c after step t
     hs = np.zeros((n + 1, rows, hid))         # hs[t + 1] is h after step t
+    if state is not None:
+        hs[0], cells[0] = (t.data for t in state)
     tanh_c = np.empty((n, rows, hid))
     i, f, cg, o = (acts[..., k * hid:(k + 1) * hid] for k in range(4))
     for t in range(n):
@@ -711,17 +707,16 @@ def lstm_seq(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = Fal
             d_pre[t, :, :3] = by_dc[t] * dc[:, None]
             d_pre[t, :, 3] = dh * by_dh[t]
             dc = dc * f[t]
-            if t:
+            if t or state is not None:  # at t = 0, the state's dh
                 dh_next = d_pre[t].reshape(rows, 4 * hid) @ wh.T
-        dg = d_pre.reshape(n, rows, 4 * hid)
+        flat_dg = d_pre.reshape(-1, 4 * hid)
         dx = np.empty_like(xd)
-        flat_dg = dg.reshape(-1, 4 * hid)
         dx[consumed] = (flat_dg @ wx.T).reshape(n, rows, in_dim).transpose(1, 0, 2)
-        return [(x, dx[0] if single else dx), (w_x, xs.reshape(-1, in_dim).T @ flat_dg),
-                (w_h, hs[:-1].reshape(-1, hid).T @ flat_dg), (b, flat_dg.sum(axis=0))]
+        return [(x, dx[0] if single else dx), (w_x, Factors(xs.reshape(-1, in_dim), flat_dg)),
+                (w_h, Factors(hs[:-1].reshape(-1, hid), flat_dg)), (b, flat_dg.sum(axis=0))
+                ] + [(t, d.reshape(t.shape)) for t, d in zip(inputs[4:], (dh_next, dc))]
 
-    out = out[0] if single else out
-    return _record("lstm_seq", (x, w_x, w_h, b), out, grad_fn)
+    return _record("lstm_seq", inputs, out[0] if single else out, grad_fn)
 
 
 PRIMITIVES: dict[str, Callable] = {
@@ -731,7 +726,6 @@ PRIMITIVES: dict[str, Callable] = {
     "concat": concat,
     "stack": stack,
     "tanh": tanh,
-    "sigmoid": sigmoid,
     "softmax": softmax,
     "log": log,
     "sum": sum,

@@ -16,7 +16,8 @@ import click
 import numpy as np
 
 from .config import RunConfig, load_config
-from .errors import AnswergenError, ConfigError, DataError, NumericError
+from .errors import AnswergenError, ConfigError, DataError, MalformedLineError, NumericError
+from .files import replace_file
 from .generate import generate as run_generate
 from .generate import render_trace, write_predictions
 from .knowledge import extract_related_facts, ingest_triples, resolve_facts
@@ -30,6 +31,7 @@ from .text import (
     encode_example,
     load_jsonl_dataset,
     load_pretrained_embeddings,
+    read_json_objects,
     tokenize,
 )
 from .training import (
@@ -257,21 +259,15 @@ def evaluate_cmd(pred_path, ref_path, out_path):
     """Score predictions (JSONL with an "answer" field) against references."""
     def read_answers(path):
         answers = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                if "answer" not in obj:
-                    raise DataError(f"{path} line {lineno}: missing answer field")
-                answers.append(tokenize(str(obj["answer"])))
+        for lineno, obj in read_json_objects(path):
+            if "answer" not in obj:
+                raise MalformedLineError(lineno, "missing answer field", path)
+            answers.append(tokenize(str(obj["answer"])))
         return answers
 
     report = evaluate_corpus(read_answers(pred_path), read_answers(ref_path))
-    payload = report.to_dict()
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+        replace_file(out_path, [json.dumps(report.to_dict(), indent=2).encode("utf-8")])
     log_event("evaluate", rouge_l=report.rouge_l, bleu_1=report.bleu_1)
     click.echo(json.dumps({"rouge_l": report.rouge_l, "bleu_1": report.bleu_1}))
 

@@ -55,8 +55,8 @@ class EmptyPassageError(DataError):
 
 
 class MalformedLineError(DataError):
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number: int, message: str, path=None):
+        super().__init__(f"{path or ''} line {line_number}: {message}".lstrip())
         self.line_number = line_number
 
 

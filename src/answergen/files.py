@@ -1,4 +1,4 @@
-"""Atomic replacement of checkpoints, vocabularies and prediction files."""
+"""Atomic replacement of checkpoints, vocabularies, predictions and reports."""
 from __future__ import annotations
 
 import contextlib

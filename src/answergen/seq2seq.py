@@ -7,14 +7,14 @@ the same-step question context. Coverage is the running sum of past
 attention vectors and enters both the logits and the training penalty
 sum_i min(a_i, cov_i).
 
-Each encoder direction is one fused `autodiff.lstm_seq` over the whole
-sequence, with hand-written backpropagation through time; the decoder steps
-`lstm_step`. Every weight is stored (in, out), so each layer computes
-rows @ W. The encoders take one sequence or a padded batch of them. The
-cell, the attention and the coverage penalty take one decoder row or a
-(B, .) batch of rows: one per beam hypothesis against one example's encoder
-states, or one per example against a padded batch's, whose padded positions
-get an additive MASK_LOGIT before the softmax.
+The LSTM cell is `autodiff.lstm_seq`: one over each encoder direction, and
+a one-step run from the carried (h, c) per decoder step (`lstm_step`).
+Every weight is stored (in, out), so each layer computes rows @ W. The
+encoders take one sequence or a padded batch of them. The cell, the
+attention and the coverage penalty take one decoder row or a (B, .) batch
+of rows: one per beam hypothesis against one example's encoder states, or
+one per example against a padded batch's, whose padded positions get an
+additive MASK_LOGIT before the softmax.
 """
 from __future__ import annotations
 
@@ -65,16 +65,13 @@ class LSTMParams:
 
 
 def lstm_step(p: LSTMParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """One cell update of a row or a batch of rows; returns (h', c')."""
+    """One cell update of a row or a batch of rows, as a one-step
+    `autodiff.lstm_seq` from (h, c); returns (h', c')."""
     hid = p.hidden
-    gates = ad.add(ad.add(ad.matmul(x, p.w_x), ad.matmul(h, p.w_h)), p.b)
-    i = ad.sigmoid(ad.slice_(gates, 0, hid, axis=-1))
-    f = ad.sigmoid(ad.slice_(gates, hid, 2 * hid, axis=-1))
-    g = ad.tanh(ad.slice_(gates, 2 * hid, 3 * hid, axis=-1))
-    o = ad.sigmoid(ad.slice_(gates, 3 * hid, 4 * hid, axis=-1))
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
-    return h_new, c_new
+    steps = ad.reshape(x, x.shape[:-1] + (1, x.shape[-1]))               # (..., 1, in)
+    out = ad.lstm_seq(steps, p.w_x, p.w_h, p.b, state=(h, c))           # (..., 2, H)
+    both = ad.reshape(out, h.shape[:-1] + (2 * hid,))
+    return ad.slice_(both, 0, hid, axis=-1), ad.slice_(both, hid, 2 * hid, axis=-1)
 
 
 @dataclass

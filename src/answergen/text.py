@@ -10,12 +10,13 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import (
+    CorruptFileError,
     DimensionMismatchError,
     EmptyCorpusError,
     EmptyPassageError,
@@ -77,9 +78,12 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return cls(payload["tokens"], payload["max_size"])
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            return cls(payload["tokens"], payload["max_size"])
+        except (ValueError, KeyError, TypeError):
+            raise CorruptFileError(f"{path} is not a vocabulary file") from None
 
 
 def build_vocab(corpus: Iterable[Sequence[str]], max_size: int) -> Vocabulary:
@@ -199,10 +203,9 @@ class RawRecord:
     answer: str = ""
 
 
-def load_jsonl_dataset(path) -> list[RawRecord]:
-    """Read {"question", "passage", "answer"} records; a passage given as a
-    list of strings is concatenated into one."""
-    records: list[RawRecord] = []
+def read_json_objects(path) -> Iterator[tuple[int, dict]]:
+    """The JSON object on each non-blank line of ``path``, with its line
+    number; a line that holds anything else raises MalformedLineError."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -210,13 +213,21 @@ def load_jsonl_dataset(path) -> list[RawRecord]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError:
-                raise MalformedLineError(lineno, "invalid JSON") from None
-            if "question" not in obj or "passage" not in obj:
-                raise MalformedLineError(lineno, "missing question or passage field")
-            passage = obj["passage"]
-            if isinstance(passage, list):
-                passage = " ".join(passage)
-            records.append(RawRecord(question=str(obj["question"]),
-                                     passage=str(passage),
-                                     answer=str(obj.get("answer", ""))))
+                raise MalformedLineError(lineno, "invalid JSON", path) from None
+            if not isinstance(obj, dict):
+                raise MalformedLineError(lineno, "not a JSON object", path)
+            yield lineno, obj
+
+
+def load_jsonl_dataset(path) -> list[RawRecord]:
+    """Read {"question", "passage", "answer"} records; a passage given as a
+    list of strings is concatenated into one."""
+    records: list[RawRecord] = []
+    for lineno, obj in read_json_objects(path):
+        if "question" not in obj or "passage" not in obj:
+            raise MalformedLineError(lineno, "missing question or passage field", path)
+        passage = obj["passage"]
+        if isinstance(passage, list):
+            passage = " ".join(passage)
+        records.append(RawRecord(str(obj["question"]), str(passage), str(obj.get("answer", ""))))
     return records

@@ -195,7 +195,7 @@ def _primitive_case(kind, rng):
         a = ad.Tensor(rng.uniform(-1, 1, (3,)), requires_grad=True)
         b = ad.Tensor(rng.uniform(-1, 1, (3,)), requires_grad=True)
         return (lambda: _scalarize(ad.stack([a, b]), np.random.default_rng(0))), [a, b]
-    if kind in ("tanh", "sigmoid", "softmax"):
+    if kind in ("tanh", "softmax"):
         x = ad.Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
         fn = ad.PRIMITIVES[kind]
         return (lambda: _scalarize(fn(x), np.random.default_rng(0))), [x]
@@ -233,9 +233,14 @@ def _primitive_case(kind, rng):
                     for rows in (in_dim, hid))
         b = ad.Tensor(rng.uniform(-1, 1, (4 * hid,)), requires_grad=True)
         reverse = bool(rng.integers(2))
+        # half the trials start from a drawn state, as a decoder step does
+        state = None
+        if rng.integers(2):
+            state = tuple(ad.Tensor(rng.uniform(-1, 1, (hid,)), requires_grad=True)
+                          for _ in range(2))
         # _scalarize weights every state row and the final cell row
-        return (lambda: _scalarize(ad.lstm_seq(x, w_x, w_h, b, reverse=reverse),
-                                   np.random.default_rng(0))), [x, w_x, w_h, b]
+        return (lambda: _scalarize(ad.lstm_seq(x, w_x, w_h, b, reverse=reverse, state=state),
+                                   np.random.default_rng(0))), [x, w_x, w_h, b, *(state or ())]
     raise AssertionError(kind)
 
 
@@ -328,6 +333,16 @@ def test_a_forward_that_raises_frees_the_graph_without_the_cycle_collector():
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("x_shape, state_shape", [((4, 3), (2, 2)), ((2, 4, 3), (2,)),
+                                                  ((2, 4, 3), (3, 2))])
+def test_lstm_seq_state_must_match_the_rows(x_shape, state_shape):
+    """A state is (H,) for one sequence and (B, H) for a batch of B."""
+    w_x, w_h, b = (ad.constant(np.zeros(shape)) for shape in ((3, 8), (2, 8), (8,)))
+    state = (ad.constant(np.zeros(state_shape)), ad.constant(np.zeros(state_shape)))
+    with pytest.raises(ShapeMismatchError):
+        ad.lstm_seq(ad.constant(np.zeros(x_shape)), w_x, w_h, b, state=state)
 
 
 @pytest.mark.parametrize("reverse", [False, True])

@@ -1,7 +1,10 @@
+import json
 import os
 
 import pytest
+from click.testing import CliRunner
 
+from answergen.cli import main
 from answergen.config import RunConfig
 from answergen.generate import GenerationResult, write_predictions
 from answergen.training import save_checkpoint
@@ -67,3 +70,18 @@ def test_write_replaces_previous_file(writer, vocab, tmp_path):
     WRITERS[writer](vocab, path)
     assert path.read_bytes() != PREVIOUS
     assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_failed_evaluation_report_keeps_previous_report(tmp_path, monkeypatch):
+    answers = tmp_path / "answers.jsonl"
+    answers.write_text(json.dumps({"answer": "a dog ran ."}) + "\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    report = out_dir / "report.json"
+    report.write_bytes(PREVIOUS)
+    monkeypatch.setattr(os, "fsync", fail)
+    result = CliRunner().invoke(main, ["evaluate", "--predictions", str(answers),
+                                       "--references", str(answers), "--out", str(report)])
+    assert isinstance(result.exception, Interrupted), result.output
+    assert report.read_bytes() == PREVIOUS
+    assert os.listdir(out_dir) == ["report.json"]

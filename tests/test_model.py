@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from answergen import autodiff as ad
+from answergen import model as model_module
+from answergen.seq2seq import lstm_step
 from answergen.text import EmbeddingTable
 
 from conftest import make_model, toy_example
@@ -78,3 +80,28 @@ def test_step_is_pure_given_state(vocab):
     b = model.step(enc_q, enc_p, state, x)
     np.testing.assert_array_equal(a.s.data, b.s.data)
     np.testing.assert_array_equal(a.a_p.data, b.a_p.data)
+
+
+def test_step_records_its_cell_as_one_lstm_seq_node(vocab, monkeypatch):
+    """The decoder cell is a one-step lstm_seq: one fused node, no sigmoid
+    node, at most five nodes in all."""
+    model = make_model(vocab, seed=0)
+    ex = toy_example(vocab)
+    spans = []
+
+    def noted_lstm_step(*args):
+        start = len(tape.nodes)
+        out = lstm_step(*args)
+        spans.append((start, len(tape.nodes)))
+        return out
+
+    monkeypatch.setattr(model_module, "lstm_step", noted_lstm_step)
+    with ad.Tape() as tape:
+        enc_q = model.encode_question(ex.question_ids)
+        enc_p = model.encode_passage(ex.passage_ids)
+        state = model.initial_state(enc_q, enc_p)
+        model.step(enc_q, enc_p, state, model.embed_token(ex.answer_ids[0]))
+    [(start, stop)] = spans
+    cell = [node.op_kind for node in tape.nodes[start:stop]]
+    assert cell.count("lstm_seq") == 1 and len(cell) <= 5, cell
+    assert "sigmoid" not in [node.op_kind for node in tape.nodes]

@@ -20,13 +20,19 @@ def is_cli_command(node):
     return False
 
 
+def is_registry(node):
+    """The ``PRIMITIVES`` table, which lists the primitives but calls none."""
+    return isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "PRIMITIVES"
+
+
 def referenced_names(tree, skip):
-    """Names, attributes and imported names used in ``tree``, outside ``skip``."""
+    """Names, attributes and imported names used in ``tree``, outside ``skip``
+    and the primitive registry."""
     names = []
     stack = [tree]
     while stack:
         node = stack.pop()
-        if node is skip:
+        if node is skip or is_registry(node):
             continue
         if isinstance(node, ast.Name):
             names.append(node.id)

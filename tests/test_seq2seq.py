@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,24 @@ def lstm_cell_oracle(wx, wh, b, x, h, c):
     o = sig(gates[3 * hid:])
     c2 = f * c + i * g
     return o * np.tanh(c2), c2
+
+
+def taped_sigmoid(x):
+    out = ad._sigmoid(x.data)
+    return ad._record("sigmoid", (x,), out, lambda g: [(x, g * out * (1.0 - out))])
+
+
+def taped_lstm_step(p, x, h, c):
+    """Reference cell: the gate arithmetic as 17 small tape nodes."""
+    hid = p.hidden
+    gates = ad.add(ad.add(ad.matmul(x, p.w_x), ad.matmul(h, p.w_h)), p.b)
+    i = taped_sigmoid(ad.slice_(gates, 0, hid, axis=-1))
+    f = taped_sigmoid(ad.slice_(gates, hid, 2 * hid, axis=-1))
+    g = ad.tanh(ad.slice_(gates, 2 * hid, 3 * hid, axis=-1))
+    o = taped_sigmoid(ad.slice_(gates, 3 * hid, 4 * hid, axis=-1))
+    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
+    h_new = ad.mul(o, ad.tanh(c_new))
+    return h_new, c_new
 
 
 def make_encoder(rng, emb_dim=4, hidden=3):
@@ -86,7 +105,7 @@ def test_encode_direction_symmetry():
 
 
 def encode_loop(ids, embeddings, params, w_keys):
-    """Reference encoder: one taped lstm_step per token and direction."""
+    """Reference encoder: one taped_lstm_step per token and direction."""
     hid = params.fwd.hidden
     embs = [ad.lookup(embeddings, i) for i in ids]
 
@@ -94,7 +113,7 @@ def encode_loop(ids, embeddings, params, w_keys):
         h = c = ad.constant(np.zeros(hid))
         states = []
         for x in seq:
-            h, c = s2s.lstm_step(cell, x, h, c)
+            h, c = taped_lstm_step(cell, x, h, c)
             states.append(h)
         return states, h, c
 
@@ -165,6 +184,53 @@ def test_lstm_step_matches_cell_oracle():
                                       params.b.data, x, h, c)
     np.testing.assert_allclose(got_h.data, want_h, atol=1e-12)
     np.testing.assert_allclose(got_c.data, want_c, atol=1e-12)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_lstm_step_equals_the_taped_cell(lead):
+    """From a nonzero state, lstm_step gives the taped cell's h', c' and
+    gradients for the input, the state and every weight, on one row and on
+    a batch of rows."""
+    rng = np.random.default_rng(len(lead))
+    params = s2s.LSTMParams.init(rng, 4, 3, "cell")
+    for t in (params.w_x, params.w_h, params.b):
+        t.data *= 10.0  # well away from the linear regime of the gates
+    x, h, c = (ad.Tensor(rng.normal(size=lead + (n,)), requires_grad=True) for n in (4, 3, 3))
+    w_h_out, w_c_out = (ad.constant(rng.normal(size=lead + (3,))) for _ in range(2))
+    wrt = [x, h, c, params.w_x, params.w_h, params.b]
+    results = []
+    for cell in (s2s.lstm_step, taped_lstm_step):
+        with ad.Tape() as tape:
+            h_new, c_new = cell(params, x, h, c)
+            loss = ad.add(ad.sum(ad.mul(h_new, w_h_out)), ad.sum(ad.mul(c_new, w_c_out)))
+        results.append((h_new, c_new, tape.backward(loss, params=wrt)))
+    (h_got, c_got, got), (h_want, c_want, want) = results
+    np.testing.assert_allclose(h_got.data, h_want.data, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(c_got.data, c_want.data, rtol=1e-12, atol=1e-12)
+    for t, name in zip(wrt, ("x", "h", "c", "w_x", "w_h", "b")):
+        assert t not in got.disconnected, name
+        np.testing.assert_allclose(got[t], want[t], rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def test_backward_of_an_lstm_step_chain_holds_one_input_weight_gradient():
+    """Nine decoder steps into one (512, 512) w_x hand their weight gradients
+    back as factors, multiplied out once, so backward never holds a second
+    w_x-sized array."""
+    rng = np.random.default_rng(5)
+    params = s2s.LSTMParams.init(rng, 512, 128, "cell")
+    h = c = ad.constant(np.zeros(128))
+    with ad.Tape() as tape:
+        for _ in range(9):
+            h, c = s2s.lstm_step(params, ad.constant(rng.normal(size=512)), h, c)
+        loss = ad.sum(h)
+    tracemalloc.start()
+    try:
+        grads = tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grads[params.w_x].shape == params.w_x.shape
+    assert peak < 1.5 * params.w_x.data.nbytes, peak / params.w_x.data.nbytes
 
 
 def test_lstm_step_deterministic():

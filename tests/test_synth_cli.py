@@ -231,15 +231,20 @@ def events(result):
     return {rec["event"]: rec for rec in map(json.loads, result.stderr.splitlines())}
 
 
-def generate_records(runner, tmp_path, passages):
-    """``answergen generate`` with a small untrained checkpoint over one
-    record per passage."""
+def write_vocab_and_checkpoint(tmp_path):
+    """vocab.json and a small untrained m.ckpt in ``tmp_path``."""
     vocab = make_vocab()
     vocab.save(tmp_path / "vocab.json")
     cfg = RunConfig.desk()
     cfg.model = ModelConfig(emb_dim=4, hidden_dim=3, fact_dim=5)
     model = AnswerModel(vocab, 1, cfg.model, np.random.default_rng(0))
     save_checkpoint(model, step=0, config=cfg, path=tmp_path / "m.ckpt")
+
+
+def generate_records(runner, tmp_path, passages):
+    """``answergen generate`` with a small untrained checkpoint over one
+    record per passage."""
+    write_vocab_and_checkpoint(tmp_path)
     data = tmp_path / "d.jsonl"
     data.write_text("".join(json.dumps({"question": "what is the bridge ?", "passage": p}) + "\n"
                             for p in passages))
@@ -262,6 +267,40 @@ def test_cli_generate_names_the_failing_record(runner, tmp_path):
     assert error["kind"] == "data"
     assert error["message"].startswith("record 1: "), error["message"]
     assert not (tmp_path / "pred.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["prepare", "train", "generate"])
+def test_cli_data_line_that_is_not_an_object_exits_3(runner, tmp_path, command):
+    write_vocab_and_checkpoint(tmp_path)
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps({"question": "what is the bridge ?", "passage": "it is ."})
+                    + "\n3\n")
+    vocab, out = ["--vocab", str(tmp_path / "vocab.json")], ["--out", str(tmp_path / "out")]
+    args = {"prepare": [], "train": vocab,
+            "generate": ["--checkpoint", str(tmp_path / "m.ckpt"), *vocab]}[command]
+    result = runner.invoke(main, [command, "--data", str(data), *out, *args])
+    assert result.exit_code == 3, result.output
+    assert events(result)["error"]["message"] == f"{data} line 2: not a JSON object"
+
+
+def test_cli_evaluate_line_that_is_not_json_exits_3(runner, tmp_path):
+    answers = tmp_path / "answers.jsonl"
+    answers.write_text(json.dumps({"answer": "a dog ran ."}) + "\n{broken\n")
+    result = runner.invoke(main, ["evaluate", "--predictions", str(answers),
+                                  "--references", str(answers)])
+    assert result.exit_code == 3, result.output
+    assert events(result)["error"]["message"] == f"{answers} line 2: invalid JSON"
+
+
+def test_cli_train_with_a_vocabulary_that_is_not_json_exits_3(runner, tmp_path):
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text("the cat sat\n")
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps({"question": "q ?", "passage": "p ."}) + "\n")
+    result = runner.invoke(main, ["train", "--data", str(data), "--vocab", str(vocab),
+                                  "--out", str(tmp_path / "m.ckpt")])
+    assert result.exit_code == 3, result.output
+    assert events(result)["error"]["message"] == f"{vocab} is not a vocabulary file"
 
 
 def test_cli_events_report_kb_skipped_lines(runner, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from answergen import text
 from answergen.errors import (
+    CorruptFileError,
     DimensionMismatchError,
     EmptyCorpusError,
     EmptyQuestionError,
@@ -117,6 +118,15 @@ def test_vocab_save_load_roundtrip(small_vocab, tmp_path):
     assert loaded.content_hash() == small_vocab.content_hash()
 
 
+@pytest.mark.parametrize("content", ["the cat sat", "[1, 2]", '{"tokens": ["a"]}',
+                                     '{"tokens": 3, "max_size": 8}'])
+def test_vocab_load_rejects_a_file_that_is_not_a_vocabulary(content, tmp_path):
+    path = tmp_path / "vocab.json"
+    path.write_text(content)
+    with pytest.raises(CorruptFileError, match="is not a vocabulary file"):
+        Vocabulary.load(path)
+
+
 def test_embeddings_cover_and_fill(small_vocab, tmp_path):
     path = tmp_path / "vectors.txt"
     dim = 300
@@ -171,3 +181,12 @@ def test_jsonl_loader_rejects_bad_line(tmp_path):
     path.write_text("{not json}\n")
     with pytest.raises(MalformedLineError):
         text.load_jsonl_dataset(path)
+
+
+@pytest.mark.parametrize("line", ["3", "[1, 2]", '"text"', "null"])
+def test_jsonl_loader_rejects_a_line_that_is_not_an_object(line, tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps({"question": "q ?", "passage": "p ."}) + "\n\n" + line + "\n")
+    with pytest.raises(MalformedLineError, match="not a JSON object") as exc:
+        text.load_jsonl_dataset(path)
+    assert exc.value.line_number == 3 and str(path) in str(exc.value)
