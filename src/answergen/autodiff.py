@@ -25,6 +25,15 @@ A gradient is complete when the node that produced its tensor is popped
 ``mul``, ``matmul``, ``minimum``, ``maximum`` and ``additive_scores``
 return None instead of a part for an input that is neither
 ``requires_grad`` nor on a tape, so they compute no gradient of a constant.
+
+Finiteness is checked at the boundaries, not per primitive. Finite inputs
+stay finite through every primitive except ``log`` (of 0 or a negative) and
+overflow, and a NaN or inf reaches every output computed from it, so a check
+where values enter or leave catches it: ``Tensor`` construction, ``log``'s
+output, the training loss, each leaf gradient after ``Tape.backward``, and
+(outside this module) restored checkpoint weights and each beam-search
+step's distributions. A primitive outside a tape simply computes, NaN in,
+NaN out.
 """
 from __future__ import annotations
 
@@ -179,6 +188,12 @@ class Tape:
         ``params``, when given, lists tensors the caller cares about; any of
         them not reached by the sweep get a zero gradient and are flagged in
         ``disconnected`` rather than raising.
+
+        Every leaf gradient is then checked for NaN and inf (raising
+        NonFiniteGradientError, on which a train step skips its update). A
+        finite forward can still make one, by overflow in a grad_fn. A clip
+        norm would turn non-finite too, but a caller that compares gradient
+        errors with ``>`` would pass a NaN silently, so the check stays here.
         """
         if self.consumed:
             raise TapeConsumedError("tape already consumed by a previous backward()")
@@ -328,13 +343,12 @@ def _scatter_add(buf: np.ndarray, part: Rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Primitives. Each computes with numpy, validates the output is finite, and
-# records a TapeNode when a tape is active and an input is tracked.
+# Primitives. Each computes with numpy and records a TapeNode when a tape is
+# active and an input is tracked. Outputs are not checked for finiteness
+# (see the module docstring).
 # ---------------------------------------------------------------------------
 
 def _record(kind: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, grad_fn) -> Tensor:
-    if not _all_finite(out_data):
-        raise NonFiniteValueError(f"non-finite output of {kind}")
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.requires_grad = False
@@ -358,16 +372,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _check_broadcast(a: Tensor, b: Tensor, kind: str) -> None:
+def _broadcast(ufunc, a: Tensor, b: Tensor, kind: str) -> np.ndarray:
+    """``ufunc(a, b)``, with numpy's broadcast failure raised as a
+    ShapeMismatchError."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
-        raise ShapeMismatchError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast")
+        raise ShapeMismatchError(
+            f"{kind}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    out = a.data + b.data
+    out = _broadcast(np.add, a, b, "add")
 
     def grad_fn(g):
         return [(a, _unbroadcast(g, a.shape) if _tracked(a) else None),
@@ -377,8 +393,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-    out = a.data * b.data
+    out = _broadcast(np.multiply, a, b, "mul")
 
     def grad_fn(g):
         return [(a, _unbroadcast(g * b.data, a.shape) if _tracked(a) else None),
@@ -501,6 +516,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def log(x: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(x.data)
+    # log keeps its own check: its domain ends at 0, and a NaN or inf from
+    # anywhere upstream of a loss reaches its log too
+    if not _all_finite(out):
+        raise NonFiniteValueError("non-finite output of log")
 
     def grad_fn(g):
         return [(x, g / x.data)]
@@ -563,8 +582,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise min; ties send the gradient to ``a``."""
-    _check_broadcast(a, b, "minimum")
-    out = np.minimum(a.data, b.data)
+    out = _broadcast(np.minimum, a, b, "minimum")
 
     def grad_fn(g):
         take_a = a.data <= b.data
@@ -576,8 +594,7 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; ties send the gradient to ``a``."""
-    _check_broadcast(a, b, "maximum")
-    out = np.maximum(a.data, b.data)
+    out = _broadcast(np.maximum, a, b, "maximum")
 
     def grad_fn(g):
         take_a = a.data >= b.data
@@ -780,6 +797,8 @@ def gradient_check(f: Callable[[], Tensor], wrt: Sequence[Tensor],
             fd = (up - down) / (2.0 * eps)
             a = float(analytic.reshape(-1)[i])
             err = abs(a - fd) / max(1e-6, abs(a) + abs(fd))
+            if np.isnan(err):  # a loss that overflowed (inf - inf) fails the check
+                err = np.inf
             if err > max_err:
                 max_err = err
                 worst = (ti, i)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
+from .errors import NonFiniteValueError
 from .files import replace_file
 from .knowledge import KnowledgeBase, extract_related_facts, resolve_facts
 from .model import AnswerModel, StepState
@@ -159,18 +160,18 @@ def _beam_search(model, example, facts, beam_size: int, max_len: int) -> BeamHyp
                              for f in fields(StepState)})
         x = model.embed_token([hyp.prev_id for hyp in live])
         out = model.step(enc_q, enc_p, state, x)
-        p_source = source_distribution(out.c_q, out.c_p, out.s, x, model.selector,
-                                       knowledge_available=bool(facts)).data
+        p_source = _finite(source_distribution(out.c_q, out.c_p, out.s, x, model.selector,
+                                               knowledge_available=bool(facts)).data, "source")
         chosen = [Source.KNOWLEDGE if hyp.pending else Source(int(np.argmax(p)) + 1)
                   for hyp, p in zip(live, p_source)]
         fresh = {c for hyp, c in zip(live, chosen) if not hyp.pending}
         probs = {Source.QUESTION: out.a_q.data, Source.PASSAGE: out.a_p.data}
         if Source.VOCAB in fresh:
-            probs[Source.VOCAB] = vocab_distribution(out.c_q, out.c_p, out.s,
-                                                     model.selector).data
+            probs[Source.VOCAB] = _finite(vocab_distribution(out.c_q, out.c_p, out.s,
+                                                             model.selector).data, "vocabulary")
         if Source.KNOWLEDGE in fresh:
-            probs[Source.KNOWLEDGE] = fact_distribution(fact_matrix, out.s,
-                                                        model.selector).data
+            probs[Source.KNOWLEDGE] = _finite(fact_distribution(fact_matrix, out.s,
+                                                                model.selector).data, "fact")
 
         candidates: list[BeamHypothesis] = []
         for i, (hyp, source) in enumerate(zip(live, chosen)):
@@ -202,6 +203,18 @@ def _beam_search(model, example, facts, beam_size: int, max_len: int) -> BeamHyp
 
     pool = finished + live
     return max(pool, key=lambda h: (h.normalized_score(), -len(h.trace)))
+
+
+def _finite(probs: np.ndarray, name: str) -> np.ndarray:
+    """``probs``, checked for NaN and inf before argmax or log reads it.
+
+    The primitives do not check their outputs. The source distribution reads
+    both attention contexts, so its check also covers the question and
+    passage attention weights that the copy sources pick from.
+    """
+    if not np.isfinite(probs).all():
+        raise NonFiniteValueError(f"non-finite {name} distribution in beam search")
+    return probs
 
 
 def _top_tokens(source: Source, probs: np.ndarray, words, beam_size: int):

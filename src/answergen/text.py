@@ -159,7 +159,9 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, d_emb: int = 300,
     """Read a plain-text word-vector file (token then d decimals per line).
 
     The first valid line fixes the dimension; later lines of another width
-    raise DimensionMismatchError. Tokens outside the vocabulary are ignored.
+    raise DimensionMismatchError, and a value that is not a finite number
+    raises MalformedLineError; both name the file and the line. Tokens
+    outside the vocabulary are ignored.
     Uncovered rows, specials included, are drawn uniform in [-0.1, 0.1]
     from a generator seeded with ``seed``, so reloads are bit-identical.
     """
@@ -171,17 +173,19 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, d_emb: int = 300,
                 continue
             parts = line.split()
             if len(parts) < 2:
-                raise MalformedLineError(lineno, "expected a token and at least one value")
+                raise MalformedLineError(lineno, "expected a token and at least one value", path)
             token, values = parts[0], parts[1:]
             try:
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError:
-                raise MalformedLineError(lineno, "non-numeric embedding value") from None
+                raise MalformedLineError(lineno, "non-numeric embedding value", path) from None
+            if not np.isfinite(vec).all():  # float() reads "nan", "inf" and 1e999
+                raise MalformedLineError(lineno, "non-finite embedding value", path)
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:
                 raise DimensionMismatchError(
-                    f"line {lineno}: {vec.size}-dim vector in a {dim}-dim file")
+                    f"{path} line {lineno}: {vec.size}-dim vector in a {dim}-dim file")
             token_id = vocab.encode(token)
             if token_id != UNK or token == SPECIAL_TOKENS[UNK]:
                 vectors[token_id] = vec

@@ -45,6 +45,7 @@ from .errors import (
     CorruptFileError,
     NonFiniteGradientError,
     NonFiniteLossError,
+    NonFiniteValueError,
     VersionMismatchError,
 )
 from .files import replace_file
@@ -518,7 +519,8 @@ def load_checkpoint(path) -> CheckpointData:
 
 
 def restore_model(model: AnswerModel, ckpt: CheckpointData) -> None:
-    """Copy checkpoint tensors into the model, validating identity."""
+    """Copy checkpoint tensors into the model, validating identity and that
+    every value is finite; on an error the model is left as it was."""
     if ckpt.vocab_hash != model.vocab.content_hash():
         raise VersionMismatchError("checkpoint was trained with a different vocabulary")
     registry = model.parameters
@@ -529,4 +531,7 @@ def restore_model(model: AnswerModel, ckpt: CheckpointData) -> None:
     for name, arr in ckpt.tensors.items():
         if registry[name].data.shape != arr.shape:
             raise VersionMismatchError(f"shape of {name} differs")
+        if not np.isfinite(arr).all():
+            raise NonFiniteValueError(f"checkpoint tensor {name} holds non-finite values")
+    for name, arr in ckpt.tensors.items():
         registry[name].data[:] = arr

@@ -140,6 +140,34 @@ def test_log_of_nonpositive_is_an_error():
         ad.log(ad.constant([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("kind", ["add", "mul", "minimum", "maximum"])
+def test_elementwise_shapes_that_do_not_broadcast(kind):
+    with pytest.raises(ShapeMismatchError) as exc:
+        ad.PRIMITIVES[kind](ad.constant(np.ones((2, 3))), ad.constant(np.ones(4)))
+    assert str(exc.value) == f"{kind}: shapes (2, 3) and (4,) do not broadcast"
+
+
+def test_gradient_check_flags_a_loss_that_overflows():
+    """No primitive checks its output, so a loss that overflows reaches the
+    finite differences as inf - inf; that is a failed check, not error 0."""
+    x = ad.Tensor([1e308], requires_grad=True)
+    with np.errstate(over="ignore"):
+        report = ad.gradient_check(lambda: ad.sum(ad.mul(x, ad.constant([10.0]))), [x])
+    assert report.flagged
+    assert report.max_rel_error == np.inf and report.worst == (0, 0)
+
+
+def test_a_primitive_outside_a_tape_passes_nan_through():
+    """Finiteness is checked at the boundaries, not per primitive: a NaN
+    written into a tensor after construction comes out as NaN."""
+    x = ad.constant([1.0, 2.0])
+    x.data[0] = np.nan
+    y = ad.softmax(ad.tanh(ad.add(ad.mul(x, x), ad.constant(1.0))))
+    assert np.isnan(y.data).all()
+    z = ad.matmul(ad.constant(np.ones((2, 2))), x)
+    assert np.isnan(z.data).all()
+
+
 def test_no_recording_outside_tape():
     x = ad.Tensor([1.0], requires_grad=True)
     y = ad.mul(x, x)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from answergen.config import ModelConfig, TrainingConfig
-from answergen.errors import EmptyPassageError, EmptyQuestionError
+from answergen.config import ModelConfig, RunConfig, TrainingConfig
+from answergen.errors import EmptyPassageError, EmptyQuestionError, NonFiniteValueError
 from answergen.generate import (
     GenerationResult,
     TraceStep,
@@ -17,7 +17,7 @@ from answergen.knowledge import Fact, KnowledgeBase
 from answergen.model import AnswerModel
 from answergen.selectors import Source
 from answergen.text import EncodeLimits, build_vocab, encode_example, tokenize
-from answergen.training import TrainItem, train
+from answergen.training import TrainItem, load_checkpoint, restore_model, save_checkpoint, train
 
 from conftest import make_model
 
@@ -70,6 +70,55 @@ def test_long_passage_decodes_like_its_truncation(vocab):
     full = generate("what is the bridge ?", passage, model, kb=kb, beam_size=4, max_len=8)
     assert cut.to_dict() == short.to_dict()
     assert cut.to_dict() != full.to_dict()
+
+
+@pytest.mark.parametrize("weight, chosen, name", [
+    ("dec.w_h", None, "source"),
+    ("sel.w_vocab", Source.VOCAB, "vocabulary"),
+    ("sel.w_fact", Source.KNOWLEDGE, "fact"),
+])
+def test_a_nan_weight_after_restore_fails_the_decode_step_check(vocab, tmp_path,
+                                                                weight, chosen, name):
+    """Beam search checks each step's source distribution and each freshly
+    chosen head's before argmax or log reads them. A NaN in a head's own
+    weight leaves the source distribution finite, so only the head's check
+    sees it; ``chosen`` is the source a large bias makes every step pick."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(make_model(vocab, seed=0), step=0, config=RunConfig.desk(), path=path)
+    model = make_model(vocab, seed=1)
+    restore_model(model, load_checkpoint(path))
+    if chosen is not None:
+        model.parameters["sel.b_source"].data[chosen - 1] = 50.0
+    model.parameters[weight].data.flat[0] = np.nan
+    kb = make_kb([("bridge", "IsA", "strong water")])
+    with pytest.raises(NonFiniteValueError, match=f"non-finite {name} distribution"):
+        generate("what is the bridge ?", "the bridge is safe .", model, kb=kb,
+                 beam_size=4, max_len=8)
+
+
+def test_decoding_checks_finiteness_per_step_not_per_primitive(vocab, monkeypatch):
+    """About 50 primitives run per decoder step; finiteness is checked on at
+    most the source distribution and the two heads, plus the Tensor
+    constructions of set-up."""
+    model = make_model(vocab, seed=3)
+    kb = make_kb([("bridge", "IsA", "strong water"), ("water", "IsA", "safe")])
+    counts = {"steps": 0, "isfinite": 0}
+    step, isfinite = model.step, np.isfinite
+
+    def counted_step(*args, **kwargs):
+        counts["steps"] += 1
+        return step(*args, **kwargs)
+
+    def counted_isfinite(*args, **kwargs):
+        counts["isfinite"] += 1
+        return isfinite(*args, **kwargs)
+
+    monkeypatch.setattr(model, "step", counted_step)
+    monkeypatch.setattr(np, "isfinite", counted_isfinite)
+    generate("what is the bridge ?", "the old bridge is safe .", model, kb=kb,
+             beam_size=4, max_len=8)
+    assert counts["steps"] >= 4
+    assert counts["isfinite"] <= 3 * counts["steps"] + 10, counts
 
 
 def test_generate_empty_passage(vocab):

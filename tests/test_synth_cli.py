@@ -231,20 +231,23 @@ def events(result):
     return {rec["event"]: rec for rec in map(json.loads, result.stderr.splitlines())}
 
 
-def write_vocab_and_checkpoint(tmp_path):
-    """vocab.json and a small untrained m.ckpt in ``tmp_path``."""
+def write_vocab_and_checkpoint(tmp_path, nan_at=None):
+    """vocab.json and a small untrained m.ckpt in ``tmp_path``; ``nan_at``
+    names a weight whose first entry is saved as NaN."""
     vocab = make_vocab()
     vocab.save(tmp_path / "vocab.json")
     cfg = RunConfig.desk()
     cfg.model = ModelConfig(emb_dim=4, hidden_dim=3, fact_dim=5)
     model = AnswerModel(vocab, 1, cfg.model, np.random.default_rng(0))
+    if nan_at is not None:
+        model.parameters[nan_at].data.flat[0] = np.nan
     save_checkpoint(model, step=0, config=cfg, path=tmp_path / "m.ckpt")
 
 
-def generate_records(runner, tmp_path, passages):
+def generate_records(runner, tmp_path, passages, nan_at=None):
     """``answergen generate`` with a small untrained checkpoint over one
     record per passage."""
-    write_vocab_and_checkpoint(tmp_path)
+    write_vocab_and_checkpoint(tmp_path, nan_at)
     data = tmp_path / "d.jsonl"
     data.write_text("".join(json.dumps({"question": "what is the bridge ?", "passage": p}) + "\n"
                             for p in passages))
@@ -258,6 +261,31 @@ def test_cli_generate_empty_passage_exits_3(runner, tmp_path):
     assert result.exit_code == 3, result.output
     assert events(result)["error"]["kind"] == "data"
     assert not (tmp_path / "pred.jsonl").exists()
+
+
+def test_cli_generate_with_a_nan_weight_exits_4(runner, tmp_path):
+    result = generate_records(runner, tmp_path, ["the bridge is safe ."], nan_at="dec.w_h")
+    assert result.exit_code == 4, result.output
+    assert events(result)["error"]["kind"] == "numeric"
+    assert not (tmp_path / "pred.jsonl").exists()
+
+
+def test_cli_train_with_a_nan_embedding_exits_3(runner, tmp_path):
+    vocab_path = tmp_path / "vocab.json"
+    make_vocab().save(vocab_path)
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps({"question": "what is the bridge ?",
+                                "passage": "the bridge is safe .", "answer": "safe"}) + "\n")
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("the 0.1 0.2 0.3 0.4\nbridge nan 0.3 0.1 0.2\n")
+    result = runner.invoke(main, ["train", "--data", str(data), "--vocab", str(vocab_path),
+                                  "--embeddings", str(vectors), "--out", str(tmp_path / "m.ckpt"),
+                                  "--profile", "desk", "--set", "model.emb_dim=4",
+                                  "--set", "model.hidden_dim=3", "--set", "model.fact_dim=5",
+                                  "--set", "training.max_steps=1"])
+    assert result.exit_code == 3, result.output
+    assert events(result)["error"]["message"] == f"{vectors} line 2: non-finite embedding value"
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_cli_generate_names_the_failing_record(runner, tmp_path):

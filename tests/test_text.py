@@ -168,6 +168,31 @@ def test_embeddings_malformed_line_reports_number(small_vocab, tmp_path):
     assert exc.value.line_number == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_embeddings_non_finite_value_is_a_malformed_line(small_vocab, tmp_path, value):
+    """float() reads these, but no embedding may hold them: the error names
+    the file and the line instead of failing later as a numeric error."""
+    path = tmp_path / "vectors.txt"
+    path.write_text(f"the 0.1 0.2\ncat {value} 0.3\n")
+    with pytest.raises(MalformedLineError) as exc:
+        load_pretrained_embeddings(path, small_vocab)
+    assert exc.value.line_number == 2
+    assert str(exc.value) == f"{path} line 2: non-finite embedding value"
+
+
+@pytest.mark.parametrize("second, error, message", [
+    ("cat\n", MalformedLineError, "expected a token and at least one value"),
+    ("cat zero one\n", MalformedLineError, "non-numeric embedding value"),
+    ("cat 0.1\n", DimensionMismatchError, "1-dim vector in a 2-dim file"),
+])
+def test_embeddings_errors_name_the_file(small_vocab, tmp_path, second, error, message):
+    path = tmp_path / "vectors.txt"
+    path.write_text("the 0.1 0.2\n" + second)
+    with pytest.raises(error) as exc:
+        load_pretrained_embeddings(path, small_vocab)
+    assert str(exc.value) == f"{path} line 2: {message}"
+
+
 def test_jsonl_loader_concatenates_passages(tmp_path):
     path = tmp_path / "data.jsonl"
     rec = {"question": "q ?", "passage": ["part one .", "part two ."], "answer": "a"}

@@ -9,7 +9,13 @@ import pytest
 from answergen import autodiff as ad
 from answergen import training
 from answergen.config import RunConfig, TrainingConfig
-from answergen.errors import CorruptFileError, NonFiniteGradientError, VersionMismatchError
+from answergen.errors import (
+    CorruptFileError,
+    NonFiniteGradientError,
+    NonFiniteValueError,
+    NumericError,
+    VersionMismatchError,
+)
 from answergen.knowledge import Fact
 from answergen.selectors import PROB_FLOOR
 from answergen.text import PAD, EncodeLimits, encode_example
@@ -285,6 +291,35 @@ def test_checkpoint_roundtrip_identical_forward(vocab, tmp_path):
     _, diag_b = elbo_loss(model_b, ex, toy_facts(), 1.0,
                           np.random.default_rng(0), mode="exact")
     assert diag_a.objective == diag_b.objective
+
+
+def test_checkpoint_with_a_nan_weight_is_refused_on_restore(vocab, tmp_path):
+    """restore_model is a finiteness boundary: it names the tensor and
+    leaves the model as it was."""
+    poisoned = make_model(vocab, seed=4)
+    poisoned.parameters["dec.w_h"].data[0, 0] = np.nan
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(poisoned, step=0, config=RunConfig.desk(), path=path)
+    model = make_model(vocab, seed=5)
+    before = {k: v.data.copy() for k, v in model.parameters.items()}
+    with pytest.raises(NonFiniteValueError, match="dec.w_h"):
+        restore_model(model, load_checkpoint(path))
+    for k, v in model.parameters.items():
+        np.testing.assert_array_equal(v.data, before[k])
+
+
+def test_a_nan_weight_fails_train_step_and_updates_nothing(vocab):
+    """No primitive checks its output, so the NaN reaches a log of the bound,
+    which raises a NumericError (exit 4) before any update is made."""
+    model = make_model(vocab, seed=2)
+    model.parameters["dec.w_h"].data[0, 0] = np.nan
+    before = {k: v.data.copy() for k, v in model.parameters.items()}
+    with pytest.raises(NumericError):
+        training.train_step(model, [TrainItem(toy_example(vocab), toy_facts())],
+                            Adam(model.parameters, lr=0.1), 0.7, np.random.default_rng(0),
+                            TrainingConfig(), step=0)
+    for k, v in model.parameters.items():
+        np.testing.assert_array_equal(v.data, before[k])
 
 
 def test_checkpoint_truncated_is_corrupt(vocab, tmp_path):
