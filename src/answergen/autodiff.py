@@ -30,13 +30,15 @@ Finiteness is checked at the boundaries, not per primitive. Finite inputs
 stay finite through every primitive except ``log`` (of 0 or a negative) and
 overflow, and a NaN or inf reaches every output computed from it, so a check
 where values enter or leave catches it: ``Tensor`` construction, ``log``'s
-output, the training loss, each leaf gradient after ``Tape.backward``, and
-(outside this module) restored checkpoint weights and each beam-search
+output, the training loss, each leaf gradient's sum of squares after
+``Tape.backward`` (the entries are read only when that sum is not finite),
+and (outside this module) restored checkpoint weights and each beam-search
 step's distributions. A primitive outside a tape simply computes, NaN in,
 NaN out.
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -137,8 +139,10 @@ class TapeNode:
 
 @dataclass
 class GradientMap:
-    """Result of a backward pass, keyed by tensor identity."""
+    """Result of a backward pass, keyed by tensor identity: each leaf's
+    gradient and the sum of its squared entries."""
     grads: dict[Tensor, np.ndarray]
+    squares: dict[Tensor, float]
     disconnected: list[Tensor] = field(default_factory=list)
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
@@ -182,18 +186,22 @@ class Tape:
         matmul's weight ``Factors`` are kept, under the size rule of the
         module docstring, and multiplied out as one GEMM over their stacked
         rows. An intermediate's gradient is complete when its producer node
-        is popped; a leaf's when the sweep ends. Each leaf gets an array no
-        other entry shares, so one can be scaled in place.
+        is popped; a leaf's when the sweep ends. Two leaves may share one
+        array (``add`` hands its gradient to both inputs), so a caller must
+        not write a gradient in place.
 
         ``params``, when given, lists tensors the caller cares about; any of
         them not reached by the sweep get a zero gradient and are flagged in
         ``disconnected`` rather than raising.
 
-        Every leaf gradient is then checked for NaN and inf (raising
-        NonFiniteGradientError, on which a train step skips its update). A
-        finite forward can still make one, by overflow in a grad_fn. A clip
-        norm would turn non-finite too, but a caller that compares gradient
-        errors with ``>`` would pass a NaN silently, so the check stays here.
+        Each leaf gradient's sum of squares is taken once, as one dot
+        product, and returned in ``squares`` (a clip norm sums them). A NaN
+        or inf entry makes that sum NaN or inf, and only then are the
+        entries read, raising NonFiniteGradientError (on which a train step
+        skips its update) unless all are finite and the sum merely
+        overflowed. A finite forward can still make a non-finite gradient,
+        by overflow in a grad_fn, and a caller that compares gradient errors
+        with ``>`` would pass a NaN silently, so the check stays here.
         """
         if self.consumed:
             raise TapeConsumedError("tape already consumed by a previous backward()")
@@ -217,16 +225,19 @@ class Tape:
                     sums.receive(inp, part)
 
         result = sums.leaf_gradients()
+        squares: dict[Tensor, float] = {}
+        for t, g in result.items():
+            flat = g.reshape(-1)
+            squares[t] = float(flat @ flat)
+            if not math.isfinite(squares[t]) and not _all_finite(g):
+                raise NonFiniteGradientError(f"non-finite gradient for {t.name or t.shape}")
         disconnected: list[Tensor] = []
         if params is not None:
             for p in params:
                 if p not in result:
-                    result[p] = np.zeros_like(p.data)
+                    result[p], squares[p] = np.zeros_like(p.data), 0.0
                     disconnected.append(p)
-        for t, g in result.items():
-            if not _all_finite(g):
-                raise NonFiniteGradientError(f"non-finite gradient for {t.name or t.shape}")
-        return GradientMap(result, disconnected)
+        return GradientMap(result, squares, disconnected)
 
 
 class _GradientSums:
@@ -267,22 +278,7 @@ class _GradientSums:
     def leaf_gradients(self) -> dict[Tensor, np.ndarray]:
         for t in list(self.held):
             self._settle(t)
-        result = {t: g for t, g in self.dense.items() if t.requires_grad}
-        # A grad_fn may hand one array, or views of it, to several inputs
-        # (add does), and clip_global_norm scales each leaf's array in place.
-        # The arrays this sweep allocated are never handed out, so only the
-        # others can share memory: copy each that shares its owner with an
-        # earlier one.
-        owners: set[int] = set()
-        for t, g in result.items():
-            if t not in self.owned:
-                owner = g
-                while isinstance(owner.base, np.ndarray):
-                    owner = owner.base
-                if id(owner) in owners:
-                    result[t] = g.copy()
-                owners.add(id(owner))
-        return result
+        return {t: g for t, g in self.dense.items() if t.requires_grad}
 
     def _settle(self, t: Tensor) -> None:
         """Multiply out the factor pairs ``t`` holds into its dense array."""

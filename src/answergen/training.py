@@ -34,7 +34,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -257,7 +257,7 @@ def batch_elbo_loss(model: AnswerModel, batch: Sequence[TrainItem], tau: float,
 # ---------------------------------------------------------------------------
 
 # Adam works through each parameter in blocks of this many entries (256 KiB),
-# so a block's slices of p, g, m and v and both scratch buffers stay in cache
+# so a block's slices of p, g, m and v and the scratch buffers stay in cache
 # while the dozen ufuncs of one update pass over them.
 ADAM_BLOCK = 32 * 1024
 
@@ -269,7 +269,9 @@ class Adam:
     at a time, with the operations of
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
-    in that order, so it makes no full-size temporary.
+    in that order, so it makes no full-size temporary. Given a clip
+    ``scale``, each block's g is first ``g * scale`` in a scratch buffer: the
+    product scaling the whole gradient would give, without writing it.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
@@ -281,9 +283,9 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros(p.data.size) for name, p in params.items()}
         self.v = {name: np.zeros(p.data.size) for name, p in params.items()}
-        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
+        self._scratch = tuple(np.empty(ADAM_BLOCK) for _ in range(3))
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grads: dict[str, np.ndarray], scale: float | None = None) -> None:
         self.t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
@@ -295,7 +297,9 @@ class Adam:
             for start in range(0, flat_p.size, ADAM_BLOCK):
                 block = slice(start, start + ADAM_BLOCK)
                 w, g, m, v = flat_p[block], g_all[block], m_all[block], v_all[block]
-                s1, s2 = self._scratch[0][:w.size], self._scratch[1][:w.size]
+                s1, s2, s3 = (buf[:w.size] for buf in self._scratch)
+                if scale is not None:
+                    g = np.multiply(g, scale, out=s3)
                 np.multiply(m, b1, out=m)
                 np.multiply(g, 1 - b1, out=s1)
                 np.add(m, s1, out=m)
@@ -312,18 +316,14 @@ class Adam:
                 np.subtract(w, s1, out=w)
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their joint L2 norm is <= max_norm."""
+def clip_global_norm(squares: Iterable[float], max_norm: float) -> tuple[float, float | None]:
+    """The joint L2 norm of gradients with these sums of squares, and the
+    factor that brings it down to max_norm (None when it is within it)."""
     total = 0.0
-    for g in grads.values():
-        flat = g.reshape(-1)
-        total += float(flat @ flat)
+    for sq in squares:  # one add at a time, in order: sum() compensates from Python 3.12 on
+        total += sq
     norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
-    return norm
+    return norm, (max_norm / norm if norm > max_norm and norm > 0 else None)
 
 
 @dataclass
@@ -359,9 +359,8 @@ def train_step(model: AnswerModel, batch: Sequence[TrainItem], optimizer: Adam,
                            source_freqs=(counts / max(1.0, counts.sum())).tolist(),
                            skipped=True)
 
-    grads = {name: gmap[tensor] for name, tensor in registry.items()}
-    norm = clip_global_norm(grads, cfg.clip_norm)
-    optimizer.step(grads)
+    norm, scale = clip_global_norm([gmap.squares[t] for t in registry.values()], cfg.clip_norm)
+    optimizer.step({name: gmap[t] for name, t in registry.items()}, scale)
     return StepMetrics(
         step=step,
         loss=float(mean_loss.data),

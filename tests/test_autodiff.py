@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from answergen import autodiff as ad
 from answergen.errors import (
+    NonFiniteGradientError,
     NonFiniteLossError,
     NonFiniteValueError,
     ShapeMismatchError,
     TapeConsumedError,
 )
-from answergen.training import clip_global_norm
+from answergen.training import Adam, clip_global_norm
 
 
 def test_softmax_uniform_logits():
@@ -531,19 +532,76 @@ def test_factor_pairs_are_kept_only_while_smaller_than_their_product(rows, kept)
     np.testing.assert_allclose(grads[w], np.tanh(x.data).T @ np.ones((rows, 48)), rtol=1e-12)
 
 
-def test_leaves_never_share_a_gradient_array():
-    """add hands one array to both of its inputs; each leaf must still get
-    its own, since clip_global_norm scales every gradient in place."""
+def test_leaves_sharing_a_gradient_array_count_once():
+    """add hands one array to both of its inputs, and nothing writes a
+    gradient after the sweep, so the two leaves may share it. Each counts
+    once in the clip norm, and Adam updates both exactly as it would from
+    separately allocated gradients; scaling the shared array in place, once
+    per leaf, would scale it twice."""
     a, b = (ad.Tensor(np.ones(3), requires_grad=True) for _ in range(2))
     with ad.Tape() as tape:
         loss = ad.sum(ad.add(a, b))
     gm = tape.backward(loss)
-    assert not np.shares_memory(gm[a], gm[b])
-    grads = {"a": gm[a], "b": gm[b]}
-    norm = clip_global_norm(grads, 1.0)
-    assert norm == pytest.approx(np.sqrt(6.0))
-    for g in grads.values():
-        np.testing.assert_allclose(g, np.full(3, 1.0 / np.sqrt(6.0)), rtol=1e-15)
+    norm, scale = clip_global_norm([gm.squares[a], gm.squares[b]], 1.0)
+    assert norm == np.sqrt(6.0) and scale == 1.0 / np.sqrt(6.0)
+    params = {"a": a, "b": b}
+    separate = {name: ad.Tensor(np.ones(3)) for name in params}
+    Adam(params, lr=0.1).step({"a": gm[a], "b": gm[b]}, scale)
+    Adam(separate, lr=0.1).step({name: np.ones(3) for name in params}, scale)
+    for name in params:
+        np.testing.assert_array_equal(params[name].data, separate[name].data)
+    np.testing.assert_array_equal(gm[a], np.ones(3))
+    np.testing.assert_array_equal(gm[b], np.ones(3))
+
+
+def _gradient_of(x: ad.Tensor, grad: np.ndarray) -> ad.GradientMap:
+    """Backward through a node whose grad_fn hands ``x`` the gradient ``grad``."""
+    with ad.Tape() as tape:
+        loss = ad.sum(ad._record("probe", (x,), x.data.copy(), lambda g: [(x, grad)]))
+    return tape.backward(loss)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_leaf_gradient_entry_raises(bad):
+    grad = np.ones(100_000)
+    grad[61_803] = bad
+    with pytest.raises(NonFiniteGradientError, match="wide"):
+        _gradient_of(ad.Tensor(np.ones(100_000), requires_grad=True, name="wide"), grad)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_finite_leaf_gradient_whose_square_overflows_passes():
+    x = ad.Tensor(np.ones(1000), requires_grad=True)
+    gm = _gradient_of(x, np.full(1000, 1e200))
+    assert gm.squares[x] == np.inf
+    np.testing.assert_array_equal(gm[x], np.full(1000, 1e200))
+
+
+def test_finite_leaf_gradients_are_not_read_by_isfinite(monkeypatch):
+    """The leaf check reads each gradient once, as its sum of squares;
+    np.isfinite runs only when that sum is not finite."""
+    rng = np.random.default_rng(5)
+    table = ad.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    bias = ad.Tensor(rng.normal(size=3), requires_grad=True)
+    unused = ad.Tensor(np.ones(2), requires_grad=True)
+    with ad.Tape() as tape:
+        h = ad.tanh(ad.add(ad.matmul(ad.lookup(table, np.array([0, 2, 2, 5])), w), bias))
+        loss = ad.sum(ad.mul(h, h))
+    calls = []
+    isfinite = np.isfinite
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return isfinite(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    gm = tape.backward(loss, params=[table, w, bias, unused])
+    assert calls == []
+    for t in (table, w, bias):
+        flat = gm[t].reshape(-1)
+        assert gm.squares[t] == float(flat @ flat) > 0
+    assert gm.squares[unused] == 0.0
 
 
 # (primitive, input shapes) for each primitive with more than one input

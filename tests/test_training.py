@@ -188,22 +188,30 @@ def reference_adam_step(params, m, v, grads, t, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def test_adam_equals_the_unblocked_formula():
+    """Unscaled, and with a clip scale applied as the in-place ``g *= scale``
+    over the whole gradient that it replaces."""
     shapes = {"one": (1,), "below": (ADAM_BLOCK - 1,), "block": (ADAM_BLOCK,),
               "above": (ADAM_BLOCK + 1,), "matrix": (5, ADAM_BLOCK // 2)}
-    rng = np.random.default_rng(0)
-    start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-    params = {name: ad.Tensor(arr.copy()) for name, arr in start.items()}
-    expected = {name: arr.copy() for name, arr in start.items()}
-    m = {name: np.zeros(shape) for name, shape in shapes.items()}
-    v = {name: np.zeros(shape) for name, shape in shapes.items()}
-    opt = Adam(params, lr=1e-2)
-    for t in range(1, 6):
-        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-        opt.step(grads)
-        reference_adam_step(expected, m, v, grads, t, lr=1e-2)
-    for name in shapes:
-        assert not np.array_equal(params[name].data, start[name])
-        np.testing.assert_array_equal(params[name].data, expected[name])
+    for scale in (None, 0.37):
+        rng = np.random.default_rng(0)
+        start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        params = {name: ad.Tensor(arr.copy()) for name, arr in start.items()}
+        expected = {name: arr.copy() for name, arr in start.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        opt = Adam(params, lr=1e-2)
+        for t in range(1, 6):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            before = {name: g.copy() for name, g in grads.items()}
+            opt.step(grads, scale)
+            for name, g in grads.items():
+                np.testing.assert_array_equal(g, before[name])  # read, never written
+                if scale is not None:
+                    g *= scale
+            reference_adam_step(expected, m, v, grads, t, lr=1e-2)
+        for name in shapes:
+            assert not np.array_equal(params[name].data, start[name])
+            np.testing.assert_array_equal(params[name].data, expected[name])
 
 
 def test_adam_step_makes_no_full_size_temporary():
@@ -212,37 +220,101 @@ def test_adam_step_makes_no_full_size_temporary():
     params = {"w": ad.Tensor(rng.normal(size=n))}
     grads = {"w": rng.normal(size=n)}
     opt = Adam(params, lr=1e-3)
-    tracemalloc.start()
-    try:
-        opt.step(grads)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    for scale in (None, 0.5):
+        tracemalloc.start()
+        try:
+            opt.step(grads, scale)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, scale
 
 
-def test_clip_global_norm_over_many_tensors_scales_in_place():
+def test_clip_global_norm_over_many_tensors():
+    """The norm sums the squares in the order given, one add at a time, and
+    clipping writes no gradient: it returns the factor Adam applies."""
     rng = np.random.default_rng(2)
     grads = {"a": rng.normal(size=7), "b": rng.normal(size=(3, 5)),
              "c": rng.normal(size=1), "d": rng.normal(size=(40, 2))}
-    before = {name: g.copy() for name, g in grads.items()}
-    arrays = dict(grads)
-    expected = np.sqrt(sum(np.sum(g ** 2) for g in before.values()))
-    norm = clip_global_norm(grads, max_norm=0.5)
-    assert norm == pytest.approx(expected, rel=1e-12)
-    for name, g in grads.items():
-        assert g is arrays[name]
-        np.testing.assert_allclose(g, before[name] * (0.5 / expected), rtol=1e-12)
+    squares = [float(g.reshape(-1) @ g.reshape(-1)) for g in grads.values()]
+    total = 0.0
+    for sq in squares:
+        total += sq
+    norm, scale = clip_global_norm(squares, max_norm=0.5)
+    assert norm == np.sqrt(total)
+    assert norm == pytest.approx(np.sqrt(sum(np.sum(g ** 2) for g in grads.values())), rel=1e-12)
+    assert scale == 0.5 / norm
 
 
 def test_clip_global_norm():
-    grads = {"a": np.array([3.0, 4.0])}
-    norm = clip_global_norm(grads, max_norm=1.0)
-    assert norm == pytest.approx(5.0)
-    np.testing.assert_allclose(grads["a"], [0.6, 0.8])
-    small = {"a": np.array([0.3])}
-    clip_global_norm(small, max_norm=1.0)
-    np.testing.assert_allclose(small["a"], [0.3])
+    assert clip_global_norm([9.0, 16.0], max_norm=1.0) == (5.0, 0.2)
+    assert clip_global_norm([0.09], max_norm=1.0) == (0.3, None)
+    assert clip_global_norm([0.0, 0.0], max_norm=0.0) == (0.0, None)
+    assert clip_global_norm([1e308, 1e308], max_norm=1.0) == (float("inf"), 0.0)
+
+
+@pytest.mark.parametrize("clip_norm", [1e-3, 1e9])
+def test_train_step_equals_the_clip_then_adam_sequence(vocab, clip_norm):
+    """train_step's norm and parameters equal, bit for bit, the sequence it
+    replaces: a dot product per gradient for the norm, the gradients scaled
+    in place, then the textbook Adam update."""
+    batch = [TrainItem(toy_example(vocab), toy_facts()),
+             TrainItem(toy_example(vocab, answer="water ."), toy_facts()[:1])]
+    cfg = TrainingConfig(mc_samples=1, clip_norm=clip_norm)
+    model, twin = make_model(vocab, seed=3), make_model(vocab, seed=3)
+    optimizer = Adam(model.parameters, lr=1e-2)
+    rng, twin_rng = np.random.default_rng(6), np.random.default_rng(6)
+    expected = {name: t.data for name, t in twin.parameters.items()}
+    m = {name: np.zeros(p.shape) for name, p in expected.items()}
+    v = {name: np.zeros(p.shape) for name, p in expected.items()}
+    for step in range(3):
+        metrics = training.train_step(model, batch, optimizer, 0.7, rng, cfg, step)
+        with ad.Tape() as tape:
+            total, _ = training.batch_elbo_loss(twin, batch, 0.7, twin_rng)
+            mean = ad.mul(total, ad.constant(1.0 / len(batch)))
+        gm = tape.backward(mean, params=twin.parameters.values())
+        norm_sq = 0.0
+        for t in twin.parameters.values():
+            flat = gm[t].reshape(-1)
+            norm_sq += float(flat @ flat)
+        norm = float(np.sqrt(norm_sq))
+        grads = {name: gm[t].copy() for name, t in twin.parameters.items()}
+        if norm > clip_norm:
+            for g in grads.values():
+                g *= clip_norm / norm
+        reference_adam_step(expected, m, v, grads, step + 1, lr=1e-2)
+        assert not metrics.skipped
+        assert metrics.grad_norm == norm
+        assert (norm > clip_norm) == (clip_norm < 1)
+    for name, tensor in model.parameters.items():
+        np.testing.assert_array_equal(tensor.data, expected[name], err_msg=name)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_gradient_whose_squared_norm_overflows_updates_with_scale_zero(vocab, monkeypatch):
+    """A finite gradient whose sum of squares overflows is not skipped: its
+    norm is inf, and clipping scales it by max_norm / inf = 0, so Adam takes
+    a step on a zero gradient."""
+    batch = [TrainItem(toy_example(vocab), toy_facts())]
+    cfg = TrainingConfig(mc_samples=1, clip_norm=2.0)
+    model, twin = make_model(vocab, seed=4), make_model(vocab, seed=4)
+    optimizer, twin_optimizer = Adam(model.parameters, lr=1e-2), Adam(twin.parameters, lr=1e-2)
+    first = training.train_step(model, batch, optimizer, 0.7, np.random.default_rng(8), cfg, 0)
+    training.train_step(twin, batch, twin_optimizer, 0.7, np.random.default_rng(8), cfg, 0)
+    assert np.isfinite(first.grad_norm)
+
+    elbo = training.batch_elbo_loss
+
+    def inflated(*args, **kwargs):
+        loss, diag = elbo(*args, **kwargs)
+        return ad.mul(loss, ad.constant(1e200)), diag
+
+    monkeypatch.setattr(training, "batch_elbo_loss", inflated)
+    metrics = training.train_step(model, batch, optimizer, 0.7, np.random.default_rng(9), cfg, 1)
+    assert not metrics.skipped and metrics.grad_norm == np.inf and np.isfinite(metrics.loss)
+    twin_optimizer.step({name: np.zeros(t.shape) for name, t in twin.parameters.items()})
+    for name, tensor in model.parameters.items():
+        np.testing.assert_array_equal(tensor.data, twin.parameters[name].data, err_msg=name)
 
 
 def overfit_cfg(seed, steps=120):
