@@ -399,31 +399,28 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Rows times a matrix or a vector: a (..., K) @ b (K, N) gives (..., N)
-    and a (..., K) @ b (K,) gives (...). A stack of rows times a stack of
-    matrices, a (B, K) @ b (B, K, N), gives (B, N), one row per matrix."""
+    """Rows times a matrix: a (..., K) @ b (K, N) gives (..., N). Rows times
+    a stack of matrices, a (B, K) @ b (B, K, N), gives (B, N), one row per
+    matrix; a (1, K, N) stack is one matrix shared by all B rows, as beam
+    rows read one example's encoder states."""
     ad, bd = a.data, b.data
     per_row = ad.ndim == 2 and bd.ndim == 3
-    if not per_row and (ad.ndim < 1 or bd.ndim not in (1, 2)):
+    if not per_row and (ad.ndim < 1 or bd.ndim != 2):
         raise ShapeMismatchError(f"matmul: ranks {ad.ndim} and {bd.ndim} unsupported")
     k = ad.shape[-1]
-    if bd.shape[-2 if per_row else 0] != k or (per_row and bd.shape[0] != ad.shape[0]):
+    if bd.shape[-2] != k or (per_row and bd.shape[0] not in (1, ad.shape[0])):
         raise ShapeMismatchError(f"matmul: inner dims {ad.shape} @ {bd.shape}")
     if per_row:
-        out = np.matmul(ad[:, None, :], bd)[:, 0, :]
-    elif bd.ndim == 2:  # one GEMM over all rows, whatever the leading axes
+        out = ad @ bd[0] if bd.shape[0] == 1 else np.matmul(ad[:, None, :], bd)[:, 0, :]
+    else:  # one GEMM over all rows, whatever the leading axes
         out = (ad.reshape(-1, k) @ bd).reshape(ad.shape[:-1] + bd.shape[1:])
-    else:
-        out = ad @ bd
 
     def grad_fn(g):
         need_a, need_b = _tracked(a), _tracked(b)
         if per_row:
             return [(a, np.matmul(bd, g[:, :, None])[:, :, 0] if need_a else None),
-                    (b, ad[:, :, None] * g[:, None, :] if need_b else None)]
-        if bd.ndim == 1:
-            return [(a, np.multiply.outer(g, bd) if need_a else None),
-                    (b, g.reshape(-1) @ ad.reshape(-1, k) if need_b else None)]
+                    (b, _unbroadcast(ad[:, :, None] * g[:, None, :], bd.shape)
+                     if need_b else None)]
         g2 = g.reshape(-1, bd.shape[1])
         return [(a, (g2 @ bd.T).reshape(ad.shape) if need_a else None),
                 (b, Factors(ad.reshape(-1, k), g2) if need_b else None)]
@@ -636,17 +633,17 @@ def additive_scores(keys: Tensor, shift: Tensor, gate: Tensor) -> Tensor:
 
 def lstm_seq(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = False,
              lengths=None, state: "tuple[Tensor, Tensor] | None" = None) -> Tensor:
-    """An LSTM run over the N rows of ``x`` (N, in), last row first when
-    ``reverse``, from ``state`` = (h, c), each (H,), or from zero. Gates are
-    packed as columns [input, forget, cell, output] of w_x (in, 4H), w_h
-    (H, 4H) and b (4H,). Returns (N+1, H): row t is the hidden state at
-    position t, and row N the cell state after the last step.
+    """An LSTM run over each of the B sequences of a padded batch x (B, N,
+    in) at once, last token first when ``reverse``, from ``state`` = (h, c),
+    each (B, H), or from zero. Gates are packed as columns [input, forget, cell,
+    output] of w_x (in, 4H), w_h (H, 4H) and b (4H,). Returns (B, N+1, H):
+    row t of a sequence is its hidden state at position t, and row N its
+    cell state after its last token.
 
-    A padded batch x (B, N, in) with ``lengths`` (B,) and a (B, H) state
-    runs as B rows at once and returns (B, N+1, H). Row b consumes its own
-    ``lengths[b]`` tokens first, last to first when ``reverse``, and its
-    padding after them, so the states at its tokens and its row N, the cell
-    after its last token, do not depend on the padding.
+    With ``lengths`` (B,), row b consumes its own ``lengths[b]`` tokens
+    first, last to first when ``reverse``, and its padding after them, so
+    the states at its tokens and its row N do not depend on the padding;
+    without, every row has N tokens.
 
     The input projections of all steps are one GEMM; only ``h @ w_h`` runs
     per step. Backward is hand-written BPTT: one pass back over time for the
@@ -655,18 +652,15 @@ def lstm_seq(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = Fal
     rows, dG)`` (Appleyard et al. 2016, arXiv 1604.01946).
     """
     xd, wx, wh, bd = x.data, w_x.data, w_h.data, b.data
-    single = xd.ndim == 2
-    if single:
-        xd = xd[None]
     if xd.ndim != 3 or wh.ndim != 2 or not xd.shape[1]:
-        raise ShapeMismatchError(f"lstm_seq: x {x.shape} must be (N>0, in) or (B, N>0, in)")
+        raise ShapeMismatchError(f"lstm_seq: x {x.shape} must be (B, N>0, in)")
     rows, n, in_dim = xd.shape
     hid = wh.shape[0]
     if wh.shape != (hid, 4 * hid) or wx.shape != (in_dim, 4 * hid) or bd.shape != (4 * hid,):
         raise ShapeMismatchError(f"lstm_seq: x {x.shape}, w_x {wx.shape}, w_h {wh.shape}, "
                                  f"b {bd.shape}")
     inputs = (x, w_x, w_h, b) + tuple(state or ())
-    if any(t.shape != x.shape[:-2] + (hid,) for t in inputs[4:]):
+    if any(t.shape != (rows, hid) for t in inputs[4:]):
         raise ShapeMismatchError(f"lstm_seq: state {[t.shape for t in state]} for x {x.shape}")
     lens = np.full(rows, n) if lengths is None else np.asarray(lengths, dtype=np.intp)
     if lens.shape != (rows,) or lens.min() < 1 or lens.max() > n:
@@ -700,7 +694,6 @@ def lstm_seq(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = Fal
     last_step = {int(t): np.flatnonzero(lens - 1 == t) for t in np.unique(lens - 1)}
 
     def grad_fn(g):
-        g = g[None] if single else g
         # Per-step factors: dG's input, forget and cell blocks are dc times
         # `by_dc`, its output block dh times `by_dh`; dc picks up dh * `dc_dh`.
         by_dc = np.stack([cg * i * (1.0 - i), cells[:-1] * f * (1.0 - f),
@@ -725,11 +718,11 @@ def lstm_seq(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = Fal
         flat_dg = d_pre.reshape(-1, 4 * hid)
         dx = np.empty_like(xd)
         dx[consumed] = (flat_dg @ wx.T).reshape(n, rows, in_dim).transpose(1, 0, 2)
-        return [(x, dx[0] if single else dx), (w_x, Factors(xs.reshape(-1, in_dim), flat_dg)),
+        return [(x, dx), (w_x, Factors(xs.reshape(-1, in_dim), flat_dg)),
                 (w_h, Factors(hs[:-1].reshape(-1, hid), flat_dg)), (b, flat_dg.sum(axis=0))
-                ] + [(t, d.reshape(t.shape)) for t, d in zip(inputs[4:], (dh_next, dc))]
+                ] + list(zip(inputs[4:], (dh_next, dc)))
 
-    return _record("lstm_seq", inputs, out[0] if single else out, grad_fn)
+    return _record("lstm_seq", inputs, out, grad_fn)
 
 
 PRIMITIVES: dict[str, Callable] = {

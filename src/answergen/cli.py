@@ -118,7 +118,7 @@ def prepare(data_path, out_path, config_path, profile, overrides):
 @click.option("--kb", "kb_path", required=True, type=click.Path(exists=True))
 @click.option("--question", required=True)
 @click.option("--passage", required=True)
-@click.option("--n-facts", default=1000, show_default=True)
+@click.option("--n-facts", type=click.IntRange(min=1), default=1000, show_default=True)
 @handle_errors
 def extract_facts(kb_path, question, passage, n_facts):
     """Rank knowledge triples against a (question, passage) pair."""
@@ -208,7 +208,7 @@ def train_cmd(data_path, vocab_path, out_path, kb_path, emb_path, metrics_path,
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--kb", "kb_path", default=None, type=click.Path(exists=True))
-@click.option("--beam", type=int, default=None, help="Override beam size.")
+@click.option("--beam", type=click.IntRange(min=1), default=None, help="Override beam size.")
 @click.option("--trace", "show_trace", is_flag=True,
               help="Print the per-token source table for each answer.")
 @handle_errors
@@ -274,14 +274,12 @@ def evaluate_cmd(pred_path, ref_path, out_path):
 
 @main.command("synth")
 @click.option("--task", required=True, type=click.Choice(list(TASKS)))
-@click.option("--size", required=True, type=int)
+@click.option("--size", required=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @handle_errors
 def synth_cmd(task, size, seed, out_dir):
     """Write a synthetic dataset (<task>.jsonl) and its mini KB (kb.tsv)."""
-    if size < 1:
-        raise ConfigError(f"--size must be >= 1, got {size}")
     data_path, kb_path = synth_generate(task, size, seed, out_dir)
     log_event("synth", task=task, size=size, seed=seed,
               data=str(data_path), kb=str(kb_path))

@@ -9,6 +9,7 @@ minutes on one core.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
@@ -78,8 +79,16 @@ class RunConfig:
                              ("generation.beam_size", self.generation.beam_size)]:
             if value < 1:
                 raise ConfigError(f"{label} must be >= 1, got {value}")
-        if t.lr <= 0:
-            raise ConfigError(f"training.lr must be > 0, got {t.lr}")
+        for f in fields(t):
+            value = getattr(t, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"training.{f.name} must be finite, got {value}")
+        for label, value in [("training.lr", t.lr), ("training.clip_norm", t.clip_norm)]:
+            if value <= 0:
+                raise ConfigError(f"{label} must be > 0, got {value}")
+        for label, value in [("training.lambda_cov", t.lambda_cov), ("training.seed", t.seed)]:
+            if value < 0:
+                raise ConfigError(f"{label} must be >= 0, got {value}")
         if t.tau_min <= 0 or t.tau0 < t.tau_min or t.anneal_rate < 0:
             raise ConfigError("training temperature schedule invalid")
         return self

@@ -10,8 +10,10 @@ is the sum of per-token log(P(source) * P(word | source)) terms; pending
 continuations are charged log(1) = 0, the whole object having been paid
 for when its fact was chosen.
 
-The live hypotheses advance together: each search step gathers their
-decoder rows into one (B, .) batch, makes one model step and calls each
+The example is encoded as a batch of one, so the search uses the model
+step that training uses. The live hypotheses advance together: each search
+step gathers their decoder rows into one (B, .) batch, steps it against the
+(1, N, .) encoder outputs, which broadcast across the rows, and calls each
 selector head at most once for the whole beam.
 """
 from __future__ import annotations
@@ -97,7 +99,6 @@ class GenerationResult:
     trace: list[TraceStep]
     score: float
     normalized_score: float
-    beam_size: int
 
     @property
     def answer(self) -> str:
@@ -137,20 +138,17 @@ def generate(question: str, passage: str, model: AnswerModel,
             kb, example.question_tokens, example.passage_tokens, n_facts))
     best = _beam_search(model, example, facts, beam_size, max_len)
     return GenerationResult(tokens=[step.token for step in best.trace], trace=list(best.trace),
-                            score=best.score, normalized_score=best.normalized_score(),
-                            beam_size=beam_size)
+                            score=best.score, normalized_score=best.normalized_score())
 
 
 def _beam_search(model, example, facts, beam_size: int, max_len: int) -> BeamHypothesis:
     vocab = model.vocab
-    enc_q = model.encode_question(example.question_ids)
-    enc_p = model.encode_passage(example.passage_ids)
+    enc_q = model.encode_question([example.question_ids])
+    enc_p = model.encode_passage([example.passage_ids])
     fact_matrix = embed_facts(facts, model.embedding, vocab, model.selector) if facts else None
     words = {Source.QUESTION: example.question_tokens, Source.PASSAGE: example.passage_tokens,
              Source.VOCAB: vocab.token_by_id, Source.KNOWLEDGE: facts}
-    init = model.initial_state(enc_q, enc_p)
-    carry = StepState(**{f.name: ad.reshape(getattr(init, f.name), (1, -1))
-                         for f in fields(StepState)})
+    carry = model.initial_state(enc_q, enc_p)
     live = [BeamHypothesis(prev_id=BOS)]
     finished: list[BeamHypothesis] = []
 
@@ -158,7 +156,7 @@ def _beam_search(model, example, facts, beam_size: int, max_len: int) -> BeamHyp
         rows = [hyp.row for hyp in live]
         state = StepState(**{f.name: ad.lookup(getattr(carry, f.name), rows)
                              for f in fields(StepState)})
-        x = model.embed_token([hyp.prev_id for hyp in live])
+        x = ad.lookup(model.embedding, [hyp.prev_id for hyp in live])
         out = model.step(enc_q, enc_p, state, x)
         p_source = _finite(source_distribution(out.c_q, out.c_p, out.s, x, model.selector,
                                                knowledge_available=bool(facts)).data, "source")

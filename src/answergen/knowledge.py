@@ -11,14 +11,11 @@ length once, on first use. Facts that only match through their object score
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DataError
 from .text import tokenize
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -34,7 +31,7 @@ class KnowledgeBase:
     facts: list[Fact] = field(default_factory=list)
     relation_names: list[str] = field(default_factory=list)
     surface_index: dict[str, list[int]] = field(default_factory=dict)
-    skipped_lines: int = 0
+    skipped_lines: list[int] = field(default_factory=list)  # line numbers, from 1
 
     def relation_name(self, fact: Fact) -> str:
         return self.relation_names[fact.relation]
@@ -49,8 +46,9 @@ class ScoredFact:
 def ingest_triples(path) -> KnowledgeBase:
     """Load tab-separated (subject, relation, object) lines in file order.
 
-    Malformed lines are skipped with a warning count rather than aborting
-    the load; real dumps always contain a few.
+    Malformed lines (not three tab-separated fields, or an empty one) are
+    skipped rather than aborting the load, and their line numbers kept in
+    ``skipped_lines``; real dumps always contain a few.
     """
     kb = KnowledgeBase()
     relation_ids: dict[str, int] = {}
@@ -61,16 +59,13 @@ def ingest_triples(path) -> KnowledgeBase:
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
-                log.warning("kb line %d: expected 3 tab-separated fields, got %d",
-                            lineno, len(parts))
-                kb.skipped_lines += 1
+                kb.skipped_lines.append(lineno)
                 continue
             subject = tuple(tokenize(parts[0]))
             relation = parts[1].strip()
             obj = tuple(tokenize(parts[2]))
             if not subject or not relation or not obj:
-                log.warning("kb line %d: empty subject, relation or object", lineno)
-                kb.skipped_lines += 1
+                kb.skipped_lines.append(lineno)
                 continue
             if relation not in relation_ids:
                 relation_ids[relation] = len(kb.relation_names)

@@ -6,9 +6,10 @@ Step dataflow (one decoder timestep): the cell consumes the previous word
 embedding concatenated with the previous contexts, question attention is
 computed first, its context feeds the passage attention, and coverage
 updates after the repetition penalty is taken against the pre-step value.
-Training steps a (B, .) batch of rows, one per example, against the padded
-batch's encoder outputs; beam search steps a (B, .) batch of rows, one per
-live hypothesis, against one example's, which broadcast across the rows.
+Every step takes (B, .) rows. Training steps one row per example against
+the padded batch's encoder outputs; beam search steps one row per live
+hypothesis against the outputs of its example encoded as a batch of one,
+which broadcast across the rows.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ from .text import EmbeddingTable, Vocabulary
 
 @dataclass(frozen=True)
 class StepState:
-    """Decoder carry between timesteps: one row per field, or a (B, .) batch
-    of rows. Tensors are never mutated."""
+    """Decoder carry between timesteps, a (B, .) batch of rows per field.
+    Tensors are never mutated."""
     h: Tensor
     c: Tensor
     c_q: Tensor
@@ -119,30 +120,26 @@ class AnswerModel:
 
     # --- forward pieces ---
 
-    def embed_token(self, token_ids) -> Tensor:
-        """One id gives one embedding row; a list of ids gives (B, emb)."""
-        return ad.lookup(self.embedding, token_ids)
+    def encode_question(self, seqs) -> EncoderOutput:
+        """A batch of id sequences (see `seq2seq.encode`)."""
+        return encode(seqs, self.embedding, self.q_encoder, self.attn_q.w_states)
 
-    def encode_question(self, ids) -> EncoderOutput:
-        """One id sequence, or a batch of them (see `seq2seq.encode`)."""
-        return encode(ids, self.embedding, self.q_encoder, self.attn_q.w_states)
-
-    def encode_passage(self, ids) -> EncoderOutput:
-        return encode(ids, self.embedding, self.p_encoder, self.attn_p.w_states)
+    def encode_passage(self, seqs) -> EncoderOutput:
+        return encode(seqs, self.embedding, self.p_encoder, self.attn_p.w_states)
 
     def initial_state(self, enc_q: EncoderOutput, enc_p: EncoderOutput) -> StepState:
-        """One row for one example's encoder outputs, (B, .) rows for a batch's."""
+        """(B, .) rows, one per example of the encoded batch."""
         hid = self.dims.hidden_dim
-        lead = enc_q.final_h.shape[:-1]
+        rows = enc_q.final_h.shape[0]
         both_h = ad.concat([enc_q.final_h, enc_p.final_h], axis=-1)
         both_c = ad.concat([enc_q.final_c, enc_p.final_c], axis=-1)
         h0 = ad.tanh(ad.add(ad.matmul(both_h, self.w_init_h), self.b_init_h))
         c0 = ad.tanh(ad.add(ad.matmul(both_c, self.w_init_c), self.b_init_c))
-        zeros_ctx = ad.constant(np.zeros(lead + (2 * hid,)))
+        zeros_ctx = ad.constant(np.zeros((rows, 2 * hid)))
         return StepState(
             h=h0, c=c0, c_q=zeros_ctx, c_p=zeros_ctx,
-            cov_q=ad.constant(np.zeros(lead + (enc_q.length,))),
-            cov_p=ad.constant(np.zeros(lead + (enc_p.length,))),
+            cov_q=ad.constant(np.zeros((rows, enc_q.length))),
+            cov_p=ad.constant(np.zeros((rows, enc_p.length))),
         )
 
     def step(self, enc_q: EncoderOutput, enc_p: EncoderOutput,

@@ -5,8 +5,8 @@ the question, copy from the passage, the output vocabulary, or a knowledge
 fact whose object is injected verbatim. The 4-way choice and the
 which-fact choice are discrete latent variables; sampling them with Gumbel
 noise and relaxing the argmax to a temperature softmax keeps the whole
-objective differentiable. Each head takes one step's vectors or a stack of
-rows: (T, B, .) over the steps of a training batch, (B, .) over a beam.
+objective differentiable. Each head takes a stack of rows: (T, B, .) over
+the steps of a training batch, (B, .) over a beam.
 """
 from __future__ import annotations
 
@@ -145,45 +145,38 @@ def fact_distribution(fact_matrix: Tensor, s_t: Tensor, params: SelectorParams,
 
 @dataclass
 class GumbelSample:
-    soft: Tensor        # relaxed sample on the simplex; gradients flow here
-    hard_index: int | np.ndarray  # argmax of soft, distributed by the Gumbel-Max law
-    temperature: float
+    soft: Tensor            # relaxed sample on the simplex; gradients flow here
+    hard_index: np.ndarray  # argmax of soft per row, distributed by the Gumbel-Max law
 
 
-def gumbel_softmax_sample(probs: Tensor, tau: float, rng: np.random.Generator | None = None,
-                          *, uniforms: np.ndarray | None = None,
+def gumbel_softmax_sample(probs: Tensor, tau: float, *, uniforms: np.ndarray,
                           mask: Tensor | None = None) -> GumbelSample:
-    """Draw relaxed categorical samples over the last axis of ``probs``:
+    """Relaxed categorical samples over the last axis of ``probs``:
     softmax((log pi + g) / tau), one per row.
 
     probs are floored at 1e-12 before the log so masked-out categories stay
     legal; the Gumbel noise g = -log(-log(u)) uses the same floor on u. The
-    u come from ``rng``, drawn in the shape of ``probs``, or are given as
-    ``uniforms`` drawn in the order the caller needs, in a shape that
-    broadcasts against ``probs`` (several draws per row). An additive
-    ``mask`` gives padded categories exactly zero weight. ``hard_index`` is
-    an int for one row and an array of one index per row otherwise.
+    ``uniforms`` u are drawn by the caller, in the order it needs and in a
+    shape that broadcasts against ``probs`` (several draws per row). An
+    additive ``mask`` gives padded categories exactly zero weight.
     """
     if tau <= 0:
         raise InvalidScheduleError(f"temperature must be > 0, got {tau}")
     if np.all(probs.data < PROB_FLOOR, axis=-1).any():
         raise DegenerateDistributionError("all probability mass below the floor")
-    if uniforms is None:
-        uniforms = rng.random(probs.shape)
     noise = -np.log(-np.log(np.clip(uniforms, PROB_FLOOR, 1.0)))
     logits = ad.log(ad.maximum(probs, ad.constant(PROB_FLOOR)))
     shifted = ad.mul(ad.add(logits, ad.constant(noise)), ad.constant(1.0 / tau))
     soft = ad.softmax(shifted if mask is None else ad.add(shifted, mask))
-    hard = np.argmax(soft.data, axis=-1)
-    return GumbelSample(soft=soft, hard_index=int(hard) if hard.ndim == 0 else hard,
-                        temperature=tau)
+    return GumbelSample(soft=soft, hard_index=np.argmax(soft.data, axis=-1))
 
 
 def gumbel_hard_indices(probs: np.ndarray, draws: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized hard indices for `draws` samples.
 
     Consumes the generator stream exactly like `draws` successive calls to
-    gumbel_softmax_sample, so the two routes are interchangeable in tests.
+    gumbel_softmax_sample, each given ``uniforms=rng.random(probs.shape)``,
+    so the two routes are interchangeable in tests.
     """
     k = probs.shape[0]
     u = np.clip(rng.random((draws, k)), PROB_FLOOR, 1.0)

@@ -10,11 +10,12 @@ sum_i min(a_i, cov_i).
 The LSTM cell is `autodiff.lstm_seq`: one over each encoder direction, and
 a one-step run from the carried (h, c) per decoder step (`lstm_step`).
 Every weight is stored (in, out), so each layer computes rows @ W. The
-encoders take one sequence or a padded batch of them. The cell, the
-attention and the coverage penalty take one decoder row or a (B, .) batch
-of rows: one per beam hypothesis against one example's encoder states, or
-one per example against a padded batch's, whose padded positions get an
-additive MASK_LOGIT before the softmax.
+encoders take a padded batch of sequences; beam search encodes a batch of
+one. The cell, the attention and the coverage penalty take a (B, .) batch
+of decoder rows: one per example against a padded batch's encoder states,
+whose padded positions get an additive MASK_LOGIT before the softmax, or
+one per beam hypothesis against a batch of one's, which broadcast across
+the rows.
 """
 from __future__ import annotations
 
@@ -65,11 +66,11 @@ class LSTMParams:
 
 
 def lstm_step(p: LSTMParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """One cell update of a row or a batch of rows, as a one-step
-    `autodiff.lstm_seq` from (h, c); returns (h', c')."""
+    """One cell update of a (B, in) batch of rows from (B, H) states, as a
+    one-step `autodiff.lstm_seq` from (h, c); returns (h', c')."""
     hid = p.hidden
-    steps = ad.reshape(x, x.shape[:-1] + (1, x.shape[-1]))               # (..., 1, in)
-    out = ad.lstm_seq(steps, p.w_x, p.w_h, p.b, state=(h, c))           # (..., 2, H)
+    steps = ad.reshape(x, x.shape[:-1] + (1, x.shape[-1]))               # (B, 1, in)
+    out = ad.lstm_seq(steps, p.w_x, p.w_h, p.b, state=(h, c))           # (B, 2, H)
     both = ad.reshape(out, h.shape[:-1] + (2 * hid,))
     return ad.slice_(both, 0, hid, axis=-1), ad.slice_(both, hid, 2 * hid, axis=-1)
 
@@ -87,11 +88,11 @@ class EncoderParams:
 
 @dataclass
 class EncoderOutput:
-    """One sequence's (N, .) fields, or a padded batch's (B, N, .) fields."""
-    states: Tensor       # (..., N, 2H): forward and backward states concatenated per token
-    keys: Tensor         # (..., N, A): states @ w_states of the attention that reads them
-    final_h: Tensor      # (..., 2H)
-    final_c: Tensor      # (..., 2H)
+    """A padded batch's fields, one row per sequence."""
+    states: Tensor       # (B, N, 2H): forward and backward states concatenated per token
+    keys: Tensor         # (B, N, A): states @ w_states of the attention that reads them
+    final_h: Tensor      # (B, 2H)
+    final_c: Tensor      # (B, 2H)
     mask: Tensor | None = None  # (B, N): 0 at tokens, MASK_LOGIT at padding; None unpadded
 
     @property
@@ -99,13 +100,11 @@ class EncoderOutput:
         return self.states.shape[-2]
 
 
-def encode(ids, embeddings: Tensor, params: EncoderParams, w_keys: Tensor) -> EncoderOutput:
-    """Run both directions over one sequence of token ids, or over a batch of
-    sequences padded to the longest, and concatenate per position.
-    ``w_keys`` is the (2H, A) state projection of the attention over these
-    states, applied here once rather than on every decoder step."""
-    single = len(ids) > 0 and np.ndim(ids[0]) == 0
-    seqs = [ids] if single else ids
+def encode(seqs, embeddings: Tensor, params: EncoderParams, w_keys: Tensor) -> EncoderOutput:
+    """Run both directions over a batch of token id sequences, padded to the
+    longest, and concatenate per position. ``w_keys`` is the (2H, A) state
+    projection of the attention over these states, applied here once rather
+    than on every decoder step."""
     lens = np.array([len(seq) for seq in seqs], dtype=np.intp)
     if not lens.size or lens.min() == 0:
         raise EmptySequenceError("cannot encode an empty sequence")
@@ -113,24 +112,22 @@ def encode(ids, embeddings: Tensor, params: EncoderParams, w_keys: Tensor) -> En
     padded = np.arange(n) >= lens[:, None]                               # (B, N)
     id_rows = np.full(padded.shape, PAD, dtype=np.intp)
     id_rows[~padded] = [i for seq in seqs for i in seq]
-    x = ad.lookup(embeddings, id_rows[0] if single else id_rows)       # (..., N, emb)
-    lengths = None if single else lens
-    fwd = ad.lstm_seq(x, params.fwd.w_x, params.fwd.w_h, params.fwd.b, lengths=lengths)
+    x = ad.lookup(embeddings, id_rows)                                   # (B, N, emb)
+    fwd = ad.lstm_seq(x, params.fwd.w_x, params.fwd.w_h, params.fwd.b, lengths=lens)
     bwd = ad.lstm_seq(x, params.bwd.w_x, params.bwd.w_h, params.bwd.b, reverse=True,
-                      lengths=lengths)
-    both = ad.concat([fwd, bwd], axis=-1)       # (..., N+1, 2H); row N is the final c
+                      lengths=lens)
+    both = ad.concat([fwd, bwd], axis=-1)       # (B, N+1, 2H); row N is the final c
     states = ad.slice_(both, 0, n, axis=-2)
     # one (H,) row per sequence, position and direction: the forward pass
     # ends at a sequence's last token, the backward pass at its first
     rows = ad.reshape(both, (-1, hid))
     first = 2 * (n + 1) * np.arange(len(seqs))[:, None]
-    lead = () if single else (len(seqs),)
     return EncoderOutput(
         states=states,
         keys=ad.matmul(states, w_keys),
         final_h=ad.reshape(ad.lookup(rows, first + np.stack([2 * (lens - 1), np.ones_like(lens)],
-                                                           axis=1)), lead + (2 * hid,)),
-        final_c=ad.reshape(ad.lookup(rows, first + [2 * n, 2 * n + 1]), lead + (2 * hid,)),
+                                                           axis=1)), (len(seqs), 2 * hid)),
+        final_c=ad.reshape(ad.lookup(rows, first + [2 * n, 2 * n + 1]), (len(seqs), 2 * hid)),
         mask=ad.constant(np.where(padded, MASK_LOGIT, 0.0)) if padded.any() else None,
     )
 
@@ -161,23 +158,23 @@ class AttentionParams:
 def attend(keys: Tensor, s_t: Tensor, coverage: Tensor, params: AttentionParams,
            context: Tensor | None = None, mask: Tensor | None = None) -> Tensor:
     """Attention simplex over the N encoder positions, whose states enter as
-    ``keys`` = states @ w_states, (N, A) or one (B, N, A) per row: s_t
-    (..., H), coverage (..., N) and context (..., 2H) give (..., N). An
-    additive ``mask`` (B, N) gives padded positions exactly zero weight."""
-    shift = ad.add(ad.matmul(s_t, params.u_state), params.b)          # (..., A)
+    ``keys`` = states @ w_states, (B, N, A), or (1, N, A) read by every row:
+    s_t (B, H), coverage (B, N) and context (B, 2H) give (B, N). An additive
+    ``mask`` (B, N) gives padded positions exactly zero weight."""
+    shift = ad.add(ad.matmul(s_t, params.u_state), params.b)          # (B, A)
     if context is not None:
         if params.v_context is None:
             raise ValueError("attention has no context projection")
         shift = ad.add(shift, ad.matmul(context, params.v_context))
-    cov = ad.reshape(coverage, coverage.shape + (1,))                  # (..., N, 1)
+    cov = ad.reshape(coverage, coverage.shape + (1,))                  # (B, N, 1)
     keys = ad.add(keys, ad.mul(cov, params.w_cov))
     scores = ad.additive_scores(keys, shift, params.gate)
     return ad.softmax(scores if mask is None else ad.add(scores, mask))
 
 
 def context_vector(attention: Tensor, states: Tensor) -> Tensor:
-    """Convex combination of encoder states, c = sum_i a_i e_i: (..., N)
-    against (N, 2H), or (B, N) against a batch's (B, N, 2H)."""
+    """Convex combination of encoder states, c = sum_i a_i e_i: (B, N)
+    against a batch's (B, N, 2H), or against one example's (1, N, 2H)."""
     return ad.matmul(attention, states)
 
 

@@ -348,27 +348,20 @@ def train_step(model: AnswerModel, batch: Sequence[TrainItem], optimizer: Adam,
                                       mc_samples=cfg.mc_samples, lambda_cov=cfg.lambda_cov,
                                       knowledge_enabled=knowledge_enabled)
         mean_loss = ad.mul(total, ad.constant(1.0 / len(batch)))
-    counts, token_total = diag.source_counts, diag.n_tokens
-
     try:
         gmap = tape.backward(mean_loss, params=registry.values())
     except NonFiniteGradientError:
-        return StepMetrics(step=step, loss=float(mean_loss.data),
-                           loss_per_token=float(mean_loss.data) * len(batch) / max(1, token_total),
-                           tau=tau, grad_norm=float("nan"),
-                           source_freqs=(counts / max(1.0, counts.sum())).tolist(),
-                           skipped=True)
-
-    norm, scale = clip_global_norm([gmap.squares[t] for t in registry.values()], cfg.clip_norm)
-    optimizer.step({name: gmap[t] for name, t in registry.items()}, scale)
-    return StepMetrics(
-        step=step,
-        loss=float(mean_loss.data),
-        loss_per_token=float(total.data) / max(1, token_total),
-        tau=tau,
-        grad_norm=norm,
-        source_freqs=(counts / max(1.0, counts.sum())).tolist(),
-    )
+        gmap = None
+    norm = float("nan")
+    if gmap is not None:
+        norm, scale = clip_global_norm([gmap.squares[t] for t in registry.values()],
+                                       cfg.clip_norm)
+        optimizer.step({name: gmap[t] for name, t in registry.items()}, scale)
+    counts = diag.source_counts
+    return StepMetrics(step=step, loss=float(mean_loss.data),
+                       loss_per_token=float(total.data) / max(1, diag.n_tokens), tau=tau,
+                       grad_norm=norm, source_freqs=(counts / max(1.0, counts.sum())).tolist(),
+                       skipped=gmap is None)
 
 
 def _batches(n_items: int, batch_size: int, shuffle_rng: np.random.Generator):

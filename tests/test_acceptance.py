@@ -111,7 +111,8 @@ def test_acceptance_2_sampling_law():
         # the vectorized path consumes the stream exactly like the sampler op
         check_rng_a = np.random.default_rng(trial)
         check_rng_b = np.random.default_rng(trial)
-        seq = [gumbel_softmax_sample(ad.constant(probs), 1.0, check_rng_a).hard_index
+        seq = [gumbel_softmax_sample(ad.constant([probs]), 1.0,
+                                     uniforms=check_rng_a.random((1, k))).hard_index[0]
                for _ in range(200)]
         batch_head = gumbel_hard_indices(probs, 200, check_rng_b)
         assert np.array_equal(np.array(seq), batch_head)

@@ -40,32 +40,30 @@ def test_matmul_inner_dim_mismatch():
         ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
 
 
-def test_matmul_stack_times_vector():
-    """(..., N, K) @ (K,), the shape of the additive scorer over a batch;
-    (..., K) @ (K, M), a layer over (T, B, .) rows; and (B, K) @ (B, K, M),
-    each row against its own matrix, as a context vector over a batch."""
+def test_matmul_over_leading_axes_and_stacks():
+    """(..., K) @ (K, M), a layer over (T, B, .) rows; (B, K) @ (B, K, M),
+    each row against its own matrix, as a context vector over a batch; and
+    (B, K) @ (1, K, M), every row against one shared matrix, as beam rows
+    read one example's encoder states. A vector b is refused."""
     rng = np.random.default_rng(3)
     a = ad.Tensor(rng.uniform(-1, 1, (2, 4, 3)), requires_grad=True)
-    b = ad.Tensor(rng.uniform(-1, 1, (3,)), requires_grad=True)
-    np.testing.assert_allclose(ad.matmul(a, b).data, np.einsum("bnk,k->bn", a.data, b.data),
-                               atol=1e-15)
-    report = ad.gradient_check(lambda: _scalarize(ad.matmul(a, b), np.random.default_rng(0)),
-                               [a, b], eps=1e-5)
-    assert not report.flagged, report
     m = ad.Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
     np.testing.assert_allclose(ad.matmul(a, m).data, np.einsum("bnk,km->bnm", a.data, m.data),
                                atol=1e-15)
     rows = ad.Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
     np.testing.assert_allclose(ad.matmul(rows, a).data, np.einsum("bn,bnk->bk", rows.data, a.data),
                                atol=1e-15)
-    for x, y in ((a, m), (rows, a)):
+    beam = ad.Tensor(rng.uniform(-1, 1, (5, 4)), requires_grad=True)
+    shared = ad.Tensor(rng.uniform(-1, 1, (1, 4, 3)), requires_grad=True)
+    np.testing.assert_array_equal(ad.matmul(beam, shared).data, beam.data @ shared.data[0])
+    for x, y in ((a, m), (rows, a), (beam, shared)):
         report = ad.gradient_check(lambda: _scalarize(ad.matmul(x, y), np.random.default_rng(0)),
                                    [x, y], eps=1e-5)
         assert not report.flagged, report
-    with pytest.raises(ShapeMismatchError):
-        ad.matmul(a, ad.constant(np.ones((2, 2))))
-    with pytest.raises(ShapeMismatchError):
-        ad.matmul(ad.constant(np.ones((3, 4))), a)
+    for x, y in ((a, ad.constant(np.ones((2, 2)))), (ad.constant(np.ones((3, 4))), a),
+                 (a, ad.constant(np.ones(3))), (beam, a)):
+        with pytest.raises(ShapeMismatchError):
+            ad.matmul(x, y)
 
 
 def test_concat_negative_axis():
@@ -165,7 +163,7 @@ def test_a_primitive_outside_a_tape_passes_nan_through():
     x.data[0] = np.nan
     y = ad.softmax(ad.tanh(ad.add(ad.mul(x, x), ad.constant(1.0))))
     assert np.isnan(y.data).all()
-    z = ad.matmul(ad.constant(np.ones((2, 2))), x)
+    z = ad.matmul(x, ad.constant(np.ones((2, 2))))
     assert np.isnan(z.data).all()
 
 
@@ -197,7 +195,8 @@ def _primitive_case(kind, rng):
     """Build (f, wrt) exercising one primitive on random [-1, 1] inputs."""
     if kind == "matmul":
         shapes = rng.choice(4)
-        a_shape, b_shape = [((2, 3), (3, 2)), ((2, 3), (3,)), ((3,), (3, 2)), ((3,), (3,))][shapes]
+        a_shape, b_shape = [((2, 3), (3, 2)), ((3,), (3, 2)), ((2, 3), (2, 3, 2)),
+                            ((2, 3), (1, 3, 2))][shapes]
         a = ad.Tensor(rng.uniform(-1, 1, a_shape), requires_grad=True)
         b = ad.Tensor(rng.uniform(-1, 1, b_shape), requires_grad=True)
         return (lambda: _scalarize(ad.matmul(a, b), np.random.default_rng(0))), [a, b]
@@ -256,16 +255,16 @@ def _primitive_case(kind, rng):
         return (lambda: _scalarize(ad.additive_scores(keys, shift, gate),
                                    np.random.default_rng(0))), [keys, shift, gate]
     if kind == "lstm_seq":
-        n, in_dim, hid = (int(v) for v in rng.integers(1, [6, 4, 4]))
-        x = ad.Tensor(rng.uniform(-1, 1, (n, in_dim)), requires_grad=True)
-        w_x, w_h = (ad.Tensor(rng.uniform(-1, 1, (rows, 4 * hid)), requires_grad=True)
-                    for rows in (in_dim, hid))
+        rows, n, in_dim, hid = (int(v) for v in rng.integers(1, [3, 6, 4, 4]))
+        x = ad.Tensor(rng.uniform(-1, 1, (rows, n, in_dim)), requires_grad=True)
+        w_x, w_h = (ad.Tensor(rng.uniform(-1, 1, (k, 4 * hid)), requires_grad=True)
+                    for k in (in_dim, hid))
         b = ad.Tensor(rng.uniform(-1, 1, (4 * hid,)), requires_grad=True)
         reverse = bool(rng.integers(2))
         # half the trials start from a drawn state, as a decoder step does
         state = None
         if rng.integers(2):
-            state = tuple(ad.Tensor(rng.uniform(-1, 1, (hid,)), requires_grad=True)
+            state = tuple(ad.Tensor(rng.uniform(-1, 1, (rows, hid)), requires_grad=True)
                           for _ in range(2))
         # _scalarize weights every state row and the final cell row
         return (lambda: _scalarize(ad.lstm_seq(x, w_x, w_h, b, reverse=reverse, state=state),
@@ -284,9 +283,9 @@ def test_primitive_gradients_match_finite_differences(kind):
 
 def test_gradient_check_tanh_chain():
     rng = np.random.default_rng(7)
-    w = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    x = ad.Tensor(rng.normal(size=4), requires_grad=True)
-    report = ad.gradient_check(lambda: ad.sum(ad.tanh(ad.matmul(w, x))), [w, x], eps=1e-5)
+    w = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    x = ad.Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+    report = ad.gradient_check(lambda: ad.sum(ad.tanh(ad.matmul(x, w))), [w, x], eps=1e-5)
     assert report.max_rel_error < 1e-4
 
 
@@ -364,14 +363,22 @@ def test_a_forward_that_raises_frees_the_graph_without_the_cycle_collector():
             gc.enable()
 
 
-@pytest.mark.parametrize("x_shape, state_shape", [((4, 3), (2, 2)), ((2, 4, 3), (2,)),
+@pytest.mark.parametrize("x_shape, state_shape", [((1, 4, 3), (1, 3)), ((2, 4, 3), (2,)),
                                                   ((2, 4, 3), (3, 2))])
 def test_lstm_seq_state_must_match_the_rows(x_shape, state_shape):
-    """A state is (H,) for one sequence and (B, H) for a batch of B."""
+    """A state is (B, H) for a batch of B sequences."""
     w_x, w_h, b = (ad.constant(np.zeros(shape)) for shape in ((3, 8), (2, 8), (8,)))
     state = (ad.constant(np.zeros(state_shape)), ad.constant(np.zeros(state_shape)))
     with pytest.raises(ShapeMismatchError):
         ad.lstm_seq(ad.constant(np.zeros(x_shape)), w_x, w_h, b, state=state)
+
+
+def test_lstm_seq_refuses_an_unbatched_sequence():
+    """x is (B, N, in); one sequence runs as a batch of one."""
+    w_x, w_h, b = (ad.constant(np.zeros(shape)) for shape in ((3, 8), (2, 8), (8,)))
+    with pytest.raises(ShapeMismatchError):
+        ad.lstm_seq(ad.constant(np.zeros((4, 3))), w_x, w_h, b)
+    assert ad.lstm_seq(ad.constant(np.zeros((1, 4, 3))), w_x, w_h, b).shape == (1, 5, 2)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -395,16 +402,16 @@ def test_batched_lstm_seq_equals_each_row(reverse):
 
     want = {t: np.zeros_like(t.data) for t in (x, w_x, w_h, b)}
     for row, length in enumerate(lengths):
-        x_row = ad.Tensor(x.data[row, :length], requires_grad=True)
+        x_row = ad.Tensor(x.data[row:row + 1, :length], requires_grad=True)
         with ad.Tape() as tape:
             single = ad.lstm_seq(x_row, w_x, w_h, b, reverse=reverse)
-            w_row = np.concatenate([weights[row, :length], weights[row, n:]])
+            w_row = np.concatenate([weights[row, :length], weights[row, n:]])[None]
             row_loss = ad.sum(ad.mul(single, ad.constant(w_row)))
         grads = tape.backward(row_loss, params=[x_row, w_x, w_h, b])
-        np.testing.assert_allclose(out.data[row, :length], single.data[:length],
+        np.testing.assert_allclose(out.data[row, :length], single.data[0, :length],
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.data[row, n], single.data[length], rtol=0, atol=1e-12)
-        want[x][row, :length] = grads[x_row]
+        np.testing.assert_allclose(out.data[row, n], single.data[0, length], rtol=0, atol=1e-12)
+        want[x][row, :length] = grads[x_row][0]
         for t in (w_x, w_h, b):
             want[t] += grads[t]
     for t in (x, w_x, w_h, b):
@@ -612,8 +619,8 @@ _MULTI_INPUT_CASES = {
     "minimum": (ad.minimum, [(2, 3), (2, 3)]),
     "maximum": (ad.maximum, [(2, 3), (2, 3)]),
     "matmul": (ad.matmul, [(2, 3), (3, 4)]),
-    "matmul_vector": (ad.matmul, [(2, 3), (3,)]),
     "matmul_per_row": (ad.matmul, [(2, 3), (2, 3, 4)]),
+    "matmul_shared_stack": (ad.matmul, [(2, 3), (1, 3, 4)]),
     "additive_scores": (ad.additive_scores, [(3, 4), (4,), (4,)]),
 }
 

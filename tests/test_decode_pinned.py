@@ -1,7 +1,8 @@
 """Pins for beam search: golden decodes recorded from the earlier
 per-hypothesis search (which also re-ran a greedy decode after every beam
 search), the batched decoder step against single-row steps, and the shape of
-one search (one model step per search step, each head at most once)."""
+one search (its example encoded as a batch of one, one model step per
+search step, each head at most once)."""
 from dataclasses import fields
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from answergen import autodiff as ad
 from answergen import generate as decoding
+from answergen import model as model_module
 from answergen.model import AnswerModel, StepState
 from answergen.text import EOS
 
@@ -170,28 +172,30 @@ def test_decode_golden(case):
 
 def test_batched_step_equals_single_row_steps(vocab):
     """Three different carries stepped as one (3, .) batch give, row for row,
-    what three single-row steps give, for every output and carry field."""
+    what three steps of one row each give, for every output and carry field,
+    all against one example's encoder outputs."""
     model = make_model(vocab, seed=3)
     q_ids = [vocab.encode(t) for t in QUESTION.split()]
     p_ids = [vocab.encode(t) for t in PASSAGE.split()]
-    enc_q, enc_p = model.encode_question(q_ids), model.encode_passage(p_ids)
+    enc_q, enc_p = model.encode_question([q_ids]), model.encode_passage([p_ids])
     state = model.initial_state(enc_q, enc_p)
     states = []
     for token in ("the", "bridge", "is"):
-        state = model.step(enc_q, enc_p, state, model.embed_token(vocab.encode(token))).state
+        x = ad.lookup(model.embedding, [vocab.encode(token)])
+        state = model.step(enc_q, enc_p, state, x).state
         states.append(state)
     ids = [vocab.encode(t) for t in ("safe", "water", "old")]
     names = [f.name for f in fields(StepState)]
-    batch = StepState(*(ad.stack([getattr(s, name) for s in states]) for name in names))
-    batched = model.step(enc_q, enc_p, batch, model.embed_token(ids))
+    batch = StepState(*(ad.concat([getattr(s, name) for s in states]) for name in names))
+    batched = model.step(enc_q, enc_p, batch, ad.lookup(model.embedding, ids))
     for row, (single_state, token_id) in enumerate(zip(states, ids)):
-        single = model.step(enc_q, enc_p, single_state, model.embed_token(token_id))
+        single = model.step(enc_q, enc_p, single_state, ad.lookup(model.embedding, [token_id]))
         for name in ("s", "a_q", "a_p", "c_q", "c_p", "cov_pen_q", "cov_pen_p"):
             np.testing.assert_allclose(getattr(batched, name).data[row],
-                                       getattr(single, name).data, rtol=0, atol=1e-12)
+                                       getattr(single, name).data[0], rtol=0, atol=1e-12)
         for name in names:
             np.testing.assert_allclose(getattr(batched.state, name).data[row],
-                                       getattr(single.state, name).data, rtol=0, atol=1e-12)
+                                       getattr(single.state, name).data[0], rtol=0, atol=1e-12)
 
 
 def test_one_model_step_per_search_step(monkeypatch):
@@ -238,3 +242,27 @@ def test_one_model_step_per_search_step(monkeypatch):
             assert heads.count("vocab_distribution") <= 1
             assert heads.count("fact_distribution") <= 1
     assert seen == {"vocab_distribution", "fact_distribution"}
+
+
+def test_generate_encodes_its_example_as_a_batch_of_one(monkeypatch):
+    """Beam search runs the batch-only model path: one encode call each for
+    the question and the passage, each on a batch of one sequence, and every
+    lstm_seq call, encoder or decoder cell, on a (B, N, in) input."""
+    encoded, lstm_ranks = [], []
+    encode, lstm_seq = model_module.encode, ad.lstm_seq
+
+    def noted_encode(seqs, *args):
+        encoded.append([list(seq) for seq in seqs])
+        return encode(seqs, *args)
+
+    def noted_lstm_seq(x, *args, **kwargs):
+        lstm_ranks.append(x.data.ndim)
+        return lstm_seq(x, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "encode", noted_encode)
+    monkeypatch.setattr(ad, "lstm_seq", noted_lstm_seq)
+    vocab = make_vocab()
+    decode(0, 4, "kb")
+    assert encoded == [[[vocab.encode(t) for t in QUESTION.split()]],
+                       [[vocab.encode(t) for t in PASSAGE.split()]]]
+    assert len(lstm_ranks) > 4 and set(lstm_ranks) == {3}

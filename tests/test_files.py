@@ -19,8 +19,7 @@ class Interrupted(Exception):
 
 
 def result(answer):
-    return GenerationResult(tokens=[answer], trace=[], score=0.0, normalized_score=0.0,
-                            beam_size=1)
+    return GenerationResult(tokens=[answer], trace=[], score=0.0, normalized_score=0.0)
 
 
 class FailingResult:

@@ -252,7 +252,7 @@ def test_result_answer_drops_eos():
     step = TraceStep(token="<eos>", source_probs=(0.1, 0.1, 0.7, 0.1),
                      chosen=Source.VOCAB, source_prob=0.7, word_prob=0.3)
     result = GenerationResult(tokens=["hi", "<eos>"], trace=[step, step],
-                              score=-1.0, normalized_score=-0.5, beam_size=1)
+                              score=-1.0, normalized_score=-0.5)
     assert result.answer == "hi"
 
 

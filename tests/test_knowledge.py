@@ -73,7 +73,7 @@ def test_ingest_skips_malformed_with_count(tmp_path):
     path.write_text("a\tR\tb\nbroken line\nc\tR\n\nd\tR\te\n")
     kb = ingest_triples(path)
     assert len(kb.facts) == 2
-    assert kb.skipped_lines == 2
+    assert kb.skipped_lines == [2, 3]
 
 
 def test_ingest_empty_file(tmp_path):

@@ -9,13 +9,22 @@ from answergen.text import EmbeddingTable
 from conftest import make_model, toy_example
 
 
+def encode_one(model, example):
+    """The example's encoder outputs and initial carry, as a batch of one."""
+    enc_q = model.encode_question([example.question_ids])
+    enc_p = model.encode_passage([example.passage_ids])
+    return enc_q, enc_p, model.initial_state(enc_q, enc_p)
+
+
+def embed(model, token_id):
+    return ad.lookup(model.embedding, [token_id])
+
+
 def run_steps(model, example, n_steps):
-    enc_q = model.encode_question(example.question_ids)
-    enc_p = model.encode_passage(example.passage_ids)
-    state = model.initial_state(enc_q, enc_p)
+    enc_q, enc_p, state = encode_one(model, example)
     outputs = []
     for token_id in example.answer_ids[:n_steps]:
-        out = model.step(enc_q, enc_p, state, model.embed_token(token_id))
+        out = model.step(enc_q, enc_p, state, embed(model, token_id))
         outputs.append(out)
         state = out.state
     return outputs
@@ -72,10 +81,8 @@ def test_set_embeddings_validates_shape(vocab):
 def test_step_is_pure_given_state(vocab):
     model = make_model(vocab, seed=3)
     ex = toy_example(vocab)
-    enc_q = model.encode_question(ex.question_ids)
-    enc_p = model.encode_passage(ex.passage_ids)
-    state = model.initial_state(enc_q, enc_p)
-    x = model.embed_token(ex.answer_ids[0])
+    enc_q, enc_p, state = encode_one(model, ex)
+    x = embed(model, ex.answer_ids[0])
     a = model.step(enc_q, enc_p, state, x)
     b = model.step(enc_q, enc_p, state, x)
     np.testing.assert_array_equal(a.s.data, b.s.data)
@@ -97,10 +104,8 @@ def test_step_records_its_cell_as_one_lstm_seq_node(vocab, monkeypatch):
 
     monkeypatch.setattr(model_module, "lstm_step", noted_lstm_step)
     with ad.Tape() as tape:
-        enc_q = model.encode_question(ex.question_ids)
-        enc_p = model.encode_passage(ex.passage_ids)
-        state = model.initial_state(enc_q, enc_p)
-        model.step(enc_q, enc_p, state, model.embed_token(ex.answer_ids[0]))
+        enc_q, enc_p, state = encode_one(model, ex)
+        model.step(enc_q, enc_p, state, embed(model, ex.answer_ids[0]))
     [(start, stop)] = spans
     cell = [node.op_kind for node in tape.nodes[start:stop]]
     assert cell.count("lstm_seq") == 1 and len(cell) <= 5, cell

@@ -264,48 +264,51 @@ def test_fact_distribution_empty_raises(vocab):
 
 # --- Gumbel-Softmax ---
 
+def draw(probs, tau, rng, mask=None):
+    """One Gumbel sample per row of ``probs``, its uniforms drawn from ``rng``."""
+    return gumbel_softmax_sample(probs, tau, uniforms=rng.random(probs.shape), mask=mask)
+
+
 def test_gumbel_one_hot_target_always_wins():
     rng = np.random.default_rng(14)
-    probs = ad.constant([1e-12, 1.0, 1e-12])
+    probs = ad.constant([[1e-12, 1.0, 1e-12]])
     for _ in range(200):
-        sample = gumbel_softmax_sample(probs, tau=0.5, rng=rng)
-        assert sample.hard_index == 1
+        assert draw(probs, 0.5, rng).hard_index.tolist() == [1]
 
 
 def test_gumbel_low_temperature_near_one_hot():
     rng = np.random.default_rng(15)
-    probs = ad.constant([0.5, 0.5])
+    probs = ad.constant([[0.5, 0.5]])
     hits = 0
     for _ in range(200):
-        sample = gumbel_softmax_sample(probs, tau=0.01, rng=rng)
-        if sample.soft.data.max() > 0.99:
+        if draw(probs, 0.01, rng).soft.data.max() > 0.99:
             hits += 1
     assert hits >= 198
 
 
 def test_gumbel_soft_is_simplex():
     rng = np.random.default_rng(16)
-    probs = ad.constant([0.2, 0.5, 0.3])
-    sample = gumbel_softmax_sample(probs, tau=0.7, rng=rng)
-    assert abs(sample.soft.data.sum() - 1.0) < 1e-9
-    assert sample.hard_index == int(np.argmax(sample.soft.data))
+    probs = ad.constant([[0.2, 0.5, 0.3], [0.6, 0.3, 0.1]])
+    sample = draw(probs, 0.7, rng)
+    np.testing.assert_allclose(sample.soft.data.sum(axis=-1), 1.0, atol=1e-9)
+    assert sample.hard_index.tolist() == np.argmax(sample.soft.data, axis=-1).tolist()
 
 
 def test_gumbel_rejects_bad_inputs():
     rng = np.random.default_rng(17)
     with pytest.raises(InvalidScheduleError):
-        gumbel_softmax_sample(ad.constant([0.5, 0.5]), tau=0.0, rng=rng)
+        draw(ad.constant([[0.5, 0.5]]), 0.0, rng)
     with pytest.raises(DegenerateDistributionError):
-        gumbel_softmax_sample(ad.constant([0.0, 0.0]), tau=1.0, rng=rng)
+        draw(ad.constant([[0.5, 0.5], [0.0, 0.0]]), 1.0, rng)
 
 
 def test_gumbel_gradient_matches_finite_differences_at_fixed_noise():
-    base_logits = ad.Tensor(np.array([0.3, -0.2, 0.8]), requires_grad=True)
-    weights = ad.constant([1.0, 2.0, 3.0])
+    base_logits = ad.Tensor(np.array([[0.3, -0.2, 0.8]]), requires_grad=True)
+    weights = ad.constant([[1.0, 2.0, 3.0]])
 
     def f():
         probs = ad.softmax(base_logits)
-        sample = gumbel_softmax_sample(probs, tau=0.8, rng=np.random.default_rng(99))
+        sample = draw(probs, 0.8, np.random.default_rng(99))
         return ad.sum(ad.mul(sample.soft, weights))
 
     report = ad.gradient_check(f, [base_logits], eps=1e-5)
@@ -314,10 +317,8 @@ def test_gumbel_gradient_matches_finite_differences_at_fixed_noise():
 
 def test_gumbel_batch_indices_match_sequential_calls():
     probs_data = np.array([0.6, 0.3, 0.1])
-    seq = []
     rng_a = np.random.default_rng(123)
-    for _ in range(50):
-        seq.append(gumbel_softmax_sample(ad.constant(probs_data), 1.0, rng_a).hard_index)
+    seq = [draw(ad.constant([probs_data]), 1.0, rng_a).hard_index[0] for _ in range(50)]
     rng_b = np.random.default_rng(123)
     batch = gumbel_hard_indices(probs_data, 50, rng_b)
     np.testing.assert_array_equal(np.array(seq), batch)

@@ -6,7 +6,7 @@ import pytest
 
 from answergen import autodiff as ad
 from answergen import seq2seq as s2s
-from answergen.errors import EmptySequenceError
+from answergen.errors import EmptySequenceError, ShapeMismatchError
 from answergen.seq2seq import (
     MASK_LOGIT,
     AttentionParams,
@@ -65,10 +65,10 @@ def test_encode_single_token_full_scale_dims():
     rng = np.random.default_rng(0)
     emb = ad.Tensor(rng.uniform(-0.1, 0.1, (5, 300)), requires_grad=True)
     params = s2s.EncoderParams.init(rng, 300, 256, "enc")
-    out = s2s.encode([2], emb, params, make_keys(rng, 256, 500))
-    assert out.states.shape == (1, 512)
-    assert out.keys.shape == (1, 500)
-    assert out.final_h.shape == (512,)
+    out = s2s.encode([[2]], emb, params, make_keys(rng, 256, 500))
+    assert out.states.shape == (1, 1, 512)
+    assert out.keys.shape == (1, 1, 500)
+    assert out.final_h.shape == (1, 512)
 
 
 def test_encode_zero_params_zero_states():
@@ -77,15 +77,16 @@ def test_encode_zero_params_zero_states():
     for cell in (params.fwd, params.bwd):
         for t in (cell.w_x, cell.w_h, cell.b):
             t.data[:] = 0.0
-    out = s2s.encode([0, 1, 2], emb, params, make_keys(np.random.default_rng(1), 2))
+    out = s2s.encode([[0, 1, 2]], emb, params, make_keys(np.random.default_rng(1), 2))
     assert np.all(out.states.data == 0.0)
 
 
 def test_encode_empty_sequence():
     emb = ad.constant(np.zeros((4, 3)))
     params = make_encoder(np.random.default_rng(0), 3, 2)
-    with pytest.raises(EmptySequenceError):
-        s2s.encode([], emb, params, make_keys(np.random.default_rng(1), 2))
+    for seqs in ([], [[]], [[1, 2], []]):
+        with pytest.raises(EmptySequenceError):
+            s2s.encode(seqs, emb, params, make_keys(np.random.default_rng(1), 2))
 
 
 def test_encode_direction_symmetry():
@@ -99,18 +100,20 @@ def test_encode_direction_symmetry():
     ids = [0, 2, 4, 1, 5]
     hid = 3
     w_keys = make_keys(rng, hid)
-    fwd_half = s2s.encode(ids, emb, params, w_keys).states.data[:, :hid]
-    bwd_half_rev = s2s.encode(ids[::-1], emb, params, w_keys).states.data[:, hid:]
+    fwd_half = s2s.encode([ids], emb, params, w_keys).states.data[0, :, :hid]
+    bwd_half_rev = s2s.encode([ids[::-1]], emb, params, w_keys).states.data[0, :, hid:]
     np.testing.assert_allclose(bwd_half_rev, fwd_half[::-1], atol=1e-12)
 
 
-def encode_loop(ids, embeddings, params, w_keys):
-    """Reference encoder: one taped_lstm_step per token and direction."""
+def encode_loop(seqs, embeddings, params, w_keys):
+    """Reference encoder of a batch of one: one taped_lstm_step per token and
+    direction."""
+    [ids] = seqs
     hid = params.fwd.hidden
-    embs = [ad.lookup(embeddings, i) for i in ids]
+    embs = [ad.lookup(embeddings, [i]) for i in ids]                      # (1, emb) each
 
     def run(cell, seq):
-        h = c = ad.constant(np.zeros(hid))
+        h = c = ad.constant(np.zeros((1, hid)))
         states = []
         for x in seq:
             h, c = taped_lstm_step(cell, x, h, c)
@@ -119,10 +122,12 @@ def encode_loop(ids, embeddings, params, w_keys):
 
     fwd_states, fwd_h, fwd_c = run(params.fwd, embs)
     bwd_states, bwd_h, bwd_c = run(params.bwd, embs[::-1])
-    states = ad.stack([ad.concat([f, b]) for f, b in zip(fwd_states, bwd_states[::-1])])
+    states = ad.reshape(ad.stack([ad.concat([f, b], axis=-1)
+                                  for f, b in zip(fwd_states, bwd_states[::-1])]),
+                        (1, len(ids), 2 * hid))
     return s2s.EncoderOutput(states=states, keys=ad.matmul(states, w_keys),
-                             final_h=ad.concat([fwd_h, bwd_h]),
-                             final_c=ad.concat([fwd_c, bwd_c]))
+                             final_h=ad.concat([fwd_h, bwd_h], axis=-1),
+                             final_c=ad.concat([fwd_c, bwd_c], axis=-1))
 
 
 @pytest.mark.parametrize("ids", [[3], [0, 5], [2, 4, 4, 1, 0, 5, 3, 2, 6]])
@@ -139,14 +144,14 @@ def test_encode_matches_lstm_step_loop(ids):
     w_keys = make_keys(rng, hid)
     fields = ("states", "keys", "final_h", "final_c")
     weights = {name: ad.constant(rng.normal(size=shape)) for name, shape in
-               (("states", (len(ids), 2 * hid)), ("keys", (len(ids), 4)),
-                ("final_h", (2 * hid,)), ("final_c", (2 * hid,)))}
+               (("states", (1, len(ids), 2 * hid)), ("keys", (1, len(ids), 4)),
+                ("final_h", (1, 2 * hid)), ("final_c", (1, 2 * hid)))}
     wrt = [emb, w_keys] + [getattr(cell, name) for cell in (params.fwd, params.bwd)
                            for name in ("w_x", "w_h", "b")]
     results = []
     for encoder in (s2s.encode, encode_loop):
         with ad.Tape() as tape:
-            out = encoder(ids, emb, params, w_keys)
+            out = encoder([ids], emb, params, w_keys)
             loss = ad.sum(ad.concat([ad.reshape(ad.mul(getattr(out, name), weights[name]), (-1,))
                                      for name in fields]))
         results.append((out, tape.backward(loss, params=wrt)))
@@ -169,7 +174,7 @@ def test_encode_tape_size_independent_of_length():
     kinds = []
     for n in (1, 200):
         with ad.Tape() as tape:
-            s2s.encode(rng.integers(0, 10, size=n).tolist(), emb, params, w_keys)
+            s2s.encode([rng.integers(0, 10, size=n).tolist()], emb, params, w_keys)
         kinds.append([node.op_kind for node in tape.nodes])
     assert kinds[0] == kinds[1]
     assert kinds[0].count("lstm_seq") == 2 and len(kinds[0]) <= 12, kinds[0]
@@ -179,18 +184,20 @@ def test_lstm_step_matches_cell_oracle():
     rng = np.random.default_rng(5)
     params = s2s.LSTMParams.init(rng, 4, 3, "cell")
     x, h, c = rng.normal(size=4), rng.normal(size=3), rng.normal(size=3)
-    got_h, got_c = s2s.lstm_step(params, ad.constant(x), ad.constant(h), ad.constant(c))
+    got_h, got_c = s2s.lstm_step(params, *(ad.constant(v[None]) for v in (x, h, c)))
     want_h, want_c = lstm_cell_oracle(params.w_x.data.T, params.w_h.data.T,
                                       params.b.data, x, h, c)
-    np.testing.assert_allclose(got_h.data, want_h, atol=1e-12)
-    np.testing.assert_allclose(got_c.data, want_c, atol=1e-12)
+    np.testing.assert_allclose(got_h.data, [want_h], atol=1e-12)
+    np.testing.assert_allclose(got_c.data, [want_c], atol=1e-12)
+    with pytest.raises(ShapeMismatchError):  # one row is a batch of one
+        s2s.lstm_step(params, *(ad.constant(v) for v in (x, h, c)))
 
 
-@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("lead", [(1,), (3,)])
 def test_lstm_step_equals_the_taped_cell(lead):
     """From a nonzero state, lstm_step gives the taped cell's h', c' and
-    gradients for the input, the state and every weight, on one row and on
-    a batch of rows."""
+    gradients for the input, the state and every weight, on a batch of one
+    row and of three."""
     rng = np.random.default_rng(len(lead))
     params = s2s.LSTMParams.init(rng, 4, 3, "cell")
     for t in (params.w_x, params.w_h, params.b):
@@ -218,10 +225,10 @@ def test_backward_of_an_lstm_step_chain_holds_one_input_weight_gradient():
     w_x-sized array."""
     rng = np.random.default_rng(5)
     params = s2s.LSTMParams.init(rng, 512, 128, "cell")
-    h = c = ad.constant(np.zeros(128))
+    h = c = ad.constant(np.zeros((1, 128)))
     with ad.Tape() as tape:
         for _ in range(9):
-            h, c = s2s.lstm_step(params, ad.constant(rng.normal(size=512)), h, c)
+            h, c = s2s.lstm_step(params, ad.constant(rng.normal(size=(1, 512))), h, c)
         loss = ad.sum(h)
     tracemalloc.start()
     try:
@@ -236,7 +243,7 @@ def test_backward_of_an_lstm_step_chain_holds_one_input_weight_gradient():
 def test_lstm_step_deterministic():
     rng = np.random.default_rng(6)
     params = s2s.LSTMParams.init(rng, 4, 3, "cell")
-    x, h, c = (ad.constant(rng.normal(size=n)) for n in (4, 3, 3))
+    x, h, c = (ad.constant(rng.normal(size=(1, n))) for n in (4, 3, 3))
     a = s2s.lstm_step(params, x, h, c)
     b = s2s.lstm_step(params, x, h, c)
     np.testing.assert_array_equal(a[0].data, b[0].data)
@@ -245,9 +252,9 @@ def test_lstm_step_deterministic():
 def test_lstm_step_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     params = s2s.LSTMParams.init(rng, 3, 2, "cell")
-    x = ad.Tensor(rng.normal(size=3), requires_grad=True)
-    h0 = ad.constant(np.zeros(2))
-    c0 = ad.constant(np.zeros(2))
+    x = ad.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+    h0 = ad.constant(np.zeros((1, 2)))
+    c0 = ad.constant(np.zeros((1, 2)))
     wrt = [params.w_x, params.w_h, params.b, x]
 
     def f():
@@ -401,11 +408,11 @@ def test_encode_batch_equals_each_sequence():
     np.testing.assert_array_equal(batch.mask.data == MASK_LOGIT,
                                   np.arange(5) >= np.array([2, 5, 1, 3])[:, None])
     for row, seq in enumerate(seqs):
-        alone = encode(seq, emb, params, w_keys)
+        alone = encode([seq], emb, params, w_keys)
         assert alone.mask is None
         for name in ("states", "keys"):
             np.testing.assert_allclose(getattr(batch, name).data[row, :len(seq)],
-                                       getattr(alone, name).data, rtol=0, atol=1e-12)
+                                       getattr(alone, name).data[0], rtol=0, atol=1e-12)
         for name in ("final_h", "final_c"):
             np.testing.assert_allclose(getattr(batch, name).data[row],
-                                       getattr(alone, name).data, rtol=0, atol=1e-12)
+                                       getattr(alone, name).data[0], rtol=0, atol=1e-12)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import answergen
 from answergen.cli import main
 from answergen.config import ModelConfig, RunConfig
 from answergen.model import AnswerModel
@@ -136,6 +141,46 @@ def test_cli_config_error_exit_code(runner, tmp_path):
                                   "--out", str(tmp_path / "v.json"),
                                   "--set", "data.vocab_size=notanumber"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("override", ["training.clip_norm=-1", "training.clip_norm=0",
+                                      "training.seed=-1", "training.lr=nan",
+                                      "training.lambda_cov=-0.5", "training.tau0=inf"])
+def test_cli_train_refuses_a_bad_training_value(runner, tmp_path, override):
+    """A negative or zero clip norm would flip or freeze every clipped
+    update, a negative seed would reach numpy, and a NaN learning rate the
+    first log: each is a configuration error that names its key."""
+    data, vocab = tmp_path / "d.jsonl", tmp_path / "vocab.json"
+    data.write_text(json.dumps({"question": "q ?", "passage": "p .", "answer": "p"}) + "\n")
+    make_vocab().save(vocab)
+    result = runner.invoke(main, ["train", "--data", str(data), "--vocab", str(vocab),
+                                  "--out", str(tmp_path / "m.ckpt"), "--profile", "desk",
+                                  "--set", override])
+    assert result.exit_code == 2, result.output
+    error = events(result)["error"]
+    assert error["kind"] == "config" and override.split("=")[0] in error["message"]
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "extract-facts", "synth"])
+def test_cli_count_flags_below_one_exit_2(runner, tmp_path, command):
+    write_vocab_and_checkpoint(tmp_path)
+    kb, data = tmp_path / "kb.tsv", tmp_path / "d.jsonl"
+    kb.write_text("bridge\tUsedFor\tcross water\n")
+    data.write_text(json.dumps({"question": "what is the bridge ?",
+                                "passage": "the bridge is safe ."}) + "\n")
+    flag, args = {
+        "generate": ("--beam", ["--checkpoint", str(tmp_path / "m.ckpt"),
+                                "--vocab", str(tmp_path / "vocab.json"), "--data", str(data),
+                                "--out", str(tmp_path / "pred.jsonl")]),
+        "extract-facts": ("--n-facts", ["--kb", str(kb), "--question", "what is a bridge ?",
+                                        "--passage", "you cross water on it ."]),
+        "synth": ("--size", ["--task", "copy-q", "--out", str(tmp_path / "synth")]),
+    }[command]
+    result = runner.invoke(main, [command, flag, "0", *args])
+    assert result.exit_code == 2, result.output
+    assert flag in result.stderr
+    assert not (tmp_path / "pred.jsonl").exists() and not (tmp_path / "synth").exists()
 
 
 def test_cli_data_error_exit_code(runner, tmp_path):
@@ -332,13 +377,20 @@ def test_cli_train_with_a_vocabulary_that_is_not_json_exits_3(runner, tmp_path):
 
 
 def test_cli_events_report_kb_skipped_lines(runner, tmp_path):
+    """Each command that reads a KB lists its skipped line numbers in its
+    event, and nothing else reaches stderr: run as a process, outside the
+    test runner's log capture, every stderr line is a JSON record."""
     kb = tmp_path / "kb.tsv"
     kb.write_text("bridge\tUsedFor\tcross water\nno tabs on this line\nwater\tIsA\tsafe\n")
-    result = runner.invoke(main, ["extract-facts", "--kb", str(kb),
-                                  "--question", "what is a bridge ?",
-                                  "--passage", "you cross water on it ."])
-    assert result.exit_code == 0, result.output
-    assert events(result)["extract-facts"]["kb_skipped_lines"] == 1
+    env = {**os.environ, "PYTHONPATH": str(Path(answergen.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "answergen.cli", "extract-facts",
+                           "--kb", str(kb), "--question", "what is a bridge ?",
+                           "--passage", "you cross water on it ."],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert [rec["event"] for rec in records] == ["extract-facts"]
+    assert records[0]["kb_skipped_lines"] == [2]
 
     data = tmp_path / "d.jsonl"
     data.write_text(json.dumps({"question": "what is the bridge ?",
@@ -350,13 +402,13 @@ def test_cli_events_report_kb_skipped_lines(runner, tmp_path):
     result = runner.invoke(main, ["train", "--data", str(data), "--vocab", str(vocab_path),
                                   "--kb", str(kb), "--out", str(ckpt), *small])
     assert result.exit_code == 0, result.output
-    assert events(result)["train-start"]["kb_skipped_lines"] == 1
+    assert events(result)["train-start"]["kb_skipped_lines"] == [2]
 
     result = runner.invoke(main, ["generate", "--checkpoint", str(ckpt),
                                   "--vocab", str(vocab_path), "--data", str(data),
                                   "--kb", str(kb), "--out", str(tmp_path / "pred.jsonl")])
     assert result.exit_code == 0, result.output
-    assert events(result)["generate"]["kb_skipped_lines"] == 1
+    assert events(result)["generate"]["kb_skipped_lines"] == [2]
 
 
 def test_cli_generate_refuses_a_kb_whose_relations_differ(runner, tmp_path):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -553,6 +554,31 @@ def test_metrics_log_carries_the_grad_norm(vocab, tmp_path, monkeypatch):
         [history[0].grad_norm, None, history[2].grad_norm]
     assert history[1].skipped and lines[1]["skipped"] == 1
     assert all(line["grad_norm"] > 0 for line in (lines[0], lines[2]))
+
+
+def test_a_skipped_step_reports_what_the_applied_step_reports(vocab, monkeypatch):
+    """A step skipped for a non-finite gradient reports the loss, loss per
+    token and source frequencies of the same step applied; only grad_norm
+    (NaN) and the skipped flag differ, and no parameter moves."""
+    batch = [TrainItem(toy_example(vocab, answer), toy_facts())
+             for answer in ("bridge is safe .", "safe", "water is old .")]
+    cfg = TrainingConfig(mc_samples=1)
+    applied_model, skipped_model = make_model(vocab, seed=6), make_model(vocab, seed=6)
+    applied = training.train_step(applied_model, batch, Adam(applied_model.parameters, lr=1e-2),
+                                  0.7, np.random.default_rng(3), cfg, 0)
+
+    def failing(tape, loss, params=None):
+        raise NonFiniteGradientError("injected")
+
+    monkeypatch.setattr(ad.Tape, "backward", failing)
+    before = {name: t.data.copy() for name, t in skipped_model.parameters.items()}
+    skipped = training.train_step(skipped_model, batch, Adam(skipped_model.parameters, lr=1e-2),
+                                  0.7, np.random.default_rng(3), cfg, 0)
+    assert skipped.skipped and not applied.skipped
+    assert np.isnan(skipped.grad_norm) and np.isfinite(applied.grad_norm)
+    assert replace(skipped, grad_norm=applied.grad_norm, skipped=False) == applied
+    for name, tensor in skipped_model.parameters.items():
+        np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)
 
 
 def test_version_four_checkpoint_rejected(vocab, tmp_path):
