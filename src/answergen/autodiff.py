@@ -91,9 +91,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         tag = f" name={self.name}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
@@ -147,9 +144,6 @@ class GradientMap:
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
         return self.grads[t]
-
-    def __contains__(self, t: Tensor) -> bool:
-        return t in self.grads
 
 
 class Tape:
@@ -430,21 +424,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = tuple(tensors)
-    if not parts:
-        raise ShapeMismatchError("concat of zero tensors")
-    base = list(parts[0].shape)
-    if not -len(base) <= axis < len(base):
-        raise ShapeMismatchError(f"concat: axis {axis} outside rank {len(base)}")
-    axis %= len(base)
-    for t in parts[1:]:
-        other = list(t.shape)
-        if len(other) != len(base):
-            raise ShapeMismatchError("concat: rank mismatch")
-        if [n for i, n in enumerate(other) if i != axis] != [n for i, n in enumerate(base) if i != axis]:
-            raise ShapeMismatchError("concat: non-axis extents differ")
-    out = np.concatenate([t.data for t in parts], axis=axis)
-    sizes = [t.shape[axis] for t in parts]
-    offsets = np.cumsum([0] + sizes)
+    try:
+        out = np.concatenate([t.data for t in parts], axis=axis)
+    except ValueError as exc:  # numpy's AxisError is a ValueError too
+        raise ShapeMismatchError(f"concat: {exc}") from None
+    offsets = np.cumsum([0] + [t.shape[axis] for t in parts])
 
     def grad_fn(g):
         pairs = []
@@ -460,12 +444,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def stack(tensors: Sequence[Tensor]) -> Tensor:
     """Stack equal-shaped tensors along a new leading axis."""
     parts = tuple(tensors)
-    if not parts:
-        raise ShapeMismatchError("stack of zero tensors")
-    for t in parts[1:]:
-        if t.shape != parts[0].shape:
-            raise ShapeMismatchError("stack: shapes differ")
-    out = np.stack([t.data for t in parts], axis=0)
+    try:
+        out = np.stack([t.data for t in parts], axis=0)
+    except ValueError as exc:
+        raise ShapeMismatchError(f"stack: {exc}") from None
 
     def grad_fn(g):
         return [(t, g[i]) for i, t in enumerate(parts)]

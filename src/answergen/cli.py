@@ -88,7 +88,25 @@ def build_config(config_path, profile, overrides, **extra) -> RunConfig:
     return load_config(config_path, profile=profile, overrides=parsed)
 
 
-@click.group()
+class JsonErrorGroup(click.Group):
+    """Runs click non-standalone, so that its usage errors reach stderr as a JSON
+    ``error`` record (exit 2) like the rest; a bare command still prints the help."""
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, **{**kwargs, "standalone_mode": False})
+        except getattr(click.exceptions, "NoArgsIsHelpError", ()) as exc:
+            exc.show()
+            sys.exit(exc.exit_code)
+        except click.ClickException as exc:
+            log_event("error", kind="config", message=exc.format_message())
+            sys.exit(2)
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=JsonErrorGroup)
 def main():
     """Knowledge-enriched answer generation toolkit."""
 

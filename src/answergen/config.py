@@ -86,7 +86,8 @@ class RunConfig:
         for label, value in [("training.lr", t.lr), ("training.clip_norm", t.clip_norm)]:
             if value <= 0:
                 raise ConfigError(f"{label} must be > 0, got {value}")
-        for label, value in [("training.lambda_cov", t.lambda_cov), ("training.seed", t.seed)]:
+        for label, value in [("training.lambda_cov", t.lambda_cov), ("training.seed", t.seed),
+                             ("training.max_steps", t.max_steps)]:
             if value < 0:
                 raise ConfigError(f"{label} must be >= 0, got {value}")
         if t.tau_min <= 0 or t.tau0 < t.tau_min or t.anneal_rate < 0:

@@ -1,4 +1,4 @@
-"""Atomic replacement of checkpoints, vocabularies, predictions and reports."""
+"""Atomic replacement of checkpoints, vocabularies, predictions, reports and synth output."""
 from __future__ import annotations
 
 import contextlib

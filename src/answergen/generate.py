@@ -223,11 +223,9 @@ def _top_tokens(source: Source, probs: np.ndarray, words, beam_size: int):
     Copy sources pool the mass of repeated tokens first. Ties rank by
     position, or by token for the copy sources."""
     if source in (Source.QUESTION, Source.PASSAGE):
-        mass: dict[str, float] = {}
-        for weight, token in zip(probs, words):
-            mass[token] = mass.get(token, 0.0) + float(weight)
-        words = sorted(mass)
-        probs = np.array([mass[token] for token in words])
+        # object dtype: numpy's fixed-width strings would read a "\x00" token as ""
+        words, slots = np.unique(np.array(words, dtype=object), return_inverse=True)
+        probs = np.bincount(slots, weights=probs)
     order = np.argsort(-probs, kind="stable")
     if source == Source.VOCAB:
         order = order[(order != PAD) & (order != BOS)]  # never useful at decode time

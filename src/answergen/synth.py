@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .files import replace_file
+
 TASKS = ("copy-q", "copy-p", "vocab-fill", "kb-lookup", "mixed")
 
 CONTENT_WORDS = [
@@ -145,12 +147,9 @@ def synth_generate(task: str, size: int, seed: int, out_dir) -> tuple[Path, Path
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = build_synth(task, size, seed)
-    data_path = out_dir / f"{task}.jsonl"
-    with open(data_path, "w", encoding="utf-8") as fh:
-        for rec in dataset.records:
-            fh.write(json.dumps(rec) + "\n")
-    kb_path = out_dir / "kb.tsv"
-    with open(kb_path, "w", encoding="utf-8") as fh:
-        for subject, relation, obj in dataset.kb_lines:
-            fh.write(f"{subject}\t{relation}\t{obj}\n")
+    data_path, kb_path = out_dir / f"{task}.jsonl", out_dir / "kb.tsv"
+    replace_file(data_path, ((json.dumps(rec) + "\n").encode("utf-8")
+                             for rec in dataset.records))
+    replace_file(kb_path, (f"{subject}\t{relation}\t{obj}\n".encode("utf-8")
+                           for subject, relation, obj in dataset.kb_lines))
     return data_path, kb_path

@@ -57,14 +57,8 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.token_by_id)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.id_by_token
-
     def encode(self, token: str) -> int:
         return self.id_by_token.get(token, UNK)
-
-    def decode(self, token_id: int) -> str:
-        return self.token_by_id[token_id]
 
     def content_hash(self) -> int:
         """Stable 64-bit hash of the token list, used to pin checkpoints."""

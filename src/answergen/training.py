@@ -67,8 +67,9 @@ from .text import BOS, EOS_TOKEN_SENTINEL, PAD, UNK, Example
 CHECKPOINT_MAGIC = b"AGCP"
 # 2: sel.u_fact stored (H, A); 3: every weight stored (in, out);
 # 4: the trailing checksum is sha256 cut to 8 bytes, not blake2b;
-# 5: the knowledge base's relation names, in relation-id order, follow the config
-CHECKPOINT_VERSION = 5
+# 5: the knowledge base's relation names, in relation-id order, follow the config;
+# 6: one JSON header, holding CheckpointData's fields and the tensor shapes
+CHECKPOINT_VERSION = 6
 CHECKSUM_BYTES = 8
 
 
@@ -411,7 +412,7 @@ def train(model: AnswerModel, dataset: Sequence[TrainItem], cfg: TrainingConfig,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: a little-endian binary container with a trailing checksum.
+# Checkpoints: a JSON header, the raw tensor buffers and a trailing checksum.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -420,7 +421,7 @@ class CheckpointData:
     vocab_hash: int
     config: dict
     tensors: dict[str, np.ndarray]
-    relation_names: list[str] = field(default_factory=list)  # rows of sel.relations
+    relation_names: list[str]  # rows of sel.relations
 
 
 def _digest(hasher) -> bytes:
@@ -429,23 +430,20 @@ def _digest(hasher) -> bytes:
 
 def save_checkpoint(model: AnswerModel, step: int, config: RunConfig, path, *,
                     relation_names: Sequence[str] = ()) -> None:
-    """Write the container with each tensor's buffer handed to the file as is;
-    the checksum is taken over the same chunks as they go out.
+    """Write magic, a ``<II`` (version, header length) pair, the JSON header,
+    each tensor's little-endian float64 buffer handed to the file as is, and
+    the checksum, taken over the same chunks as they go out.
     ``relation_names`` are the knowledge base's relations in id order, the
     order of the relation table's rows; generation checks its KB against them."""
-    config_bytes = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-    relation_bytes = json.dumps(list(relation_names)).encode("utf-8")
-    parts: list = [CHECKPOINT_MAGIC,
-                   struct.pack("<IQQ", CHECKPOINT_VERSION, step, model.vocab.content_hash()),
-                   struct.pack("<I", len(config_bytes)), config_bytes,
-                   struct.pack("<I", len(relation_bytes)), relation_bytes,
-                   struct.pack("<I", len(model.parameters))]
-    for name, tensor in model.parameters.items():
-        encoded = name.encode("utf-8")
-        data = np.ascontiguousarray(tensor.data, dtype="<f8")
-        parts.append(struct.pack("<H", len(encoded)) + encoded
-                     + struct.pack(f"<B{data.ndim}Q", data.ndim, *data.shape))
-        parts.append(memoryview(data))
+    tensors = {name: np.ascontiguousarray(t.data, dtype="<f8")
+               for name, t in model.parameters.items()}
+    header = json.dumps({
+        "step": step, "vocab_hash": model.vocab.content_hash(), "config": config.to_dict(),
+        "relation_names": list(relation_names),
+        "tensors": [[name, list(data.shape)] for name, data in tensors.items()],
+    }, sort_keys=True).encode("utf-8")
+    parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(header)), header,
+             *(memoryview(data) for data in tensors.values())]
 
     def chunks():
         hasher = hashlib.sha256()
@@ -466,39 +464,22 @@ def load_checkpoint(path) -> CheckpointData:
     with open(path, "rb") as fh:
         buf = bytearray(os.fstat(fh.fileno()).st_size)
         fh.readinto(buf)
-    prefix = len(CHECKPOINT_MAGIC) + struct.calcsize("<IQQ")
+    prefix = len(CHECKPOINT_MAGIC) + struct.calcsize("<II")
     if len(buf) < prefix + CHECKSUM_BYTES:
         raise CorruptFileError("checkpoint too short")
     if buf[:4] != CHECKPOINT_MAGIC:
         raise CorruptFileError("not a checkpoint file")
-    version, step, vocab_hash = struct.unpack_from("<IQQ", buf, 4)
+    version, header_len = struct.unpack_from("<II", buf, 4)
     if version != CHECKPOINT_VERSION:
         raise VersionMismatchError(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     end = len(buf) - CHECKSUM_BYTES
     if _digest(hashlib.sha256(memoryview(buf)[:end])) != buf[end:]:
         raise CorruptFileError("checkpoint checksum mismatch")
-    offset = prefix
-    (config_len,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    config = json.loads(buf[offset:offset + config_len].decode("utf-8"))
-    offset += config_len
-    (relations_len,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    relation_names = json.loads(buf[offset:offset + relations_len].decode("utf-8"))
-    offset += relations_len
-    (n_tensors,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
+    offset = prefix + header_len
+    header = json.loads(buf[prefix:offset])
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
-        (name_len,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        name = buf[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<B", buf, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{rank}Q", buf, offset)
-        offset += 8 * rank
-        count = int(np.prod(shape)) if rank else 1
+    for name, shape in header.pop("tensors"):
+        count = int(np.prod(shape))
         if offset + 8 * count > end:
             raise CorruptFileError("checkpoint tensor runs past the end of the file")
         tensors[name] = np.frombuffer(buf, dtype="<f8", count=count,
@@ -506,8 +487,7 @@ def load_checkpoint(path) -> CheckpointData:
         offset += 8 * count
     if offset != end:
         raise CorruptFileError("trailing bytes in checkpoint")
-    return CheckpointData(step=step, vocab_hash=vocab_hash, config=config, tensors=tensors,
-                          relation_names=relation_names)
+    return CheckpointData(tensors=tensors, **header)
 
 
 def restore_model(model: AnswerModel, ckpt: CheckpointData) -> None:

@@ -321,7 +321,7 @@ def test_acceptance_6_knowledge_ablation(tmp_path):
     targets = [it.example.answer_tokens[0] for it in items]  # the injected token
     # construction guarantee: out-of-vocabulary and absent from all text
     for rec, item, target in zip(records, items, targets):
-        assert target not in vocab
+        assert target not in vocab.id_by_token
         assert target not in item.example.question_tokens
         assert target not in item.example.passage_tokens
 

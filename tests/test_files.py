@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from answergen.cli import main
 from answergen.config import RunConfig
 from answergen.generate import GenerationResult, write_predictions
+from answergen.synth import synth_generate
 from answergen.training import save_checkpoint
 
 from conftest import make_model
@@ -60,6 +61,35 @@ def test_predictions_failing_midway_keep_previous_file(tmp_path):
         write_predictions(path, [("q1", result("a")), ("q2", FailingResult())])
     assert path.read_bytes() == PREVIOUS
     assert os.listdir(tmp_path) == ["predictions.jsonl"]
+
+
+@pytest.mark.parametrize("synced", [0, 1])
+def test_failed_synth_keeps_each_file_whole(tmp_path, monkeypatch, synced):
+    """synth writes copy-q.jsonl, then kb.tsv. When the sync after ``synced``
+    good ones fails, every file holds its previous bytes or the whole new
+    file, and no temporary file is left."""
+    fresh = tmp_path / "fresh"
+    synth_generate("copy-q", 3, 0, fresh)
+    out = tmp_path / "out"
+    out.mkdir()
+    names = ["copy-q.jsonl", "kb.tsv"]
+    for name in names:
+        (out / name).write_bytes(PREVIOUS)
+    real_fsync, calls = os.fsync, []
+
+    def fsync(fd):
+        calls.append(fd)
+        if len(calls) > synced:
+            fail()
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with pytest.raises(Interrupted):
+        synth_generate("copy-q", 3, 0, out)
+    for i, name in enumerate(names):
+        want = (fresh / name).read_bytes() if i < synced else PREVIOUS
+        assert (out / name).read_bytes() == want, name
+    assert sorted(os.listdir(out)) == names
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))

@@ -191,7 +191,7 @@ def test_oov_copy_emits_raw_surface_form(vocab):
     model.selector.b_source.data[:] = [10.0, 0.0, 0.0, 0.0]  # force question copy
     result = generate("zyzzyva zyzzyva", "the bridge .", model, beam_size=1, max_len=3)
     assert result.tokens == ["zyzzyva", "zyzzyva", "zyzzyva"]
-    assert "zyzzyva" not in vocab
+    assert "zyzzyva" not in vocab.id_by_token
 
 
 def copy_readout(source, attention, tokens):
@@ -206,6 +206,14 @@ def copy_readout(source, attention, tokens):
 def test_copy_distribution_aggregates_duplicates():
     dist = copy_readout(Source.QUESTION, [0.6, 0.4], ["bridge", "bridge"])
     assert dist == {"bridge": pytest.approx(1.0)}
+
+
+def test_copy_distribution_keeps_a_nul_token():
+    """The tokenizer emits "\x00" as a token of its own; pooling keeps it
+    as it is, apart from every other token."""
+    assert tokenize("a \x00 b") == ["a", "\x00", "b"]
+    dist = copy_readout(Source.PASSAGE, [0.5, 0.2, 0.3], ["\x00", "a", "\x00"])
+    assert dist == {"\x00": pytest.approx(0.8), "a": pytest.approx(0.2)}
 
 
 def test_passage_distribution_distinct_tokens():

@@ -1,5 +1,6 @@
-"""Every top-level function and class in the package has a user in the
-package itself; code that only tests reach does not belong there."""
+"""Every top-level function and class, and every method, in the package
+has a user in the package itself; code that only tests reach does not
+belong there."""
 import ast
 from pathlib import Path
 
@@ -9,6 +10,12 @@ PACKAGE = Path(answergen.__file__).parent
 
 # Kept as references that tests or the benchmark compare the program against.
 KEPT_REFERENCES = {"elbo_loss", "gradient_check", "gumbel_hard_indices", "trace_score"}
+
+
+def package_trees():
+    """Each module of the package, parsed, by file name."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def is_cli_command(node):
@@ -45,8 +52,7 @@ def referenced_names(tree, skip):
 
 
 def test_every_definition_is_used_in_the_package():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = package_trees()
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -58,3 +64,17 @@ def test_every_definition_is_used_in_the_package():
                        for other in trees.values()):
                 unused.append(f"{module}:{node.name}")
     assert not unused, f"defined but never used inside the package: {unused}"
+
+
+def test_every_method_is_read_in_the_package():
+    """A method other than a dunder is read as an attribute somewhere in the
+    package: called on an instance, through ``super()`` or as a property."""
+    trees = package_trees()
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    unused = [f"{module}:{cls.name}.{method.name}"
+              for module, tree in trees.items()
+              for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for method in cls.body if isinstance(method, ast.FunctionDef)
+              and not method.name.startswith("__") and method.name not in attributes]
+    assert not unused, f"methods never read inside the package: {unused}"

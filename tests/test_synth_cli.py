@@ -145,11 +145,13 @@ def test_cli_config_error_exit_code(runner, tmp_path):
 
 @pytest.mark.parametrize("override", ["training.clip_norm=-1", "training.clip_norm=0",
                                       "training.seed=-1", "training.lr=nan",
-                                      "training.lambda_cov=-0.5", "training.tau0=inf"])
+                                      "training.lambda_cov=-0.5", "training.tau0=inf",
+                                      "training.max_steps=-1"])
 def test_cli_train_refuses_a_bad_training_value(runner, tmp_path, override):
     """A negative or zero clip norm would flip or freeze every clipped
-    update, a negative seed would reach numpy, and a NaN learning rate the
-    first log: each is a configuration error that names its key."""
+    update, a negative seed would reach numpy, a NaN learning rate the first
+    log, and a negative step count the checkpoint: each is a configuration
+    error that names its key, in one JSON record."""
     data, vocab = tmp_path / "d.jsonl", tmp_path / "vocab.json"
     data.write_text(json.dumps({"question": "q ?", "passage": "p .", "answer": "p"}) + "\n")
     make_vocab().save(vocab)
@@ -157,6 +159,7 @@ def test_cli_train_refuses_a_bad_training_value(runner, tmp_path, override):
                                   "--out", str(tmp_path / "m.ckpt"), "--profile", "desk",
                                   "--set", override])
     assert result.exit_code == 2, result.output
+    assert len(result.stderr.splitlines()) == 1
     error = events(result)["error"]
     assert error["kind"] == "config" and override.split("=")[0] in error["message"]
     assert not (tmp_path / "m.ckpt").exists()
@@ -181,6 +184,25 @@ def test_cli_count_flags_below_one_exit_2(runner, tmp_path, command):
     assert result.exit_code == 2, result.output
     assert flag in result.stderr
     assert not (tmp_path / "pred.jsonl").exists() and not (tmp_path / "synth").exists()
+
+
+def test_cli_usage_error_is_one_json_record(runner, tmp_path):
+    """click's own usage errors reach stderr as a JSON error record, and
+    nothing else does; a bare command and --help still print the help."""
+    write_vocab_and_checkpoint(tmp_path)
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps({"question": "what is the bridge ?", "passage": "safe ."}) + "\n")
+    result = runner.invoke(main, ["generate", "--beam", "0",
+                                  "--checkpoint", str(tmp_path / "m.ckpt"),
+                                  "--vocab", str(tmp_path / "vocab.json"),
+                                  "--data", str(data), "--out", str(tmp_path / "pred.jsonl")])
+    assert result.exit_code == 2, result.output
+    (record,) = map(json.loads, result.stderr.splitlines())
+    assert record["event"] == "error" and record["kind"] == "config"
+    assert "--beam" in record["message"]
+    assert "Commands:" in runner.invoke(main, []).output
+    helped = runner.invoke(main, ["--help"])
+    assert helped.exit_code == 0 and "Commands:" in helped.stdout
 
 
 def test_cli_data_error_exit_code(runner, tmp_path):

@@ -57,8 +57,8 @@ def test_build_vocab_capacity_zero():
 
 def test_build_vocab_tie_break_lexicographic():
     vocab = build_vocab([["zeta", "alpha"]], max_size=5)
-    assert "alpha" in vocab
-    assert "zeta" not in vocab
+    assert "alpha" in vocab.id_by_token
+    assert "zeta" not in vocab.id_by_token
 
 
 def test_build_vocab_empty_corpus():
@@ -98,7 +98,7 @@ def test_encode_empty_question(small_vocab):
 
 def test_roundtrip_in_vocab(small_vocab):
     for token in ["the", "cat", "sat"]:
-        assert small_vocab.decode(small_vocab.encode(token)) == token
+        assert small_vocab.token_by_id[small_vocab.encode(token)] == token
 
 
 @given(st.lists(st.sampled_from("abcde"), min_size=1, max_size=40), st.integers(1, 20))

@@ -581,21 +581,83 @@ def test_a_skipped_step_reports_what_the_applied_step_reports(vocab, monkeypatch
         np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)
 
 
+def rewrite_checkpoint(path, *, version=None, edit_header=None):
+    """Rewrite a saved checkpoint with another version field or an edited
+    JSON header, and seal it with a matching checksum."""
+    blob = path.read_bytes()[:-8]
+    saved_version, header_len = struct.unpack_from("<II", blob, 4)
+    header = json.loads(blob[12:12 + header_len])
+    if edit_header is not None:
+        edit_header(header)
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = (blob[:4] + struct.pack("<II", version or saved_version, len(encoded)) + encoded
+            + blob[12 + header_len:])
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+
+
 def test_version_four_checkpoint_rejected(vocab, tmp_path):
     """Version 4 had no relation names after the config; it is refused as a
-    version mismatch (exit 3)."""
+    version mismatch (exit 3), not as a corrupt file."""
     path = tmp_path / "model.ckpt"
-    save_checkpoint(make_model(vocab), step=0, config=RunConfig.desk(), path=path,
-                    relation_names=["born in", "part of"])
-    blob = path.read_bytes()[:-8]
-    (config_len,) = struct.unpack_from("<I", blob, 24)
-    names_at = 28 + config_len
-    (names_len,) = struct.unpack_from("<I", blob, names_at)
-    body = bytearray(blob[:names_at] + blob[names_at + 4 + names_len:])
-    struct.pack_into("<I", body, 4, 4)
-    path.write_bytes(bytes(body) + hashlib.sha256(body).digest()[:8])
-    with pytest.raises(VersionMismatchError):
+    save_checkpoint(make_model(vocab), step=0, config=RunConfig.desk(), path=path)
+    rewrite_checkpoint(path, version=4)
+    with pytest.raises(VersionMismatchError, match="version 4"):
         load_checkpoint(path)
+
+
+def test_version_five_checkpoint_rejected(vocab, tmp_path):
+    """Version 5 kept the step, vocabulary hash, config, relation names and
+    tensor names and shapes in length-prefixed binary fields. A whole version
+    5 file, here one without tensors, is refused as a version mismatch."""
+    body = (b"AGCP" + struct.pack("<IQQ", 5, 0, vocab.content_hash())
+            + struct.pack("<I", 2) + b"{}" + struct.pack("<I", 2) + b"[]"
+            + struct.pack("<I", 0))
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+    with pytest.raises(VersionMismatchError, match="version 5"):
+        load_checkpoint(path)
+
+
+def add_tensor(header):
+    header["tensors"].append(["extra", [1]])
+
+
+def drop_tensor(header):
+    header["tensors"].pop()
+
+
+@pytest.mark.parametrize("edit_header, message", [(add_tensor, "past the end"),
+                                                  (drop_tensor, "trailing bytes")])
+def test_checkpoint_tensor_list_that_misses_the_payload_is_corrupt(vocab, tmp_path,
+                                                                   edit_header, message):
+    """A header whose tensors run past the end of the file, or stop short of
+    it, is refused even under a matching checksum."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_model(vocab), step=0, config=RunConfig.desk(), path=path)
+    rewrite_checkpoint(path)
+    load_checkpoint(path)
+    rewrite_checkpoint(path, edit_header=edit_header)
+    with pytest.raises(CorruptFileError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_round_trips_bit_for_bit(vocab, tmp_path):
+    """Every field and every tensor comes back as saved, and saving the
+    restored model writes the same file."""
+    model = make_model(vocab, seed=4)
+    config = RunConfig.desk()
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(model, step=17, config=config, path=first, relation_names=["born in"])
+    ckpt = load_checkpoint(first)
+    assert (ckpt.step, ckpt.vocab_hash) == (17, vocab.content_hash())
+    assert ckpt.config == config.to_dict() and ckpt.relation_names == ["born in"]
+    assert list(ckpt.tensors) == list(model.parameters)
+    for name, tensor in model.parameters.items():
+        assert ckpt.tensors[name].tobytes() == tensor.data.tobytes(), name
+    restored = make_model(vocab, seed=99)
+    restore_model(restored, ckpt)
+    save_checkpoint(restored, step=17, config=config, path=second, relation_names=["born in"])
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_checkpoint_keeps_relation_names(vocab, tmp_path):
