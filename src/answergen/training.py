@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -273,6 +275,19 @@ class Adam:
     in that order, so it makes no full-size temporary. Given a clip
     ``scale``, each block's g is first ``g * scale`` in a scratch buffer: the
     product scaling the whole gradient would give, without writing it.
+
+    The update is elementwise, so disjoint blocks may run on different
+    threads with every bit unchanged. The thread count is the number of CPUs
+    this process may run on, fixed at construction. The whole blocks, in
+    parameter order, are cut into that many contiguous shares: the calling
+    thread runs the first, one worker thread each of the others, and after
+    the join the calling thread runs the partial blocks and the parameters
+    smaller than a block. numpy releases the interpreter lock inside each
+    ufunc over a whole block, but a small job's time is mostly Python, and
+    threads running small jobs contend for the lock. With one CPU, or fewer
+    than two whole blocks per thread, every block runs on the calling
+    thread in parameter order. Each thread has its own three scratch buffers,
+    and no thread outlives ``step``.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
@@ -284,37 +299,67 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros(p.data.size) for name, p in params.items()}
         self.v = {name: np.zeros(p.data.size) for name, p in params.items()}
-        self._scratch = tuple(np.empty(ADAM_BLOCK) for _ in range(3))
+        cpus = len(os.sched_getaffinity(0))
+        whole_blocks = sum(m.size // ADAM_BLOCK for m in self.m.values())
+        threads = cpus if cpus > 1 and whole_blocks >= 2 * cpus else 1
+        self._scratch = [tuple(np.empty(ADAM_BLOCK) for _ in range(3)) for _ in range(threads)]
 
     def step(self, grads: dict[str, np.ndarray], scale: float | None = None) -> None:
-        self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
-        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        """Validate every parameter and gradient, then update; a bad entry
+        leaves ``t``, the parameters and the moments as they were."""
+        flat = []
         for name, p in self.params.items():
             if not p.data.flags.c_contiguous:
                 raise ValueError(f"parameter {name} is not contiguous; Adam updates it in place")
-            flat_p, g_all = p.data.reshape(-1), grads[name].reshape(-1)
-            m_all, v_all = self.m[name], self.v[name]
-            for start in range(0, flat_p.size, ADAM_BLOCK):
-                block = slice(start, start + ADAM_BLOCK)
-                w, g, m, v = flat_p[block], g_all[block], m_all[block], v_all[block]
-                s1, s2, s3 = (buf[:w.size] for buf in self._scratch)
-                if scale is not None:
-                    g = np.multiply(g, scale, out=s3)
-                np.multiply(m, b1, out=m)
-                np.multiply(g, 1 - b1, out=s1)
-                np.add(m, s1, out=m)
-                np.multiply(v, b2, out=v)
-                np.multiply(g, 1 - b2, out=s1)
-                np.multiply(s1, g, out=s1)
-                np.add(v, s1, out=v)
-                np.divide(m, c1, out=s1)
-                np.multiply(s1, lr, out=s1)
-                np.divide(v, c2, out=s2)
-                np.sqrt(s2, out=s2)
-                np.add(s2, eps, out=s2)
-                np.divide(s1, s2, out=s1)
-                np.subtract(w, s1, out=w)
+            g = grads[name]
+            if g.shape != p.data.shape:
+                raise ValueError(f"gradient of {name} has shape {g.shape}, "
+                                 f"the parameter {p.data.shape}")
+            flat.append((p.data.reshape(-1), g.reshape(-1), self.m[name], self.v[name]))
+        self.t += 1
+        bias = (1 - self.beta1 ** self.t, 1 - self.beta2 ** self.t)
+        jobs = [(arrays, start) for arrays in flat for start in range(0, arrays[0].size, ADAM_BLOCK)]
+        threads = len(self._scratch)
+        if threads == 1:
+            self._update(jobs, self._scratch[0], bias, scale)
+            return
+        whole = [(arrays, start) for arrays, start in jobs if start + ADAM_BLOCK <= arrays[0].size]
+        partial = [(arrays, start) for arrays, start in jobs if start + ADAM_BLOCK > arrays[0].size]
+        cuts = [len(whole) * i // threads for i in range(threads + 1)]
+        shares = [whole[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        with ThreadPoolExecutor(threads - 1) as pool:
+            futures = [pool.submit(self._update, share, scratch, bias, scale)
+                       for share, scratch in zip(shares[1:], self._scratch[1:])]
+            self._update(shares[0], self._scratch[0], bias, scale)
+            for future in futures:
+                future.result()
+        self._update(partial, self._scratch[0], bias, scale)
+
+    def _update(self, jobs, scratch, bias: tuple[float, float], scale: float | None) -> None:
+        """Update the (arrays, block start) jobs in order, in one thread's
+        scratch buffers; ``bias`` is the pair (c1, c2)."""
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1, c2 = bias
+        for (flat_p, g_all, m_all, v_all), start in jobs:
+            block = slice(start, start + ADAM_BLOCK)
+            w, g, m, v = flat_p[block], g_all[block], m_all[block], v_all[block]
+            s1, s2, s3 = (buf[:w.size] for buf in scratch)
+            if scale is not None:
+                g = np.multiply(g, scale, out=s3)
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1 - b1, out=s1)
+            np.add(m, s1, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, 1 - b2, out=s1)
+            np.multiply(s1, g, out=s1)
+            np.add(v, s1, out=v)
+            np.divide(m, c1, out=s1)
+            np.multiply(s1, lr, out=s1)
+            np.divide(v, c2, out=s2)
+            np.sqrt(s2, out=s2)
+            np.add(s2, eps, out=s2)
+            np.divide(s1, s2, out=s1)
+            np.subtract(w, s1, out=w)
 
 
 def clip_global_norm(squares: Iterable[float], max_norm: float) -> tuple[float, float | None]:
@@ -424,6 +469,17 @@ class CheckpointData:
     relation_names: list[str]  # rows of sel.relations
 
 
+CHECKPOINT_FIELDS = {f.name for f in fields(CheckpointData)}
+
+
+def _is_tensor_entry(entry) -> bool:
+    """Whether a header's tensor entry is [name, shape], a shape being a
+    list of non-negative ints."""
+    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list)
+            and all(type(d) is int and d >= 0 for d in entry[1]))
+
+
 def _digest(hasher) -> bytes:
     return hasher.digest()[:CHECKSUM_BYTES]
 
@@ -476,10 +532,22 @@ def load_checkpoint(path) -> CheckpointData:
     if _digest(hashlib.sha256(memoryview(buf)[:end])) != buf[end:]:
         raise CorruptFileError("checkpoint checksum mismatch")
     offset = prefix + header_len
-    header = json.loads(buf[prefix:offset])
+    try:
+        header = json.loads(buf[prefix:offset])
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError from the bytes
+        raise CorruptFileError(f"checkpoint header is not JSON: {exc}") from None
+    if not isinstance(header, dict) or header.keys() != CHECKPOINT_FIELDS:
+        raise CorruptFileError(f"checkpoint header must hold exactly {sorted(CHECKPOINT_FIELDS)}")
+    entries = header.pop("tensors")
+    if not (type(header["step"]) is int and type(header["vocab_hash"]) is int
+            and isinstance(header["config"], dict)
+            and isinstance(header["relation_names"], list)
+            and all(isinstance(name, str) for name in header["relation_names"])
+            and isinstance(entries, list) and all(map(_is_tensor_entry, entries))):
+        raise CorruptFileError("malformed checkpoint header")
     tensors: dict[str, np.ndarray] = {}
-    for name, shape in header.pop("tensors"):
-        count = int(np.prod(shape))
+    for name, shape in entries:
+        count = math.prod(shape)
         if offset + 8 * count > end:
             raise CorruptFileError("checkpoint tensor runs past the end of the file")
         tensors[name] = np.frombuffer(buf, dtype="<f8", count=count,

@@ -1,6 +1,11 @@
 import hashlib
+import itertools
 import json
+import os
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -188,12 +193,38 @@ def reference_adam_step(params, m, v, grads, t, lr, b1=0.9, b2=0.999, eps=1e-8):
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def test_adam_equals_the_unblocked_formula():
+def force_cpus(monkeypatch, n):
+    """Make the process look as if it may run on n CPUs; Adam reads this
+    when it is constructed."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def record_updates(monkeypatch):
+    """Wrap Adam._update to record, per call, the thread and its job count."""
+    calls = []
+    update = Adam._update
+
+    def recording(self, jobs, *args):
+        calls.append((threading.get_ident(), len(jobs)))
+        return update(self, jobs, *args)
+
+    monkeypatch.setattr(Adam, "_update", recording)
+    return calls
+
+
+def test_adam_equals_the_unblocked_formula(monkeypatch):
     """Unscaled, and with a clip scale applied as the in-place ``g *= scale``
-    over the whole gradient that it replaces."""
+    over the whole gradient that it replaces, on one, two and three CPUs.
+    The shapes hold 7 whole blocks (one parameter of exactly one block),
+    partial blocks and parameters smaller than a block. One CPU runs every
+    block on the calling thread; with two, the share boundary falls inside
+    "matrix"; with three, the shares are 2, 2 and 3 blocks."""
     shapes = {"one": (1,), "below": (ADAM_BLOCK - 1,), "block": (ADAM_BLOCK,),
-              "above": (ADAM_BLOCK + 1,), "matrix": (5, ADAM_BLOCK // 2)}
-    for scale in (None, 0.37):
+              "above": (ADAM_BLOCK + 1,), "matrix": (5, ADAM_BLOCK // 2),
+              "long": (3 * ADAM_BLOCK + 7,)}
+    calls = record_updates(monkeypatch)
+    for cpus, scale in itertools.product((1, 2, 3), (None, 0.37)):
+        force_cpus(monkeypatch, cpus)
         rng = np.random.default_rng(0)
         start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         params = {name: ad.Tensor(arr.copy()) for name, arr in start.items()}
@@ -204,7 +235,15 @@ def test_adam_equals_the_unblocked_formula():
         for t in range(1, 6):
             grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
             before = {name: g.copy() for name, g in grads.items()}
+            calls.clear()
             opt.step(grads, scale)
+            if cpus == 1:
+                assert calls == [(threading.get_ident(), 12)]
+            else:  # the shares, then the 5 partial blocks on the calling thread
+                shares = [7 * (i + 1) // cpus - 7 * i // cpus for i in range(cpus)]
+                assert sorted(n for _, n in calls) == sorted(shares + [5])
+                assert any(ident != threading.get_ident() for ident, _ in calls)
+                assert calls[-1] == (threading.get_ident(), 5)
             for name, g in grads.items():
                 np.testing.assert_array_equal(g, before[name])  # read, never written
                 if scale is not None:
@@ -213,6 +252,127 @@ def test_adam_equals_the_unblocked_formula():
         for name in shapes:
             assert not np.array_equal(params[name].data, start[name])
             np.testing.assert_array_equal(params[name].data, expected[name])
+
+
+def test_adam_shares_blocks_only_when_each_thread_gets_two(monkeypatch):
+    """Fewer than two whole blocks per CPU keep every block on the calling
+    thread."""
+    force_cpus(monkeypatch, 2)
+    calls = record_updates(monkeypatch)
+    rng = np.random.default_rng(5)
+    for n_blocks, n_calls in ((3, 1), (4, 3)):
+        params = {"w": ad.Tensor(rng.normal(size=n_blocks * ADAM_BLOCK + 1))}
+        calls.clear()
+        Adam(params).step({"w": rng.normal(size=n_blocks * ADAM_BLOCK + 1)})
+        assert len(calls) == n_calls
+
+
+# 22 whole blocks, a partial block and a parameter smaller than one block.
+STRESS_SHAPES = {"big": (19 * ADAM_BLOCK + 5,), "matrix": (3, ADAM_BLOCK), "small": (7,)}
+
+
+def test_adam_threads_under_frequent_switching_equal_the_serial_update(monkeypatch):
+    """Eight threads, more than a small machine has cores, with the
+    interpreter switching threads every microsecond, for at most about a
+    second of steps: every step's parameters and moments equal the
+    one-thread update bit for bit."""
+    rng = np.random.default_rng(6)
+    start = {name: rng.normal(size=shape) for name, shape in STRESS_SHAPES.items()}
+    force_cpus(monkeypatch, 1)
+    serial_params = {name: ad.Tensor(arr.copy()) for name, arr in start.items()}
+    serial = Adam(serial_params, lr=1e-2)
+    force_cpus(monkeypatch, 8)
+    calls = record_updates(monkeypatch)
+    threaded_params = {name: ad.Tensor(arr.copy()) for name, arr in start.items()}
+    threaded = Adam(threaded_params, lr=1e-2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 1.0
+        steps = 0
+        while steps < 3 or (steps < 40 and time.monotonic() < deadline):
+            grads = {name: rng.normal(size=shape) for name, shape in STRESS_SHAPES.items()}
+            scale = None if steps % 2 else 0.5
+            calls.clear()
+            threaded.step(grads, scale)
+            assert len(calls) == 9
+            serial.step(grads, scale)
+            for name in STRESS_SHAPES:
+                np.testing.assert_array_equal(threaded_params[name].data,
+                                              serial_params[name].data, err_msg=name)
+                np.testing.assert_array_equal(threaded.m[name], serial.m[name], err_msg=name)
+                np.testing.assert_array_equal(threaded.v[name], serial.v[name], err_msg=name)
+            steps += 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_adam_step_leaves_no_thread_running(monkeypatch):
+    force_cpus(monkeypatch, 2)
+    calls = record_updates(monkeypatch)
+    params = {name: ad.Tensor(np.ones(shape)) for name, shape in STRESS_SHAPES.items()}
+    before = threading.active_count()
+    Adam(params).step({name: np.ones(p.data.shape) for name, p in params.items()})
+    assert threading.active_count() == before
+    assert any(ident != threading.get_ident() for ident, _ in calls)
+
+
+def test_adam_worker_exception_reaches_the_caller(monkeypatch):
+    force_cpus(monkeypatch, 2)
+    update = Adam._update
+
+    def failing_off_the_calling_thread(self, jobs, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker failed")
+        return update(self, jobs, *args)
+
+    monkeypatch.setattr(Adam, "_update", failing_off_the_calling_thread)
+    params = {name: ad.Tensor(np.ones(shape)) for name, shape in STRESS_SHAPES.items()}
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker failed"):
+        Adam(params).step({name: np.ones(p.data.shape) for name, p in params.items()})
+    assert threading.active_count() == before
+
+
+def fortran_order(params, grads):
+    params["b"].data = np.asfortranarray(params["b"].data)
+
+
+def one_entry_gradient(params, grads):
+    grads["b"] = np.ones(1)
+
+
+def transposed_gradient(params, grads):
+    grads["b"] = np.ones((6, 4))
+
+
+def missing_gradient(params, grads):
+    del grads["b"]
+
+
+@pytest.mark.parametrize("spoil, error", [(fortran_order, ValueError),
+                                          (one_entry_gradient, ValueError),
+                                          (transposed_gradient, ValueError),
+                                          (missing_gradient, KeyError)])
+def test_adam_refuses_a_bad_entry_before_writing_anything(spoil, error):
+    """A bad entry in the middle of the dict leaves t, every parameter and
+    both moments as they were."""
+    rng = np.random.default_rng(4)
+    shapes = {"a": (3,), "b": (4, 6), "c": (ADAM_BLOCK + 2,)}
+    params = {name: ad.Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
+    opt = Adam(params, lr=1e-2)
+    opt.step({name: rng.normal(size=shape) for name, shape in shapes.items()})
+    grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    spoil(params, grads)
+    saved = [{name: arr.copy() for name, arr in moments.items()} for moments in (opt.m, opt.v)]
+    before = {name: p.data.copy() for name, p in params.items()}
+    with pytest.raises(error):
+        opt.step(grads)
+    assert opt.t == 1
+    for name in shapes:
+        np.testing.assert_array_equal(params[name].data, before[name])
+        np.testing.assert_array_equal(opt.m[name], saved[0][name])
+        np.testing.assert_array_equal(opt.v[name], saved[1][name])
 
 
 def test_adam_step_makes_no_full_size_temporary():
@@ -581,15 +741,18 @@ def test_a_skipped_step_reports_what_the_applied_step_reports(vocab, monkeypatch
         np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)
 
 
-def rewrite_checkpoint(path, *, version=None, edit_header=None):
-    """Rewrite a saved checkpoint with another version field or an edited
-    JSON header, and seal it with a matching checksum."""
+def rewrite_checkpoint(path, *, version=None, edit_header=None, encode_header=None):
+    """Rewrite a saved checkpoint with another version field, an edited JSON
+    header or header bytes of its own, and seal it with a matching checksum."""
     blob = path.read_bytes()[:-8]
     saved_version, header_len = struct.unpack_from("<II", blob, 4)
     header = json.loads(blob[12:12 + header_len])
     if edit_header is not None:
         edit_header(header)
-    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    if encode_header is not None:
+        encoded = encode_header(header)
+    else:
+        encoded = json.dumps(header, sort_keys=True).encode("utf-8")
     body = (blob[:4] + struct.pack("<II", version or saved_version, len(encoded)) + encoded
             + blob[12 + header_len:])
     path.write_bytes(body + hashlib.sha256(body).digest()[:8])
@@ -638,6 +801,56 @@ def test_checkpoint_tensor_list_that_misses_the_payload_is_corrupt(vocab, tmp_pa
     load_checkpoint(path)
     rewrite_checkpoint(path, edit_header=edit_header)
     with pytest.raises(CorruptFileError, match=message):
+        load_checkpoint(path)
+
+
+def header_as_list(header):
+    return json.dumps(sorted(header.items())).encode("utf-8")
+
+
+def header_without_tensors(header):
+    del header["tensors"]
+    return json.dumps(header).encode("utf-8")
+
+
+def header_with_extra_key(header):
+    return json.dumps({**header, "extra": 1}).encode("utf-8")
+
+
+def header_not_utf8(header):
+    header["relation_names"] = ["caf\u00e9"]
+    return json.dumps(header, ensure_ascii=False).encode("latin-1")
+
+
+def header_with_string_shape(header):
+    header["tensors"][0][1] = "12"
+    return json.dumps(header).encode("utf-8")
+
+
+def header_with_negative_extents(header):
+    """The same number of entries, so only the signs are wrong."""
+    header["tensors"][0][1] = [-extent for extent in header["tensors"][0][1]]
+    return json.dumps(header).encode("utf-8")
+
+
+def header_with_list_config(header):
+    header["config"] = []
+    return json.dumps(header).encode("utf-8")
+
+
+@pytest.mark.parametrize("encode_header", [header_as_list, header_without_tensors,
+                                           header_with_extra_key, header_not_utf8,
+                                           header_with_string_shape,
+                                           header_with_negative_extents,
+                                           header_with_list_config])
+def test_checkpoint_malformed_header_is_corrupt(vocab, tmp_path, encode_header):
+    """A header under a matching checksum that is not an object with exactly
+    the checkpoint's fields, with [name, shape] tensor entries, is refused
+    as a corrupt file (exit 3)."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_model(vocab), step=0, config=RunConfig.desk(), path=path)
+    rewrite_checkpoint(path, encode_header=encode_header)
+    with pytest.raises(CorruptFileError):
         load_checkpoint(path)
 
 
