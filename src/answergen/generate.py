@@ -223,9 +223,11 @@ def _top_tokens(source: Source, probs: np.ndarray, words, beam_size: int):
     Copy sources pool the mass of repeated tokens first. Ties rank by
     position, or by token for the copy sources."""
     if source in (Source.QUESTION, Source.PASSAGE):
-        # object dtype: numpy's fixed-width strings would read a "\x00" token as ""
-        words, slots = np.unique(np.array(words, dtype=object), return_inverse=True)
-        probs = np.bincount(slots, weights=probs)
+        mass: dict[str, float] = {}
+        for weight, token in zip(probs.tolist(), words):
+            mass[token] = mass.get(token, 0.0) + weight
+        words = sorted(mass)
+        probs = np.array([mass[token] for token in words])
     order = np.argsort(-probs, kind="stable")
     if source == Source.VOCAB:
         order = order[(order != PAD) & (order != BOS)]  # never useful at decode time

@@ -5,13 +5,16 @@ A fact scores against a (question, passage) pair by three additive rules:
 +2 when subject and object both occur in the passage, and +1 when the
 subject occurs in either text. A phrase occurs in a text when it is one of
 the text's contiguous runs of lowercased tokens (its n-grams), so each rule
-is a set-membership test. A query builds each text's set of runs of a given
-length once, on first use. Facts that only match through their object score
-0 and are dropped.
+is a set-membership test. Every rule needs the subject to occur, so the KB
+is indexed by subject: a query looks up the texts' runs at each subject
+length the KB holds, tests each subject it finds once, and then only each
+of its facts' objects. Facts whose subject occurs in neither text score 0
+and are never visited, so the ranking equals that of scoring every fact.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
 from .errors import DataError
@@ -30,8 +33,19 @@ class Fact:
 class KnowledgeBase:
     facts: list[Fact] = field(default_factory=list)
     relation_names: list[str] = field(default_factory=list)
-    surface_index: dict[str, list[int]] = field(default_factory=dict)
+    relation_ids: dict[str, int] = field(default_factory=dict)
+    # subject length -> subject -> its facts in id order
+    by_subject: dict[int, dict[tuple[str, ...], list[Fact]]] = field(default_factory=dict)
     skipped_lines: list[int] = field(default_factory=list)  # line numbers, from 1
+
+    def add(self, subject: tuple[str, ...], relation: str, obj: tuple[str, ...]) -> None:
+        """Append a fact with the next id, interning its relation name."""
+        if relation not in self.relation_ids:
+            self.relation_ids[relation] = len(self.relation_names)
+            self.relation_names.append(relation)
+        fact = Fact(subject, self.relation_ids[relation], obj, len(self.facts))
+        self.facts.append(fact)
+        self.by_subject.setdefault(len(subject), {}).setdefault(subject, []).append(fact)
 
     def relation_name(self, fact: Fact) -> str:
         return self.relation_names[fact.relation]
@@ -51,7 +65,7 @@ def ingest_triples(path) -> KnowledgeBase:
     ``skipped_lines``; real dumps always contain a few.
     """
     kb = KnowledgeBase()
-    relation_ids: dict[str, int] = {}
+    subject_tokens = cache(lambda text: tuple(tokenize(text)))  # dumps repeat each subject
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -61,19 +75,13 @@ def ingest_triples(path) -> KnowledgeBase:
             if len(parts) != 3:
                 kb.skipped_lines.append(lineno)
                 continue
-            subject = tuple(tokenize(parts[0]))
+            subject = subject_tokens(parts[0])
             relation = parts[1].strip()
             obj = tuple(tokenize(parts[2]))
             if not subject or not relation or not obj:
                 kb.skipped_lines.append(lineno)
                 continue
-            if relation not in relation_ids:
-                relation_ids[relation] = len(kb.relation_names)
-                kb.relation_names.append(relation)
-            fact = Fact(subject, relation_ids[relation], obj, fact_id=len(kb.facts))
-            kb.facts.append(fact)
-            for token in set(subject) | set(obj):
-                kb.surface_index.setdefault(token, []).append(fact.fact_id)
+            kb.add(subject, relation, obj)
     return kb
 
 
@@ -95,19 +103,10 @@ class RunSets(dict):
         return runs
 
 
-def score_fact(fact: Fact, q_runs: RunSets, p_runs: RunSets) -> int:
-    subject, obj = fact.subject, fact.object
-    subj_in_q = subject in q_runs[len(subject)]
-    subj_in_p = subject in p_runs[len(subject)]
-    obj_in_p = obj in p_runs[len(obj)]
-    score = 0
-    if subj_in_q and obj_in_p:
-        score += 4
-    if subj_in_p and obj_in_p:
-        score += 2
-    if subj_in_q or subj_in_p:
-        score += 1
-    return score
+def score_fact(fact: Fact, subj_in_q: bool, subj_in_p: bool, p_runs: RunSets) -> int:
+    """The fact's score, given whether its subject occurs in q and in p."""
+    obj_in_p = fact.object in p_runs[len(fact.object)]
+    return 4 * (subj_in_q and obj_in_p) + 2 * (subj_in_p and obj_in_p) + (subj_in_q or subj_in_p)
 
 
 def extract_related_facts(kb: KnowledgeBase, q_tokens: Sequence[str],
@@ -115,15 +114,14 @@ def extract_related_facts(kb: KnowledgeBase, q_tokens: Sequence[str],
     """Top-n_facts facts by score, descending, ties broken by ascending id."""
     if n_facts < 1:
         raise DataError(f"n_facts must be >= 1, got {n_facts}")
-    candidate_ids: set[int] = set()
-    for token in set(q_tokens) | set(p_tokens):
-        candidate_ids.update(kb.surface_index.get(token, ()))
     q_runs, p_runs = RunSets(q_tokens), RunSets(p_tokens)
     ranked = []
-    for fact_id in candidate_ids:
-        score = score_fact(kb.facts[fact_id], q_runs, p_runs)
-        if score > 0:
-            ranked.append((-score, fact_id))
+    for length, facts_by_subject in kb.by_subject.items():
+        in_q, in_p = q_runs[length], p_runs[length]
+        for subject in in_q | in_p:
+            subj_in_q, subj_in_p = subject in in_q, subject in in_p
+            for fact in facts_by_subject.get(subject, ()):
+                ranked.append((-score_fact(fact, subj_in_q, subj_in_p, p_runs), fact.fact_id))
     ranked.sort()
     return [ScoredFact(fact_id, -neg_score) for neg_score, fact_id in ranked[:n_facts]]
 

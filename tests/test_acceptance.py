@@ -156,14 +156,10 @@ def brute_force(kb, q, p, n_facts):
 
 
 def random_kb(rng, n_facts, pool):
-    kb = KnowledgeBase(relation_names=["R"])
-    for i in range(n_facts):
-        subject = tuple(rng.choice(pool, size=rng.integers(1, 4)))
-        obj = tuple(rng.choice(pool, size=rng.integers(1, 4)))
-        fact = Fact(subject, 0, obj, i)
-        kb.facts.append(fact)
-        for token in set(subject) | set(obj):
-            kb.surface_index.setdefault(token, []).append(i)
+    kb = KnowledgeBase()
+    for _ in range(n_facts):
+        kb.add(tuple(rng.choice(pool, size=rng.integers(1, 4))), "R",
+               tuple(rng.choice(pool, size=rng.integers(1, 4))))
     return kb
 
 
@@ -413,11 +409,8 @@ def test_acceptance_9_trace_fidelity():
     vocab = Vocabulary(["the", "bridge", "is", "safe", "water", "old", "?"],
                        max_size=12)
     dims = ModelConfig(emb_dim=4, hidden_dim=3, fact_dim=5)
-    kb = KnowledgeBase(relation_names=["IsA"])
-    fact = Fact(("bridge",), 0, ("safe", "water"), 0)
-    kb.facts.append(fact)
-    for token in set(fact.subject) | set(fact.object):
-        kb.surface_index.setdefault(token, []).append(0)
+    kb = KnowledgeBase()
+    kb.add(("bridge",), "IsA", ("safe", "water"))
 
     worst = 0.0
     checked = 0

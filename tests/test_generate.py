@@ -13,7 +13,7 @@ from answergen.generate import (
     render_trace,
     trace_score,
 )
-from answergen.knowledge import Fact, KnowledgeBase
+from answergen.knowledge import KnowledgeBase
 from answergen.model import AnswerModel
 from answergen.selectors import Source
 from answergen.text import EncodeLimits, build_vocab, encode_example, tokenize
@@ -24,16 +24,8 @@ from conftest import make_model
 
 def make_kb(triples):
     kb = KnowledgeBase()
-    rel_ids = {}
     for subject, relation, obj in triples:
-        if relation not in rel_ids:
-            rel_ids[relation] = len(kb.relation_names)
-            kb.relation_names.append(relation)
-        fact = Fact(tuple(subject.split()), rel_ids[relation], tuple(obj.split()),
-                    len(kb.facts))
-        kb.facts.append(fact)
-        for token in set(fact.subject) | set(fact.object):
-            kb.surface_index.setdefault(token, []).append(fact.fact_id)
+        kb.add(tuple(subject.split()), relation, tuple(obj.split()))
     return kb
 
 

@@ -17,20 +17,16 @@ from answergen.knowledge import (
 def make_kb(triples):
     """Build a KnowledgeBase from (subject, relation, object) token tuples."""
     kb = KnowledgeBase()
-    rel_ids = {}
     for subject, relation, obj in triples:
-        if relation not in rel_ids:
-            rel_ids[relation] = len(kb.relation_names)
-            kb.relation_names.append(relation)
-        fact = Fact(tuple(subject), rel_ids[relation], tuple(obj), len(kb.facts))
-        kb.facts.append(fact)
-        for token in set(fact.subject) | set(fact.object):
-            kb.surface_index.setdefault(token, []).append(fact.fact_id)
+        kb.add(tuple(subject), relation, tuple(obj))
     return kb
 
 
 def score(fact, q, p):
-    return score_fact(fact, RunSets(q), RunSets(p))
+    subject = fact.subject
+    q_runs, p_runs = RunSets(q), RunSets(p)
+    return score_fact(fact, subject in q_runs[len(subject)], subject in p_runs[len(subject)],
+                      p_runs)
 
 
 # --- independent brute-force oracle: literal rule application on every fact ---
@@ -138,9 +134,10 @@ def test_empty_or_overlong_phrase_never_matches():
         ScoredFact(4, 7), ScoredFact(1, 1), ScoredFact(3, 1)]
 
 
-def test_extraction_scores_each_candidate_once(monkeypatch):
-    """One score_fact call per distinct candidate, and at most one run set
-    per text and phrase length, on a full-profile passage and a 10K KB."""
+def test_extraction_scores_only_facts_whose_subject_occurs(monkeypatch):
+    """One score_fact call per fact whose subject occurs in either text, none
+    for a fact that matches only through its object, and at most one run set
+    per text and run length, on a full-profile passage and a 10K KB."""
     rng = np.random.default_rng(0)
     words = [f"w{i}" for i in range(2000)]
     draw = lambda k: [words[i] for i in rng.integers(len(words), size=k)]  # noqa: E731
@@ -150,9 +147,9 @@ def test_extraction_scores_each_candidate_once(monkeypatch):
     scored_ids, built = [], []
     real_score, real_missing = knowledge.score_fact, RunSets.__missing__
 
-    def counting_score(fact, q_runs, p_runs):
+    def counting_score(fact, *args):
         scored_ids.append(fact.fact_id)
-        return real_score(fact, q_runs, p_runs)
+        return real_score(fact, *args)
 
     def counting_missing(run_sets, length):
         built.append((id(run_sets.tokens), length))
@@ -161,10 +158,14 @@ def test_extraction_scores_each_candidate_once(monkeypatch):
     monkeypatch.setattr(knowledge, "score_fact", counting_score)
     monkeypatch.setattr(RunSets, "__missing__", counting_missing)
     extract_related_facts(kb, q, p, 256)
-    candidates = {f.fact_id for f in kb.facts
-                  if set(f.subject + f.object) & (set(q) | set(p))}
+    in_either = {n: {tuple(t[i:i + n]) for t in (q, p) for i in range(len(t) - n + 1)}
+                 for n in (1, 2, 3)}
+    occurs = {f.fact_id for f in kb.facts if f.subject in in_either[len(f.subject)]}
+    object_only = {f.fact_id for f in kb.facts
+                   if f.fact_id not in occurs and f.object in in_either[len(f.object)]}
     assert len(scored_ids) == len(set(scored_ids))
-    assert set(scored_ids) == candidates
+    assert set(scored_ids) == occurs
+    assert object_only and not object_only & set(scored_ids)
     assert len(built) == len(set(built))
     assert {length for _, length in built} <= {1, 2, 3}
 
