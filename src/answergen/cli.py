@@ -7,7 +7,7 @@ given by flags.
 """
 from __future__ import annotations
 
-import functools
+import contextlib
 import json
 import sys
 import time
@@ -47,26 +47,6 @@ def log_event(event: str, **fields) -> None:
     print(json.dumps({"event": event, **fields}), file=sys.stderr)
 
 
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ConfigError as exc:
-            log_event("error", kind="config", message=str(exc))
-            sys.exit(2)
-        except DataError as exc:
-            log_event("error", kind="data", message=str(exc))
-            sys.exit(3)
-        except NumericError as exc:
-            log_event("error", kind="numeric", message=str(exc))
-            sys.exit(4)
-        except AnswergenError as exc:
-            log_event("error", kind="internal", message=str(exc))
-            sys.exit(1)
-    return wrapper
-
-
 def config_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(), default=None,
                       help="Config file ([section] / key = value).")(fn)
@@ -89,8 +69,9 @@ def build_config(config_path, profile, overrides, **extra) -> RunConfig:
 
 
 class JsonErrorGroup(click.Group):
-    """Runs click non-standalone, so that its usage errors reach stderr as a JSON
-    ``error`` record (exit 2) like the rest; a bare command still prints the help."""
+    """The one error boundary. Runs click non-standalone, so that its usage
+    errors and the package's errors reach stderr as one JSON ``error`` record
+    each, with the documented exit code; a bare command still prints the help."""
 
     def main(self, *args, **kwargs):
         try:
@@ -104,6 +85,18 @@ class JsonErrorGroup(click.Group):
         except click.Abort:
             click.echo("Aborted!", err=True)
             sys.exit(1)
+        except ConfigError as exc:
+            log_event("error", kind="config", message=str(exc))
+            sys.exit(2)
+        except DataError as exc:
+            log_event("error", kind="data", message=str(exc))
+            sys.exit(3)
+        except NumericError as exc:
+            log_event("error", kind="numeric", message=str(exc))
+            sys.exit(4)
+        except AnswergenError as exc:
+            log_event("error", kind="internal", message=str(exc))
+            sys.exit(1)
 
 
 @click.group(cls=JsonErrorGroup)
@@ -115,7 +108,6 @@ def main():
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @config_options
-@handle_errors
 def prepare(data_path, out_path, config_path, profile, overrides):
     """Build the vocabulary from a JSONL dataset.
 
@@ -137,7 +129,6 @@ def prepare(data_path, out_path, config_path, profile, overrides):
 @click.option("--question", required=True)
 @click.option("--passage", required=True)
 @click.option("--n-facts", type=click.IntRange(min=1), default=1000, show_default=True)
-@handle_errors
 def extract_facts(kb_path, question, passage, n_facts):
     """Rank knowledge triples against a (question, passage) pair."""
     kb = ingest_triples(kb_path)
@@ -182,7 +173,6 @@ def _encode_dataset(records, vocab, cfg, kb):
 @click.option("--metrics", "metrics_path", default=None, type=click.Path())
 @click.option("--seed", type=int, default=None, help="Shorthand for training.seed.")
 @config_options
-@handle_errors
 def train_cmd(data_path, vocab_path, out_path, kb_path, emb_path, metrics_path,
               seed, config_path, profile, overrides):
     """Train a model and write a checkpoint."""
@@ -210,9 +200,23 @@ def train_cmd(data_path, vocab_path, out_path, kb_path, emb_path, metrics_path,
               steps=cfg.training.max_steps, knowledge=cfg.knowledge.enabled and kb is not None,
               kb_skipped_lines=kb.skipped_lines if kb else None)
     started = time.time()
-    history = train(model, items, cfg.training,
-                    knowledge_enabled=cfg.knowledge.enabled,
-                    metrics_path=metrics_path)
+    skipped = 0
+
+    def write_metrics(metrics):
+        nonlocal skipped
+        skipped += int(metrics.skipped)
+        sink.write(json.dumps({
+            "step": metrics.step, "loss": metrics.loss,
+            "loss_per_token": metrics.loss_per_token,
+            "grad_norm": None if metrics.skipped else metrics.grad_norm,
+            "source_freqs": metrics.source_freqs,
+            "tau": metrics.tau, "skipped": skipped,
+        }) + "\n")
+
+    with open(metrics_path, "a", encoding="utf-8") if metrics_path \
+            else contextlib.nullcontext() as sink:
+        history = train(model, items, cfg.training, knowledge_enabled=cfg.knowledge.enabled,
+                        on_step=write_metrics if metrics_path else None)
     save_checkpoint(model, step=cfg.training.max_steps, config=cfg, path=out_path,
                     relation_names=kb.relation_names if kb else ())
     log_event("train-done", seconds=round(time.time() - started, 2),
@@ -229,7 +233,6 @@ def train_cmd(data_path, vocab_path, out_path, kb_path, emb_path, metrics_path,
 @click.option("--beam", type=click.IntRange(min=1), default=None, help="Override beam size.")
 @click.option("--trace", "show_trace", is_flag=True,
               help="Print the per-token source table for each answer.")
-@handle_errors
 def generate_cmd(ckpt_path, vocab_path, data_path, out_path, kb_path, beam, show_trace):
     """Generate answers for a JSONL dataset with a trained checkpoint."""
     ckpt = load_checkpoint(ckpt_path)
@@ -272,7 +275,6 @@ def generate_cmd(ckpt_path, vocab_path, data_path, out_path, kb_path, beam, show
 @click.option("--predictions", "pred_path", required=True, type=click.Path(exists=True))
 @click.option("--references", "ref_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", default=None, type=click.Path())
-@handle_errors
 def evaluate_cmd(pred_path, ref_path, out_path):
     """Score predictions (JSONL with an "answer" field) against references."""
     def read_answers(path):
@@ -295,7 +297,6 @@ def evaluate_cmd(pred_path, ref_path, out_path):
 @click.option("--size", required=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@handle_errors
 def synth_cmd(task, size, seed, out_dir):
     """Write a synthetic dataset (<task>.jsonl) and its mini KB (kb.tsv)."""
     data_path, kb_path = synth_generate(task, size, seed, out_dir)

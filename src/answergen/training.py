@@ -36,7 +36,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -421,8 +421,15 @@ def _batches(n_items: int, batch_size: int, shuffle_rng: np.random.Generator):
 
 
 def train(model: AnswerModel, dataset: Sequence[TrainItem], cfg: TrainingConfig,
-          knowledge_enabled: bool = True, metrics_path=None) -> list[StepMetrics]:
-    """Run cfg.max_steps optimization steps; returns the metric history."""
+          knowledge_enabled: bool = True,
+          on_step: Callable[[StepMetrics], bool | None] | None = None) -> list[StepMetrics]:
+    """Run up to cfg.max_steps optimization steps; returns the metric history.
+
+    After each step, ``on_step`` (if given) gets that step's metrics; when it
+    returns True the run stops after that step. The batches and the noise do
+    not depend on the callback, so the steps it lets run are those of a run
+    without it.
+    """
     seq = np.random.SeedSequence(cfg.seed)
     shuffle_seed, sample_seed = seq.spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seed)
@@ -431,28 +438,13 @@ def train(model: AnswerModel, dataset: Sequence[TrainItem], cfg: TrainingConfig,
     optimizer = Adam(model.parameters, lr=cfg.lr)
     batch_stream = _batches(len(dataset), cfg.batch_size, shuffle_rng)
     history: list[StepMetrics] = []
-    skipped = 0
-
-    sink = open(metrics_path, "a", encoding="utf-8") if metrics_path else None
-    try:
-        for step in range(cfg.max_steps):
-            tau = anneal_temperature(step, schedule)
-            batch = [dataset[i] for i in next(batch_stream)]
-            metrics = train_step(model, batch, optimizer, tau, sample_rng, cfg,
-                                 step, knowledge_enabled=knowledge_enabled)
-            skipped += int(metrics.skipped)
-            history.append(metrics)
-            if sink is not None:
-                sink.write(json.dumps({
-                    "step": metrics.step, "loss": metrics.loss,
-                    "loss_per_token": metrics.loss_per_token,
-                    "grad_norm": None if metrics.skipped else metrics.grad_norm,
-                    "source_freqs": metrics.source_freqs,
-                    "tau": metrics.tau, "skipped": skipped,
-                }) + "\n")
-    finally:
-        if sink is not None:
-            sink.close()
+    for step in range(cfg.max_steps):
+        tau = anneal_temperature(step, schedule)
+        batch = [dataset[i] for i in next(batch_stream)]
+        history.append(train_step(model, batch, optimizer, tau, sample_rng, cfg,
+                                  step, knowledge_enabled=knowledge_enabled))
+        if on_step is not None and on_step(history[-1]):
+            break
     return history
 
 

@@ -2,13 +2,13 @@
 its measured numbers (run with -s or -rA to see them).
 
 The heavyweight criteria (5 and 6) train on the synthetic suite at the desk
-profile through the production loaders, so they exercise the same code path
-as the CLI.
+profile. They encode it with the CLI's `_encode_dataset` and train with
+`train`, whose per-step callback scores generation every 100 steps and stops
+the run once the score meets the threshold.
 """
-import json
 import time
-
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ import scipy.stats
 from click.testing import CliRunner
 
 from answergen import autodiff as ad
+from answergen.cli import _encode_dataset
 from answergen.cli import main as cli_main
 from answergen.config import ModelConfig, RunConfig
 from answergen.generate import generate, trace_score
@@ -25,7 +26,6 @@ from answergen.knowledge import (
     ScoredFact,
     extract_related_facts,
     ingest_triples,
-    resolve_facts,
 )
 from answergen.metrics import bleu_1, rouge_l
 from answergen.model import AnswerModel
@@ -223,22 +223,13 @@ def load_synth_items(task, size, seed, cfg, tmp_path):
     corpus = [tokenize(r.question) + tokenize(r.passage) for r in records]
     vocab = build_vocab(corpus, cfg.data.vocab_size)
     kb = ingest_triples(kb_path)
-    limits = EncodeLimits(cfg.data.passage_limit, cfg.data.answer_limit)
-    items = []
-    for rec in records:
-        ex = encode_example(rec.question, rec.passage, rec.answer, vocab, limits)
-        facts = resolve_facts(kb, extract_related_facts(
-            kb, ex.question_tokens, ex.passage_tokens, cfg.knowledge.max_facts))
-        items.append(TrainItem(ex, facts))
-    return records, vocab, kb, items
+    return records, vocab, kb, _encode_dataset(records, vocab, cfg, kb)
 
 
-def token_accuracy(model, records, items, kb, n_eval, knowledge=True):
+def token_accuracy(model, records, items, kb, n_eval):
     matched = total = 0
     for rec, item in zip(records[:n_eval], items[:n_eval]):
-        result = generate(rec.question, rec.passage, model,
-                          kb=kb if knowledge else None, beam_size=1, max_len=30,
-                          knowledge_enabled=knowledge)
+        result = generate(rec.question, rec.passage, model, kb=kb, beam_size=1, max_len=30)
         produced = [t for t in result.tokens if t != "<eos>"]
         gold = item.example.answer_tokens
         total += len(gold)
@@ -248,34 +239,20 @@ def token_accuracy(model, records, items, kb, n_eval, knowledge=True):
 
 
 def train_until(model, items, cfg, records, kb, threshold, max_steps,
-                knowledge=True, eval_every=100, n_eval=40):
-    """Optimize with persistent state, measuring generation accuracy every
+                eval_every=100, n_eval=40):
+    """`train` for at most max_steps, measuring generation accuracy every
     eval_every steps; stops once the threshold is reached."""
-    from answergen.selectors import TemperatureSchedule, anneal_temperature
-    from answergen.training import Adam, train_step
-
-    seq = np.random.SeedSequence(cfg.seed)
-    shuffle_seed, sample_seed = seq.spawn(2)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
-    sample_rng = np.random.default_rng(sample_seed)
-    schedule = TemperatureSchedule(cfg.tau0, cfg.tau_min, cfg.anneal_rate)
-    optimizer = Adam(model.parameters, lr=cfg.lr)
-    order: list[int] = []
     accuracy = 0.0
-    steps_done = 0
-    for step in range(max_steps):
-        if len(order) < cfg.batch_size:
-            order = list(shuffle_rng.permutation(len(items)))
-        batch = [items[order.pop()] for _ in range(cfg.batch_size)]
-        tau = anneal_temperature(step, schedule)
-        train_step(model, batch, optimizer, tau, sample_rng, cfg, step,
-                   knowledge_enabled=knowledge)
-        steps_done = step + 1
-        if steps_done % eval_every == 0:
-            accuracy = token_accuracy(model, records, items, kb, n_eval, knowledge)
-            if accuracy >= threshold:
-                break
-    return steps_done, accuracy
+
+    def evaluate(metrics):
+        nonlocal accuracy
+        if (metrics.step + 1) % eval_every:
+            return False
+        accuracy = token_accuracy(model, records, items, kb, n_eval)
+        return accuracy >= threshold
+
+    history = train(model, items, replace(cfg, max_steps=max_steps), on_step=evaluate)
+    return len(history), accuracy
 
 
 @pytest.mark.parametrize("task", ["copy-q", "copy-p"])
@@ -330,9 +307,8 @@ def test_acceptance_6_knowledge_ablation(tmp_path):
 
     ablated = AnswerModel(vocab, len(kb.relation_names), cfg.model,
                           np.random.default_rng(0))
-    ablated_cfg = type(cfg.training)(**{**cfg.training.__dict__, "max_steps": 300})
     stripped = [TrainItem(it.example, []) for it in items]
-    train(ablated, stripped, ablated_cfg, knowledge_enabled=False)
+    train(ablated, stripped, replace(cfg.training, max_steps=300), knowledge_enabled=False)
     ablated_rate = nonce_production(ablated, records, targets, kb, 50, knowledge=False)
     elapsed = time.time() - started
     assert ablated_rate == 0.0, ablated_rate

@@ -279,20 +279,6 @@ def test_cli_full_pipeline_and_checkpoint_determinism(runner, tmp_path):
     assert 0.0 <= headline["rouge_l"] <= 1.0
 
 
-def test_numeric_error_maps_to_exit_4():
-    import click
-    from answergen.cli import handle_errors
-    from answergen.errors import NonFiniteLossError
-
-    @click.command()
-    @handle_errors
-    def boom():
-        raise NonFiniteLossError("synthetic numeric failure")
-
-    result = CliRunner().invoke(boom, [])
-    assert result.exit_code == 4
-
-
 def events(result):
     """The structured stderr records of a CLI run, keyed by event name."""
     return {rec["event"]: rec for rec in map(json.loads, result.stderr.splitlines())}

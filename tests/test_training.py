@@ -11,9 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from answergen import autodiff as ad
 from answergen import training
+from answergen.cli import main as cli_main
 from answergen.config import RunConfig, TrainingConfig
 from answergen.errors import (
     CorruptFileError,
@@ -693,10 +695,9 @@ def test_batch_equals_the_mean_of_its_examples(vocab, mc_samples, knowledge):
 
 
 def test_metrics_log_carries_the_grad_norm(vocab, tmp_path, monkeypatch):
-    """Each metrics line holds the step's gradient norm before clipping, and
-    null on a step skipped for a non-finite gradient."""
-    model = make_model(vocab, seed=2)
-    data = [TrainItem(toy_example(vocab), toy_facts())]
+    """Each line of `train --metrics` holds the step's gradient norm before
+    clipping, null on a step skipped for a non-finite gradient, and the
+    running count of skipped steps."""
     backward = ad.Tape.backward
 
     def fail_second_step(tape, loss, params=None):
@@ -707,13 +708,38 @@ def test_metrics_log_carries_the_grad_norm(vocab, tmp_path, monkeypatch):
 
     fail_second_step.calls = 0
     monkeypatch.setattr(ad.Tape, "backward", fail_second_step)
+    vocab.save(tmp_path / "vocab.json")
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps({"question": "what is the bridge ?",
+                                "passage": "the old bridge is safe and helps you cross water .",
+                                "answer": "bridge is safe ."}) + "\n")
     path = tmp_path / "metrics.jsonl"
-    history = train(model, data, overfit_cfg(seed=1, steps=3), metrics_path=path)
+    result = CliRunner().invoke(cli_main, [
+        "train", "--data", str(data), "--vocab", str(tmp_path / "vocab.json"),
+        "--out", str(tmp_path / "m.ckpt"), "--metrics", str(path), "--profile", "desk",
+        "--set", "model.emb_dim=4", "--set", "model.hidden_dim=3", "--set", "model.fact_dim=5",
+        "--set", "training.max_steps=3"])
+    assert result.exit_code == 0, result.output
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [line["grad_norm"] for line in lines] == \
-        [history[0].grad_norm, None, history[2].grad_norm]
-    assert history[1].skipped and lines[1]["skipped"] == 1
+    assert [line["skipped"] for line in lines] == [0, 1, 1]
+    assert lines[1]["grad_norm"] is None
     assert all(line["grad_norm"] > 0 for line in (lines[0], lines[2]))
+
+
+def test_a_callback_that_returns_true_stops_the_run_after_that_step(vocab):
+    """Stopping at step 2 gives 3 steps' metrics and the parameters of a
+    3-step run, bit for bit: the callback moves neither the batch nor the
+    noise stream."""
+    data = [TrainItem(toy_example(vocab, answer), toy_facts())
+            for answer in ("bridge is safe .", "safe", "water is old .")]
+    cfg = replace(overfit_cfg(seed=5, steps=10), batch_size=2)
+    stopped, full = make_model(vocab, seed=8), make_model(vocab, seed=8)
+    seen = []
+    history = train(stopped, data, cfg, on_step=lambda m: seen.append(m) or m.step == 2)
+    train(full, data, replace(cfg, max_steps=3))
+    assert len(history) == 3 and seen == history
+    for name, tensor in stopped.parameters.items():
+        np.testing.assert_array_equal(tensor.data, full.parameters[name].data, err_msg=name)
 
 
 def test_a_skipped_step_reports_what_the_applied_step_reports(vocab, monkeypatch):
