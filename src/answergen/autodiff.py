@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -140,7 +140,6 @@ class GradientMap:
     gradient and the sum of its squared entries."""
     grads: dict[Tensor, np.ndarray]
     squares: dict[Tensor, float]
-    disconnected: list[Tensor] = field(default_factory=list)
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
         return self.grads[t]
@@ -185,8 +184,8 @@ class Tape:
         not write a gradient in place.
 
         ``params``, when given, lists tensors the caller cares about; any of
-        them not reached by the sweep get a zero gradient and are flagged in
-        ``disconnected`` rather than raising.
+        them not reached by the sweep get a zero gradient and a square sum of
+        0 rather than raising.
 
         Each leaf gradient's sum of squares is taken once, as one dot
         product, and returned in ``squares`` (a clip norm sums them). A NaN
@@ -225,13 +224,11 @@ class Tape:
             squares[t] = float(flat @ flat)
             if not math.isfinite(squares[t]) and not _all_finite(g):
                 raise NonFiniteGradientError(f"non-finite gradient for {t.name or t.shape}")
-        disconnected: list[Tensor] = []
         if params is not None:
             for p in params:
                 if p not in result:
                     result[p], squares[p] = np.zeros_like(p.data), 0.0
-                    disconnected.append(p)
-        return GradientMap(result, squares, disconnected)
+        return GradientMap(result, squares)
 
 
 class _GradientSums:

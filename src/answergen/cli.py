@@ -189,12 +189,12 @@ def train_cmd(data_path, vocab_path, out_path, kb_path, emb_path, metrics_path,
     model = AnswerModel(vocab, n_relations, cfg.model,
                         np.random.default_rng(cfg.training.seed))
     if emb_path:
-        table = load_pretrained_embeddings(emb_path, vocab, d_emb=cfg.model.emb_dim,
-                                           seed=cfg.training.seed)
-        if table.d_emb != cfg.model.emb_dim:
-            raise ConfigError(f"embedding file is {table.d_emb}-dimensional, "
+        vectors = load_pretrained_embeddings(emb_path, vocab, d_emb=cfg.model.emb_dim,
+                                             seed=cfg.training.seed)
+        if vectors.shape[1] != cfg.model.emb_dim:
+            raise ConfigError(f"embedding file is {vectors.shape[1]}-dimensional, "
                               f"model.emb_dim is {cfg.model.emb_dim}")
-        model.set_embeddings(table)
+        model.embedding.data[:] = vectors
 
     log_event("train-start", examples=len(items), params=model.parameter_count(),
               steps=cfg.training.max_steps, knowledge=cfg.knowledge.enabled and kb is not None,
@@ -244,7 +244,8 @@ def generate_cmd(ckpt_path, vocab_path, data_path, out_path, kb_path, beam, show
     if kb is not None and kb.relation_names != ckpt.relation_names:
         raise DataError(f"knowledge base relations {kb.relation_names} differ from the "
                         f"checkpoint's {ckpt.relation_names}")
-    n_relations = ckpt.tensors["sel.relations"].shape[0]
+    # a missing table builds a model of one relation; restore_model names it
+    n_relations = len(ckpt.tensors.get("sel.relations", ()))
     model = AnswerModel(vocab, n_relations, cfg.model, np.random.default_rng(0))
     restore_model(model, ckpt)
 

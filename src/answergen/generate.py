@@ -11,8 +11,9 @@ continuations are charged log(1) = 0, the whole object having been paid
 for when its fact was chosen.
 
 The example is encoded as a batch of one, so the search uses the model
-step that training uses. The live hypotheses advance together: each search
-step gathers their decoder rows into one (B, .) batch, steps it against the
+step that training uses; the coverage penalty, a training term, is never
+computed here. The live hypotheses advance together: each search step
+gathers their decoder rows into one (B, .) batch, steps it against the
 (1, N, .) encoder outputs, which broadcast across the rows, and calls each
 selector head at most once for the whole beam.
 """
@@ -158,17 +159,18 @@ def _beam_search(model, example, facts, beam_size: int, max_len: int) -> BeamHyp
                              for f in fields(StepState)})
         x = ad.lookup(model.embedding, [hyp.prev_id for hyp in live])
         out = model.step(enc_q, enc_p, state, x)
-        p_source = _finite(source_distribution(out.c_q, out.c_p, out.s, x, model.selector,
+        s, c_q, c_p = out.state.h, out.state.c_q, out.state.c_p
+        p_source = _finite(source_distribution(c_q, c_p, s, x, model.selector,
                                                knowledge_available=bool(facts)).data, "source")
         chosen = [Source.KNOWLEDGE if hyp.pending else Source(int(np.argmax(p)) + 1)
                   for hyp, p in zip(live, p_source)]
         fresh = {c for hyp, c in zip(live, chosen) if not hyp.pending}
         probs = {Source.QUESTION: out.a_q.data, Source.PASSAGE: out.a_p.data}
         if Source.VOCAB in fresh:
-            probs[Source.VOCAB] = _finite(vocab_distribution(out.c_q, out.c_p, out.s,
-                                                             model.selector).data, "vocabulary")
+            probs[Source.VOCAB] = _finite(vocab_distribution(c_q, c_p, s, model.selector).data,
+                                          "vocabulary")
         if Source.KNOWLEDGE in fresh:
-            probs[Source.KNOWLEDGE] = _finite(fact_distribution(fact_matrix, out.s,
+            probs[Source.KNOWLEDGE] = _finite(fact_distribution(fact_matrix, s,
                                                                 model.selector).data, "fact")
 
         candidates: list[BeamHypothesis] = []

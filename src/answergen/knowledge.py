@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DataError
 from .text import tokenize
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     subject: tuple[str, ...]
     relation: int
     object: tuple[str, ...]
@@ -51,8 +50,7 @@ class KnowledgeBase:
         return self.relation_names[fact.relation]
 
 
-@dataclass(frozen=True)
-class ScoredFact:
+class ScoredFact(NamedTuple):
     fact_id: int
     score: int
 

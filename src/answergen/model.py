@@ -5,7 +5,9 @@ functional stepping interface shared by training and beam search.
 Step dataflow (one decoder timestep): the cell consumes the previous word
 embedding concatenated with the previous contexts, question attention is
 computed first, its context feeds the passage attention, and coverage
-updates after the repetition penalty is taken against the pre-step value.
+advances by the step's attention. The step computes no coverage penalty:
+that is a training-only term, which `training.batch_elbo_loss` takes once
+per batch from the stacked attentions and pre-step coverages.
 Every step takes (B, .) rows. Training steps one row per example against
 the padded batch's encoder outputs; beam search steps one row per live
 hypothesis against the outputs of its example encoded as a batch of one,
@@ -27,13 +29,12 @@ from .seq2seq import (
     LSTMParams,
     attend,
     context_vector,
-    coverage_penalty,
     encode,
     lstm_step,
     _uniform,
 )
 from .selectors import SelectorParams
-from .text import EmbeddingTable, Vocabulary
+from .text import Vocabulary
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,9 @@ class StepState:
 
 @dataclass(frozen=True)
 class StepOutput:
-    state: StepState   # post-step carry (coverage already advanced)
-    s: Tensor          # decoder hidden state s_t
+    state: StepState  # post-step carry: s_t is state.h, coverage already advanced
     a_q: Tensor
     a_p: Tensor
-    c_q: Tensor
-    c_p: Tensor
-    cov_pen_q: Tensor  # sum_i min(a_i, cov_i) against pre-step coverage
-    cov_pen_p: Tensor
 
 
 class AnswerModel:
@@ -112,12 +108,6 @@ class AnswerModel:
     def parameter_count(self) -> int:
         return int(np.sum([t.data.size for t in self._registry.values()]))
 
-    def set_embeddings(self, table: EmbeddingTable) -> None:
-        if table.matrix.shape != self.embedding.shape:
-            raise ValueError(f"embedding table {table.matrix.shape} does not match "
-                             f"model {self.embedding.shape}")
-        self.embedding.data = table.matrix.data.copy()
-
     # --- forward pieces ---
 
     def encode_question(self, seqs) -> EncoderOutput:
@@ -150,12 +140,9 @@ class AnswerModel:
         c_q = context_vector(a_q, enc_q.states)
         a_p = attend(enc_p.keys, h, state.cov_p, self.attn_p, context=c_q, mask=enc_p.mask)
         c_p = context_vector(a_p, enc_p.states)
-        pen_q = coverage_penalty(a_q, state.cov_q)
-        pen_p = coverage_penalty(a_p, state.cov_p)
         new_state = StepState(
             h=h, c=c, c_q=c_q, c_p=c_p,
             cov_q=ad.add(state.cov_q, a_q),
             cov_p=ad.add(state.cov_p, a_p),
         )
-        return StepOutput(state=new_state, s=h, a_q=a_q, a_p=a_p, c_q=c_q, c_p=c_p,
-                          cov_pen_q=pen_q, cov_pen_p=pen_p)
+        return StepOutput(state=new_state, a_q=a_q, a_p=a_p)

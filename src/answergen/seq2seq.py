@@ -11,11 +11,11 @@ The LSTM cell is `autodiff.lstm_seq`: one over each encoder direction, and
 a one-step run from the carried (h, c) per decoder step (`lstm_step`).
 Every weight is stored (in, out), so each layer computes rows @ W. The
 encoders take a padded batch of sequences; beam search encodes a batch of
-one. The cell, the attention and the coverage penalty take a (B, .) batch
-of decoder rows: one per example against a padded batch's encoder states,
-whose padded positions get an additive MASK_LOGIT before the softmax, or
-one per beam hypothesis against a batch of one's, which broadcast across
-the rows.
+one. The cell and the attention take a (B, .) batch of decoder rows: one
+per example against a padded batch's encoder states, whose padded positions
+get an additive MASK_LOGIT before the softmax, or one per beam hypothesis
+against a batch of one's, which broadcast across the rows. The coverage
+penalty takes rows of any leading shape; training passes all (T, B, N) at once.
 """
 from __future__ import annotations
 

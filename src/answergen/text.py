@@ -14,7 +14,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import (
     CorruptFileError,
     DimensionMismatchError,
@@ -140,17 +139,10 @@ def encode_example(question: str, passage: str, answer: str, vocab: Vocabulary,
     )
 
 
-@dataclass
-class EmbeddingTable:
-    """|V| x d embedding matrix; trainable, so rows live in one Tensor."""
-    matrix: Tensor
-    d_emb: int
-    covered: int = 0  # rows initialized from the pretrained file
-
-
 def load_pretrained_embeddings(path, vocab: Vocabulary, d_emb: int = 300,
-                               seed: int = 0) -> EmbeddingTable:
-    """Read a plain-text word-vector file (token then d decimals per line).
+                               seed: int = 0) -> np.ndarray:
+    """Read a plain-text word-vector file (token then d decimals per line)
+    into a (|V|, d) array, d being the file's width (``d_emb`` for an empty file).
 
     The first valid line fixes the dimension; later lines of another width
     raise DimensionMismatchError, and a value that is not a finite number
@@ -189,9 +181,7 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, d_emb: int = 300,
     data = rng.uniform(-0.1, 0.1, size=(len(vocab), dim))
     for token_id, vec in vectors.items():
         data[token_id] = vec
-    table = EmbeddingTable(Tensor(data, requires_grad=True, name="embedding"), dim)
-    table.covered = len(vectors)
-    return table
+    return data
 
 
 @dataclass

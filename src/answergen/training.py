@@ -15,12 +15,15 @@ inputs and fact segments are one embedding lookup each; each encoder
 direction is one `lstm_seq` over the (B, N, .) batch with per-row lengths;
 the decoder makes T_max steps of (B, .) rows. Under teacher forcing no head
 output feeds back into the recurrence, so the decoder loop only advances the
-state, and the vocabulary, source and fact heads, the Gumbel relaxation and
-the likelihoods run once over the (T, B, .) rows afterwards, time-major as
-the loop stacks them. Padded encoder positions, padded fact slots and the
-fact rows of examples without facts get an additive MASK_LOGIT before each
-softmax, so they get exactly zero weight and zero gradient, and a (T, B)
-step mask keeps padded steps out of the bound and the coverage penalty.
+state, and the vocabulary, source and fact heads, the Gumbel relaxation, the
+likelihoods and the coverage penalty run once over the (T, B, .) rows
+afterwards, time-major as the loop stacks them. The penalty is one
+`coverage_penalty` per side, of the stacked attentions against the stacked
+pre-step coverages that the loop's states carry. Padded encoder positions,
+padded fact slots and the fact rows of examples without facts get an
+additive MASK_LOGIT before each softmax, so they get exactly zero weight and
+zero gradient, and a (T, B) step mask keeps padded steps out of the bound
+and the coverage penalty.
 
 The Gumbel noise is drawn per example, in batch order, and per step within
 an example: the fact sample, then the source samples. One example's loss is
@@ -53,7 +56,7 @@ from .errors import (
 from .files import replace_file
 from .knowledge import Fact
 from .model import AnswerModel
-from .seq2seq import MASK_LOGIT
+from .seq2seq import MASK_LOGIT, coverage_penalty
 from .selectors import (
     PROB_FLOOR,
     TemperatureSchedule,
@@ -154,16 +157,16 @@ def batch_elbo_loss(model: AnswerModel, batch: Sequence[TrainItem], tau: float,
     valid = np.arange(n_steps)[:, None] < steps                        # (T, B)
     input_ids = _padded([inputs for inputs, _ in teacher], PAD).T     # (T, B)
     x = ad.lookup(model.embedding, input_ids)                          # (T, B, emb)
-    state = model.initial_state(enc_q, enc_p)
-    outs = []
+    states, outs = [model.initial_state(enc_q, enc_p)], []
     for t in range(n_steps):
-        outs.append(model.step(enc_q, enc_p, state, ad.lookup(x, t)))
-        state = outs[-1].state
+        outs.append(model.step(enc_q, enc_p, states[-1], ad.lookup(x, t)))
+        states.append(outs[-1].state)
 
-    def rows(name: str) -> Tensor:
-        return ad.stack([getattr(out, name) for out in outs])        # (T, B, .)
+    def rows(items, name: str) -> Tensor:
+        return ad.stack([getattr(item, name) for item in items])     # (T, B, .)
 
-    s, c_q, c_p = rows("s"), rows("c_q"), rows("c_p")
+    s, c_q, c_p = (rows(states[1:], name) for name in ("h", "c_q", "c_p"))
+    a_q, a_p = rows(outs, "a_q"), rows(outs, "a_p")
     p_vocab = vocab_distribution(c_q, c_p, s, model.selector)         # (T, B, |V|)
     p_source = source_distribution(c_q, c_p, s, x, model.selector,
                                    knowledge_available=has_facts)     # (T, B, 4)
@@ -226,8 +229,8 @@ def batch_elbo_loss(model: AnswerModel, batch: Sequence[TrainItem], tau: float,
                     ad.constant((valid & (target_ids != UNK))[..., None].astype(float)))
     like_k = matched([[f.object[0] for f in facts] for facts in fact_sets], fact_weights) \
         if knowledge_ok else ad.constant(np.zeros((n_steps, n_batch, 1)))
-    likes = ad.add(ad.concat([matched([ex.question_tokens for ex in examples], rows("a_q")),
-                              matched([ex.passage_tokens for ex in examples], rows("a_p")),
+    likes = ad.add(ad.concat([matched([ex.question_tokens for ex in examples], a_q),
+                              matched([ex.passage_tokens for ex in examples], a_p),
                               like_v, like_k], axis=-1),
                    ad.constant(PROB_FLOOR))                           # (T, B, 4)
     logs = ad.log(likes)
@@ -237,7 +240,8 @@ def batch_elbo_loss(model: AnswerModel, batch: Sequence[TrainItem], tau: float,
     else:
         objective = ad.sum(ad.mul(ad.mul(source_weights, logs),
                                   ad.constant(step_weight[..., None])))
-    cov_total = ad.sum(ad.mul(ad.add(rows("cov_pen_q"), rows("cov_pen_p")),
+    cov_total = ad.sum(ad.mul(ad.add(coverage_penalty(a_q, rows(states[:-1], "cov_q")),
+                                     coverage_penalty(a_p, rows(states[:-1], "cov_p"))),
                               ad.constant(step_weight)))
 
     loss = ad.add(ad.mul(objective, ad.constant(-1.0)),

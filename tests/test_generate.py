@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from answergen import autodiff as ad
 from answergen.config import ModelConfig, RunConfig, TrainingConfig
 from answergen.errors import EmptyPassageError, EmptyQuestionError, NonFiniteValueError
 from answergen.generate import (
@@ -111,6 +112,16 @@ def test_decoding_checks_finiteness_per_step_not_per_primitive(vocab, monkeypatc
              beam_size=4, max_len=8)
     assert counts["steps"] >= 4
     assert counts["isfinite"] <= 3 * counts["steps"] + 10, counts
+
+
+def test_generate_computes_no_coverage_penalty(vocab, monkeypatch):
+    """The penalty is a training term: beam search makes no minimum call."""
+    calls = []
+    minimum = ad.minimum
+    monkeypatch.setattr(ad, "minimum", lambda *args: calls.append(args) or minimum(*args))
+    result = generate("what is the bridge ?", "the old bridge is safe .", make_model(vocab, seed=3),
+                      kb=make_kb([("bridge", "IsA", "strong water")]), beam_size=4, max_len=8)
+    assert result.trace and not calls
 
 
 def test_generate_empty_passage(vocab):

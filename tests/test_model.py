@@ -4,7 +4,6 @@ import pytest
 from answergen import autodiff as ad
 from answergen import model as model_module
 from answergen.seq2seq import lstm_step
-from answergen.text import EmbeddingTable
 
 from conftest import make_model, toy_example
 
@@ -68,16 +67,6 @@ def test_parameter_registry_names_unique_and_complete(vocab):
     assert model.parameter_count() == sum(t.data.size for t in model.parameters.values())
 
 
-def test_set_embeddings_validates_shape(vocab):
-    model = make_model(vocab, seed=0, emb=4)
-    rng = np.random.default_rng(5)
-    table = EmbeddingTable(ad.Tensor(rng.uniform(-0.1, 0.1, (len(vocab), 4))), 4)
-    model.set_embeddings(table)
-    np.testing.assert_array_equal(model.embedding.data, table.matrix.data)
-    with pytest.raises(ValueError):
-        model.set_embeddings(EmbeddingTable(ad.Tensor(np.zeros((len(vocab), 7))), 7))
-
-
 def test_step_is_pure_given_state(vocab):
     model = make_model(vocab, seed=3)
     ex = toy_example(vocab)
@@ -85,7 +74,7 @@ def test_step_is_pure_given_state(vocab):
     x = embed(model, ex.answer_ids[0])
     a = model.step(enc_q, enc_p, state, x)
     b = model.step(enc_q, enc_p, state, x)
-    np.testing.assert_array_equal(a.s.data, b.s.data)
+    np.testing.assert_array_equal(a.state.h.data, b.state.h.data)
     np.testing.assert_array_equal(a.a_p.data, b.a_p.data)
 
 

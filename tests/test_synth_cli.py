@@ -341,6 +341,32 @@ def test_cli_train_with_a_nan_embedding_exits_3(runner, tmp_path):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+def test_cli_train_with_embeddings_of_another_width_exits_2(runner, tmp_path):
+    """A 3-wide vector file against model.emb_dim 4 exits 2 naming both
+    widths; a 4-wide file trains."""
+    vocab_path = tmp_path / "vocab.json"
+    make_vocab().save(vocab_path)
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps({"question": "what is the bridge ?",
+                                "passage": "the bridge is safe .", "answer": "safe"}) + "\n")
+    vectors = tmp_path / "vectors.txt"
+
+    def train_with(line):
+        vectors.write_text(line)
+        return runner.invoke(main, ["train", "--data", str(data), "--vocab", str(vocab_path),
+                                    "--embeddings", str(vectors), "--out", str(tmp_path / "m.ckpt"),
+                                    "--profile", "desk", "--set", "model.emb_dim=4",
+                                    "--set", "model.hidden_dim=3", "--set", "model.fact_dim=5",
+                                    "--set", "training.max_steps=1"])
+
+    result = train_with("the 0.1 0.2 0.3\n")
+    assert result.exit_code == 2, result.output
+    assert events(result)["error"]["message"] == \
+        "embedding file is 3-dimensional, model.emb_dim is 4"
+    assert not (tmp_path / "m.ckpt").exists()
+    assert train_with("the 0.1 0.2 0.3 0.4\n").exit_code == 0
+
+
 def test_cli_generate_names_the_failing_record(runner, tmp_path):
     result = generate_records(runner, tmp_path, ["the bridge is safe .", ""])
     assert result.exit_code == 3, result.output
@@ -462,3 +488,23 @@ def test_cli_generate_refuses_a_version_four_checkpoint(runner, tmp_path):
                                   "--out", str(tmp_path / "pred.jsonl")])
     assert result.exit_code == 3, result.output
     assert events(result)["error"]["kind"] == "data"
+
+
+def test_cli_generate_on_a_checkpoint_without_the_relation_table_exits_3(runner, tmp_path):
+    """A checksum-valid checkpoint that lacks sel.relations is refused by
+    name, not with a traceback."""
+    vocab = make_vocab()
+    vocab.save(tmp_path / "vocab.json")
+    cfg = RunConfig.desk()
+    cfg.model = ModelConfig(emb_dim=4, hidden_dim=3, fact_dim=5)
+    model = AnswerModel(vocab, 1, cfg.model, np.random.default_rng(0))
+    del model.parameters["sel.relations"]
+    save_checkpoint(model, step=0, config=cfg, path=tmp_path / "m.ckpt")
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps({"question": "what is the bridge ?",
+                                "passage": "the bridge is safe ."}) + "\n")
+    result = runner.invoke(main, ["generate", "--checkpoint", str(tmp_path / "m.ckpt"),
+                                  "--vocab", str(tmp_path / "vocab.json"), "--data", str(data),
+                                  "--out", str(tmp_path / "pred.jsonl")])
+    assert result.exit_code == 3, result.output
+    assert "sel.relations" in events(result)["error"]["message"]

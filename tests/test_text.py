@@ -133,13 +133,12 @@ def test_embeddings_cover_and_fill(small_vocab, tmp_path):
     with open(path, "w") as fh:
         for tok in ["the", "cat"]:
             fh.write(tok + " " + " ".join(["0.5"] * dim) + "\n")
-    table = load_pretrained_embeddings(path, small_vocab, d_emb=dim, seed=1)
-    assert table.matrix.shape == (len(small_vocab), 300)
-    assert table.covered == 2
-    np.testing.assert_array_equal(table.matrix.data[small_vocab.encode("cat")], [0.5] * dim)
-    # uncovered rows come from the seeded uniform fill
-    row = table.matrix.data[small_vocab.encode("sat")]
-    assert np.all(np.abs(row) <= 0.1)
+    vectors = load_pretrained_embeddings(path, small_vocab, d_emb=dim, seed=1)
+    assert vectors.shape == (len(small_vocab), 300)
+    covered = [small_vocab.encode("the"), small_vocab.encode("cat")]
+    np.testing.assert_array_equal(vectors[covered], 0.5)
+    # every other row comes from the seeded uniform fill
+    assert np.all(np.abs(np.delete(vectors, covered, axis=0)) <= 0.1)
 
 
 def test_embeddings_empty_file_deterministic(small_vocab, tmp_path):
@@ -147,8 +146,8 @@ def test_embeddings_empty_file_deterministic(small_vocab, tmp_path):
     path.write_text("")
     a = load_pretrained_embeddings(path, small_vocab, d_emb=8, seed=42)
     b = load_pretrained_embeddings(path, small_vocab, d_emb=8, seed=42)
-    np.testing.assert_array_equal(a.matrix.data, b.matrix.data)
-    assert a.matrix.shape == (len(small_vocab), 8)
+    np.testing.assert_array_equal(a, b)
+    assert a.shape == (len(small_vocab), 8)
 
 
 def test_embeddings_dimension_mismatch(small_vocab, tmp_path):

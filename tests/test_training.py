@@ -694,6 +694,17 @@ def test_batch_equals_the_mean_of_its_examples(vocab, mc_samples, knowledge):
     assert metrics.source_freqs == (counts / counts.sum()).tolist()
 
 
+@pytest.mark.parametrize("answer", ["safe", "the old bridge is safe and strong ."])
+def test_the_coverage_penalty_is_two_minimum_nodes_per_batch(vocab, answer):
+    """Whatever the answer lengths, one loss takes the penalty as one
+    minimum per side over all (T, B) rows."""
+    model = make_model(vocab, seed=2)
+    batch = [TrainItem(toy_example(vocab, answer), toy_facts()), TrainItem(toy_example(vocab))]
+    with ad.Tape() as tape:
+        training.batch_elbo_loss(model, batch, 0.7, np.random.default_rng(0))
+    assert [node.op_kind for node in tape.nodes].count("minimum") == 2
+
+
 def test_metrics_log_carries_the_grad_norm(vocab, tmp_path, monkeypatch):
     """Each line of `train --metrics` holds the step's gradient norm before
     clipping, null on a step skipped for a non-finite gradient, and the
