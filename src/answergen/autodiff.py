@@ -552,28 +552,27 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record("reshape", (x,), out.copy(), grad_fn)
 
 
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise min; ties send the gradient to ``a``."""
-    out = _broadcast(np.minimum, a, b, "minimum")
+def _extremum(ufunc, wins, a: Tensor, b: Tensor, kind: str) -> Tensor:
+    """Elementwise ``ufunc`` of a and b; the gradient goes to ``a`` where
+    ``wins(a, b)`` holds, ties included, and to ``b`` elsewhere."""
+    out = _broadcast(ufunc, a, b, kind)
 
     def grad_fn(g):
-        take_a = a.data <= b.data
+        take_a = wins(a.data, b.data)
         return [(a, _unbroadcast(np.where(take_a, g, 0.0), a.shape) if _tracked(a) else None),
                 (b, _unbroadcast(np.where(take_a, 0.0, g), b.shape) if _tracked(b) else None)]
 
-    return _record("minimum", (a, b), out, grad_fn)
+    return _record(kind, (a, b), out, grad_fn)
+
+
+def minimum(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise min; ties send the gradient to ``a``."""
+    return _extremum(np.minimum, np.less_equal, a, b, "minimum")
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; ties send the gradient to ``a``."""
-    out = _broadcast(np.maximum, a, b, "maximum")
-
-    def grad_fn(g):
-        take_a = a.data >= b.data
-        return [(a, _unbroadcast(np.where(take_a, g, 0.0), a.shape) if _tracked(a) else None),
-                (b, _unbroadcast(np.where(take_a, 0.0, g), b.shape) if _tracked(b) else None)]
-
-    return _record("maximum", (a, b), out, grad_fn)
+    return _extremum(np.maximum, np.greater_equal, a, b, "maximum")
 
 
 def additive_scores(keys: Tensor, shift: Tensor, gate: Tensor) -> Tensor:

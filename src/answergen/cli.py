@@ -57,14 +57,13 @@ def config_options(fn):
     return fn
 
 
-def build_config(config_path, profile, overrides, **extra) -> RunConfig:
+def build_config(config_path, profile, overrides) -> RunConfig:
     parsed = {}
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
         key, value = item.split("=", 1)
-        parsed[key.strip()] = value.strip()
-    parsed.update({k: v for k, v in extra.items() if v is not None})
+        parsed[key.strip()] = value
     return load_config(config_path, profile=profile, overrides=parsed)
 
 
@@ -176,8 +175,9 @@ def _encode_dataset(records, vocab, cfg, kb):
 def train_cmd(data_path, vocab_path, out_path, kb_path, emb_path, metrics_path,
               seed, config_path, profile, overrides):
     """Train a model and write a checkpoint."""
-    cfg = build_config(config_path, profile, overrides,
-                       **({"training.seed": seed} if seed is not None else {}))
+    if seed is not None:
+        overrides += (f"training.seed={seed}",)
+    cfg = build_config(config_path, profile, overrides)
     vocab = Vocabulary.load(vocab_path)
     kb = ingest_triples(kb_path) if kb_path else None
     records = load_jsonl_dataset(data_path)
@@ -215,7 +215,7 @@ def train_cmd(data_path, vocab_path, out_path, kb_path, emb_path, metrics_path,
 
     with open(metrics_path, "a", encoding="utf-8") if metrics_path \
             else contextlib.nullcontext() as sink:
-        history = train(model, items, cfg.training, knowledge_enabled=cfg.knowledge.enabled,
+        history = train(model, items, cfg.training,
                         on_step=write_metrics if metrics_path else None)
     save_checkpoint(model, step=cfg.training.max_steps, config=cfg, path=out_path,
                     relation_names=kb.relation_names if kb else ())

@@ -9,6 +9,7 @@ minutes on one core.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
@@ -110,97 +111,82 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        return _apply_sections(cls(), payload).validate()
+        cfg = cls()
+        for name, values in payload.items():
+            if name not in _SECTIONS:
+                raise ConfigError(f"unknown config section [{name}]")
+            if not isinstance(values, dict):
+                raise ConfigError(f"config section [{name}] must map keys to values")
+            for key, value in values.items():
+                _set(cfg, f"{name}.{key}", value)
+        return cfg.validate()
 
 
-def _apply_sections(cfg: RunConfig, sections: dict) -> RunConfig:
-    """Set {section: {key: value}} entries on cfg's subsystem dataclasses."""
-    names = {f.name for f in fields(cfg)}
-    for section_name, values in sections.items():
-        if section_name not in names:
-            raise ConfigError(f"unknown config section [{section_name}]")
-        if not isinstance(values, dict):
-            raise ConfigError(f"config section [{section_name}] must map keys to values")
-        section = getattr(cfg, section_name)
-        for key, value in values.items():
-            _set_field(section, section_name, key, value)
-    return cfg
+_SECTIONS = frozenset(f.name for f in fields(RunConfig))
 
 
-def _set_field(section, section_name: str, key: str, value) -> None:
-    for f in fields(section):
-        if f.name == key:
-            try:
-                setattr(section, key, _coerce(f.type, value))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{section_name}.{key}: {exc}") from None
-            return
-    raise ConfigError(f"unknown config key {section_name}.{key}")
-
-
-def _coerce(type_name: Any, value):
+def _set(cfg: RunConfig, dotted: str, value) -> None:
+    """Set ``section.key`` on cfg from config text or a JSON/Python scalar,
+    coerced by the field's declared type: a bool key takes true or false in
+    any case, an int key integer text or an int, a float key decimal text or
+    a number. A bool is never read as a number, nor a number as a bool."""
+    name, _, key = dotted.partition(".")
+    if not key:
+        raise ConfigError(f"config key {dotted!r} must be section.key")
+    if name not in _SECTIONS:
+        raise ConfigError(f"unknown config section [{name}]")
+    section = getattr(cfg, name)
     # dataclass field types arrive as strings under `from __future__ annotations`
-    name = type_name if isinstance(type_name, str) else getattr(type_name, "__name__", str(type_name))
-    if name == "int":
-        if isinstance(value, bool):
-            raise ValueError(f"expected int, got bool {value}")
-        if isinstance(value, float) and value != int(value):
-            raise ValueError(f"expected int, got {value}")
-        return int(value)
-    if name == "float":
-        return float(value)
-    if name == "bool":
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str) and value.lower() in ("true", "false"):
-            return value.lower() == "true"
-        raise ValueError(f"expected bool, got {value!r}")
-    return value
+    kind = {f.name: f.type for f in fields(section)}.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown config key {dotted}")
+    parsed = None
+    if isinstance(value, str):
+        text = value.strip()
+        if kind == "bool":
+            parsed = {"true": True, "false": False}.get(text.lower())
+        else:
+            with contextlib.suppress(ValueError):
+                parsed = int(text) if kind == "int" else float(text)
+    elif isinstance(value, bool):
+        parsed = value if kind == "bool" else None
+    elif kind == "int" and isinstance(value, int):
+        parsed = value
+    elif kind == "float" and isinstance(value, (int, float)):
+        with contextlib.suppress(OverflowError):
+            parsed = float(value)
+    if parsed is None:
+        raise ConfigError(f"{dotted}: expected {kind}, got {value!r}")
+    setattr(section, key, parsed)
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def parse_config_text(text: str) -> dict[str, dict[str, Any]]:
-    """Parse the [section] / key = value format into a nested dict."""
-    sections: dict[str, dict[str, Any]] = {}
-    current: dict[str, Any] | None = None
+def _config_lines(text: str):
+    """Yield (section.key, value text) for each ``key = value`` line of the
+    [section] / key = value format, in file order."""
+    section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            current = sections.setdefault(name, {})
+            section = line[1:-1].strip()
+            if section not in _SECTIONS:
+                raise ConfigError(f"config line {lineno}: unknown config section [{section}]")
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key = value, got {raw!r}")
-        if current is None:
+        if section is None:
             raise ConfigError(f"config line {lineno}: key outside any [section]")
         key, value = line.split("=", 1)
-        current[key.strip()] = _parse_scalar(value)
-    return sections
+        yield f"{section}.{key.strip()}", value
 
 
 def load_config(path=None, profile: str = "full",
                 overrides: dict[str, Any] | None = None) -> RunConfig:
     """Build a RunConfig from profile defaults, an optional file, then overrides.
 
-    Override keys are dotted, e.g. {"training.seed": 7}; they win over the
-    file, which wins over the profile.
+    Override keys are dotted, e.g. {"training.seed": 7}, with text or scalar
+    values; they win over the file, which wins over the profile.
     """
     if profile == "full":
         cfg = RunConfig()
@@ -212,16 +198,11 @@ def load_config(path=None, profile: str = "full",
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
-                sections = parse_config_text(fh.read())
+                text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        _apply_sections(cfg, sections)
-
-    nested: dict[str, dict[str, Any]] = {}
+        for dotted, value in _config_lines(text):
+            _set(cfg, dotted, value)
     for dotted, value in (overrides or {}).items():
-        if "." not in dotted:
-            raise ConfigError(f"override {dotted!r} must be section.key")
-        section_name, key = dotted.split(".", 1)
-        nested.setdefault(section_name, {})[key] = \
-            _parse_scalar(value) if isinstance(value, str) else value
-    return _apply_sections(cfg, nested).validate()
+        _set(cfg, dotted, value)
+    return cfg.validate()

@@ -33,8 +33,6 @@ CONTENT_WORDS = [
     "quebec", "romeo", "sierra", "tango", "uniform", "victor", "whiskey",
     "yankee", "zulu",
 ]
-FILLER_WORDS = ["it", "is", "a", "the", "in", "records", "appears", "listed",
-                "report", "status", "systems", "nominal", "fine", "done", "."]
 TEMPLATES = [
     "all systems nominal .",
     "status report done .",

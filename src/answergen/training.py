@@ -425,7 +425,6 @@ def _batches(n_items: int, batch_size: int, shuffle_rng: np.random.Generator):
 
 
 def train(model: AnswerModel, dataset: Sequence[TrainItem], cfg: TrainingConfig,
-          knowledge_enabled: bool = True,
           on_step: Callable[[StepMetrics], bool | None] | None = None) -> list[StepMetrics]:
     """Run up to cfg.max_steps optimization steps; returns the metric history.
 
@@ -445,8 +444,7 @@ def train(model: AnswerModel, dataset: Sequence[TrainItem], cfg: TrainingConfig,
     for step in range(cfg.max_steps):
         tau = anneal_temperature(step, schedule)
         batch = [dataset[i] for i in next(batch_stream)]
-        history.append(train_step(model, batch, optimizer, tau, sample_rng, cfg,
-                                  step, knowledge_enabled=knowledge_enabled))
+        history.append(train_step(model, batch, optimizer, tau, sample_rng, cfg, step))
         if on_step is not None and on_step(history[-1]):
             break
     return history

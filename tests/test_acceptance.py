@@ -308,7 +308,7 @@ def test_acceptance_6_knowledge_ablation(tmp_path):
     ablated = AnswerModel(vocab, len(kb.relation_names), cfg.model,
                           np.random.default_rng(0))
     stripped = [TrainItem(it.example, []) for it in items]
-    train(ablated, stripped, replace(cfg.training, max_steps=300), knowledge_enabled=False)
+    train(ablated, stripped, replace(cfg.training, max_steps=300))
     ablated_rate = nonce_production(ablated, records, targets, kb, 50, knowledge=False)
     elapsed = time.time() - started
     assert ablated_rate == 0.0, ablated_rate

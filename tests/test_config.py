@@ -2,7 +2,7 @@ import inspect
 
 import pytest
 
-from answergen.config import RunConfig, load_config, parse_config_text
+from answergen.config import RunConfig, load_config
 from answergen.errors import ConfigError
 from answergen.generate import generate
 
@@ -32,18 +32,22 @@ def test_desk_profile_shrinks():
     assert cfg.knowledge.max_facts == 64
 
 
-def test_parse_config_text_sections_and_comments():
-    sections = parse_config_text(
-        "# top note\n[model]\nhidden_dim = 64\n[training]\nlr = 0.01\n"
-        "mc_samples = 2\n[knowledge]\nenabled = false\n")
-    assert sections["model"]["hidden_dim"] == 64
-    assert sections["training"]["lr"] == 0.01
-    assert sections["knowledge"]["enabled"] is False
+def test_config_file_sections_comments_and_typed_values(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# top note\n[model]\nhidden_dim = 64  # trailing note\n[training]\n"
+                    "lr = 0.01\nmc_samples = 2\n[knowledge]\nenabled = FALSE\n")
+    cfg = load_config(path)
+    assert cfg.model.hidden_dim == 64 and type(cfg.model.hidden_dim) is int
+    assert cfg.training.lr == 0.01
+    assert cfg.training.mc_samples == 2
+    assert cfg.knowledge.enabled is False
 
 
-def test_parse_rejects_key_outside_section():
-    with pytest.raises(ConfigError):
-        parse_config_text("hidden_dim = 64\n")
+def test_config_file_rejects_key_outside_section(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("hidden_dim = 64\n")
+    with pytest.raises(ConfigError, match="outside any"):
+        load_config(path)
 
 
 def test_load_config_precedence(tmp_path):
@@ -83,4 +87,15 @@ def test_roundtrip_through_dict():
 @pytest.mark.parametrize("payload", [{"validate": {"x": 1}}, {"model": 3}, {"to_dict": {}}])
 def test_from_dict_rejects_non_sections(payload):
     with pytest.raises(ConfigError):
+        RunConfig.from_dict(payload)
+
+
+@pytest.mark.parametrize("payload", [{"training": {"lr": True}}, {"model": {"emb_dim": 3.0}},
+                                     {"knowledge": {"enabled": 1}}])
+def test_from_dict_refuses_a_value_of_another_type(payload):
+    """A checkpoint's config is typed JSON: a bool is not a number, a float
+    is not an int and a number is not a bool."""
+    (section, values), = payload.items()
+    (key, _), = values.items()
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
         RunConfig.from_dict(payload)

@@ -78,3 +78,27 @@ def test_every_method_is_read_in_the_package():
               for method in cls.body if isinstance(method, ast.FunctionDef)
               and not method.name.startswith("__") and method.name not in attributes]
     assert not unused, f"methods never read inside the package: {unused}"
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    """A name assigned at module level, other than a dunder and the
+    ``PRIMITIVES`` table the benchmark reads, is read somewhere in the
+    package: loaded as a name, read as an attribute or imported."""
+    trees = package_trees()
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unused = [f"{module}:{name.id}"
+              for module, tree in trees.items()
+              for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              for name in ast.walk(target) if isinstance(name, ast.Name)
+              and not name.id.startswith("__") and name.id != "PRIMITIVES"
+              and name.id not in read]
+    assert not unused, f"module-level names never read inside the package: {unused}"

@@ -146,11 +146,14 @@ def test_cli_config_error_exit_code(runner, tmp_path):
 @pytest.mark.parametrize("override", ["training.clip_norm=-1", "training.clip_norm=0",
                                       "training.seed=-1", "training.lr=nan",
                                       "training.lambda_cov=-0.5", "training.tau0=inf",
-                                      "training.max_steps=-1"])
+                                      "training.max_steps=-1", "training.lr=true",
+                                      "training.lambda_cov=false", "training.batch_size=inf",
+                                      "training.max_steps=1e400"])
 def test_cli_train_refuses_a_bad_training_value(runner, tmp_path, override):
     """A negative or zero clip norm would flip or freeze every clipped
     update, a negative seed would reach numpy, a NaN learning rate the first
-    log, and a negative step count the checkpoint: each is a configuration
+    log, and a negative step count the checkpoint. A true or false is not a
+    number, and an int key takes no inf or 1e400. Each is a configuration
     error that names its key, in one JSON record."""
     data, vocab = tmp_path / "d.jsonl", tmp_path / "vocab.json"
     data.write_text(json.dumps({"question": "q ?", "passage": "p .", "answer": "p"}) + "\n")
