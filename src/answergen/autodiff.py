@@ -2,8 +2,10 @@
 
 Operations record TapeNodes while a Tape is active (see `Tape.__enter__`);
 outside a tape they just compute, which is what generation-time code uses.
-A tape can be walked backward exactly once. Tensors are confined to the
-worker that owns their tape; distinct tapes are independent.
+A tape can be walked backward exactly once. A tape and the tensors it
+records belong to the thread that records them; distinct tapes are
+independent. The one exception is backward's helper thread (see below),
+which reads only the gradient parts the sweep has handed to it.
 
 Backward builds each tensor's gradient in one place from the parts the
 grad_fns hand out, of three kinds:
@@ -21,10 +23,20 @@ grad_fns hand out, of three kinds:
   tensor, allocated once.
 
 A gradient is complete when the node that produced its tensor is popped
-(intermediates) or when the sweep ends (leaves). The grad_fns of ``add``,
-``mul``, ``matmul``, ``minimum``, ``maximum`` and ``additive_scores``
-return None instead of a part for an input that is neither
-``requires_grad`` nor on a tape, so they compute no gradient of a constant.
+(intermediates), or when the first node that reads it is popped (leaves):
+later nodes come earlier in the sweep. A leaf of at least ``HANDOFF_SIZE``
+entries is then handed, with its held factors and its dense array, to one
+helper thread, which multiplies the factors out, adds them in and takes the
+sum of squares while the sweep goes on. After the sweep, the calling thread
+squares the smaller leaves and takes back, from the end, each large leaf the
+helper has not started. Every product, sum and square is the same call on
+the same arrays as on one thread, so the results are bit for bit the same.
+With one CPU, or no leaf that large, no thread is started.
+
+The grad_fns of ``add``, ``mul``, ``matmul``, ``minimum``, ``maximum`` and
+``additive_scores`` return None instead of a part for an input that is
+neither ``requires_grad`` nor on a tape, so they compute no gradient of a
+constant.
 
 Finiteness is checked at the boundaries, not per primitive. Finite inputs
 stay finite through every primitive except ``log`` (of 0 or a negative) and
@@ -39,7 +51,9 @@ NaN out.
 from __future__ import annotations
 
 import math
+import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -53,6 +67,12 @@ from .errors import (
 )
 
 _STATE = threading.local()
+
+# Leaves of at least this many entries (2 MiB) are finished on backward's
+# helper thread. Below it a tape notes no first reader: the largest leaf of
+# a desk model with a 512-word vocabulary has 82K entries, so it keeps
+# backward on one thread at no cost.
+HANDOFF_SIZE = 1 << 18
 
 
 def _tape_stack() -> list:
@@ -151,10 +171,13 @@ class Tape:
     Nodes are appended in forward order, so every node's inputs precede it
     and a single reverse sweep is a valid topological order. The sweep
     removes each node as it goes, so ``nodes`` is empty after backward().
+    ``first_reads`` maps each leaf of at least ``HANDOFF_SIZE`` entries to
+    the index of the first node that reads it.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self.first_reads: dict[Tensor, int] = {}
         self.consumed = False
 
     def __enter__(self) -> "Tape":
@@ -168,6 +191,7 @@ class Tape:
             # No backward will sweep this tape, and its outputs refer back to
             # it: drop the nodes so the graph is freed by reference counting.
             self.nodes.clear()
+            self.first_reads.clear()
         return False
 
     def backward(self, loss: Tensor, params: Iterable[Tensor] | None = None) -> GradientMap:
@@ -179,9 +203,20 @@ class Tape:
         matmul's weight ``Factors`` are kept, under the size rule of the
         module docstring, and multiplied out as one GEMM over their stacked
         rows. An intermediate's gradient is complete when its producer node
-        is popped; a leaf's when the sweep ends. Two leaves may share one
-        array (``add`` hands its gradient to both inputs), so a caller must
-        not write a gradient in place.
+        is popped; a leaf's when the first node that reads it is popped.
+        Two leaves may share one array (``add`` hands its gradient to both
+        inputs), so a caller must not write a gradient in place.
+
+        A leaf of at least ``HANDOFF_SIZE`` entries is finished (its factors
+        multiplied out and added in, its sum of squares taken) on one helper
+        thread from the moment it is complete, while the sweep goes on. The
+        helper starts with the first such leaf, only when the process may
+        run on more than one CPU (``os.sched_getaffinity``), and is joined
+        before backward returns or raises; its exception is raised here.
+        After the sweep, the calling thread finishes the other leaves and
+        takes back, from the end, each large one the helper has not
+        started. The gradients and squares are bit for bit those of one
+        thread.
 
         ``params``, when given, lists tensors the caller cares about; any of
         them not reached by the sweep get a zero gradient and a square sum of
@@ -202,26 +237,32 @@ class Tape:
         if loss.data.size != 1:
             raise ShapeMismatchError(f"loss must be scalar, got shape {loss.shape}")
 
+        completes: dict[int, list[Tensor]] = {}  # node index -> leaves it completes
+        for t, i in self.first_reads.items():
+            completes.setdefault(i, []).append(t)
+        self.first_reads = {}
         sums = _GradientSums()
-        sums.receive(loss, np.ones_like(loss.data))
-        while self.nodes:
-            # Popping releases each node once it is used. Outputs refer to the
-            # tape and the tape to its nodes, so a tape that kept its nodes
-            # would leave the whole graph to the cyclic garbage collector.
-            node = self.nodes.pop()
-            g = sums.take(node.output)
-            if g is None:
-                continue
-            assert g.shape == node.output.data.shape
-            for inp, part in node.grad_fn(g):
-                if part is not None and (inp.requires_grad or inp._tape is self):
-                    sums.receive(inp, part)
-
-        result = sums.leaf_gradients()
-        squares: dict[Tensor, float] = {}
+        try:
+            sums.receive(loss, np.ones_like(loss.data))
+            while self.nodes:
+                # Popping releases each node once it is used. Outputs refer to
+                # the tape and the tape to its nodes, so a tape that kept its
+                # nodes would leave the whole graph to the cyclic garbage
+                # collector.
+                node = self.nodes.pop()
+                g = sums.take(node.output)
+                if g is not None:
+                    assert g.shape == node.output.data.shape
+                    for inp, part in node.grad_fn(g):
+                        if part is not None and (inp.requires_grad or inp._tape is self):
+                            sums.receive(inp, part)
+                if completes and len(self.nodes) in completes:
+                    for t in completes.pop(len(self.nodes)):
+                        sums.hand_off(t)
+            result, squares = sums.leaf_gradients()
+        finally:
+            sums.close()
         for t, g in result.items():
-            flat = g.reshape(-1)
-            squares[t] = float(flat @ flat)
             if not math.isfinite(squares[t]) and not _all_finite(g):
                 raise NonFiniteGradientError(f"non-finite gradient for {t.name or t.shape}")
         if params is not None:
@@ -232,7 +273,8 @@ class Tape:
 
 
 class _GradientSums:
-    """The gradients one backward sweep is assembling, one per tensor."""
+    """The gradients one backward sweep is assembling, one per tensor, and
+    the complete large leaves handed off to be finished."""
 
     def __init__(self):
         self.dense: dict[Tensor, np.ndarray] = {}
@@ -242,6 +284,11 @@ class _GradientSums:
         self.owned: set[Tensor] = set()
         # Factor pairs not yet multiplied out, with their total size.
         self.held: dict[Tensor, tuple[int, list[Factors]]] = {}
+        # Handed-off leaves in the order they were completed, each with the
+        # arguments of its `_finish` and its future on the helper thread
+        # (None when there is no helper).
+        self.handed: list[tuple[Tensor, tuple, "Future | None"]] = []
+        self.helper: ThreadPoolExecutor | None = None
 
     def receive(self, t: Tensor, part) -> None:
         """Take one part of ``t``'s gradient: dense, ``Factors`` or ``Rows``."""
@@ -266,10 +313,43 @@ class _GradientSums:
         self.owned.discard(t)
         return self.dense.pop(t, None)
 
-    def leaf_gradients(self) -> dict[Tensor, np.ndarray]:
+    def hand_off(self, t: Tensor) -> None:
+        """Take complete leaf ``t``'s held factors and dense array out of the
+        sums, to be finished by `_finish`: on the helper thread, which the
+        first handoff starts when this process may run on more than one
+        CPU, or else on the calling thread after the sweep."""
+        pairs = self.held.pop(t, (0, None))[1]
+        seen = self.dense.pop(t, None)
+        if pairs is None and seen is None:
+            return
+        job = (pairs, seen, t in self.owned)
+        self.owned.discard(t)
+        if not self.handed and len(os.sched_getaffinity(0)) > 1:
+            self.helper = ThreadPoolExecutor(1)
+        future = None if self.helper is None else self.helper.submit(_finish, *job)
+        self.handed.append((t, job, future))
+
+    def leaf_gradients(self) -> tuple[dict[Tensor, np.ndarray], dict[Tensor, float]]:
+        """Each leaf's gradient and its sum of squares, once the sweep is
+        over. The calling thread finishes the leaves still here, then runs,
+        from the end, each handed-off leaf whose run it can cancel on the
+        helper, and waits for the helper's results."""
         for t in list(self.held):
             self._settle(t)
-        return {t: g for t, g in self.dense.items() if t.requires_grad}
+        grads = {t: g for t, g in self.dense.items() if t.requires_grad}
+        squares = {t: _square_sum(g) for t, g in grads.items()}
+        finished = {}
+        for t, job, future in reversed(self.handed):
+            if future is None or future.cancel():
+                finished[t] = _finish(*job)
+        for t, job, future in self.handed:
+            grads[t], squares[t] = finished[t] if t in finished else future.result()
+        return grads, squares
+
+    def close(self) -> None:
+        """Join the helper thread, cancelling the runs it has not started."""
+        if self.helper is not None:
+            self.helper.shutdown(cancel_futures=True)
 
     def _settle(self, t: Tensor) -> None:
         """Multiply out the factor pairs ``t`` holds into its dense array."""
@@ -283,10 +363,8 @@ class _GradientSums:
             self.dense[t] = g
             if fresh:
                 self.owned.add(t)
-        elif t in self.owned:
-            np.add(seen, g, out=seen)
         else:
-            self.dense[t] = np.add(seen, g, out=g if fresh else np.empty(t.shape))
+            self.dense[t] = _sum(seen, g, t in self.owned, fresh)
             self.owned.add(t)
 
     def _buffer(self, t: Tensor) -> np.ndarray:
@@ -298,6 +376,30 @@ class _GradientSums:
         self.dense[t] = buf
         self.owned.add(t)
         return buf
+
+
+def _sum(seen: np.ndarray, g: np.ndarray, seen_owned: bool, fresh: bool) -> np.ndarray:
+    """``seen + g``, written into ``seen`` when the sweep owns it, else into
+    ``g`` when it is ``fresh``, else into a new array."""
+    return np.add(seen, g, out=seen if seen_owned else g if fresh else np.empty(seen.shape))
+
+
+def _square_sum(g: np.ndarray) -> float:
+    """The sum of ``g``'s squared entries, as one dot product."""
+    flat = g.reshape(-1)
+    return float(flat @ flat)
+
+
+def _finish(pairs: "list[Factors] | None", seen: "np.ndarray | None",
+            seen_owned: bool) -> tuple[np.ndarray, float]:
+    """A handed-off leaf's gradient and its sum of squares: its factor
+    pairs multiplied out and added to its dense array as `_GradientSums`
+    adds them."""
+    g = seen
+    if pairs is not None:
+        product = _multiply_out(pairs)
+        g = product if seen is None else _sum(seen, product, seen_owned, fresh=True)
+    return g, _square_sum(g)
 
 
 def _multiply_out(pairs: list[Factors]) -> np.ndarray:
@@ -342,7 +444,17 @@ def _record(kind: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, grad_fn
     out.name = None
     out._tape = None
     tape = active_tape()
-    if tape is not None and any(t.requires_grad or t._tape is tape for t in inputs):
+    if tape is None:
+        return out
+    tracked = False
+    for t in inputs:
+        if t.requires_grad:
+            tracked = True
+            if t.data.size >= HANDOFF_SIZE:
+                tape.first_reads.setdefault(t, len(tape.nodes))
+        elif t._tape is tape:
+            tracked = True
+    if tracked:
         out._tape = tape
         tape.nodes.append(TapeNode(kind, inputs, out, grad_fn))
     return out

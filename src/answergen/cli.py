@@ -20,22 +20,20 @@ from .errors import AnswergenError, ConfigError, DataError, MalformedLineError, 
 from .files import replace_file
 from .generate import generate as run_generate
 from .generate import render_trace, write_predictions
-from .knowledge import extract_related_facts, ingest_triples, resolve_facts
+from .knowledge import extract_related_facts, ingest_triples
 from .metrics import evaluate_corpus
 from .model import AnswerModel
 from .synth import TASKS, synth_generate
 from .text import (
-    EncodeLimits,
     Vocabulary,
     build_vocab,
-    encode_example,
     load_jsonl_dataset,
     load_pretrained_embeddings,
     read_json_objects,
     tokenize,
 )
 from .training import (
-    TrainItem,
+    encode_dataset,
     load_checkpoint,
     restore_model,
     save_checkpoint,
@@ -145,24 +143,6 @@ def extract_facts(kb_path, question, passage, n_facts):
               returned=len(scored))
 
 
-def _encode_dataset(records, vocab, cfg, kb):
-    limits = EncodeLimits(passage=cfg.data.passage_limit, answer=cfg.data.answer_limit)
-    items = []
-    for i, rec in enumerate(records):
-        try:
-            example = encode_example(rec.question, rec.passage, rec.answer, vocab, limits)
-        except DataError as exc:
-            raise DataError(f"record {i}: {exc}") from None
-        facts = []
-        if kb is not None and cfg.knowledge.enabled:
-            scored = extract_related_facts(kb, example.question_tokens,
-                                           example.passage_tokens,
-                                           cfg.knowledge.max_facts)
-            facts = resolve_facts(kb, scored)
-        items.append(TrainItem(example, facts))
-    return items
-
-
 @main.command("train")
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--vocab", "vocab_path", required=True, type=click.Path(exists=True))
@@ -183,7 +163,7 @@ def train_cmd(data_path, vocab_path, out_path, kb_path, emb_path, metrics_path,
     records = load_jsonl_dataset(data_path)
     if not records:
         raise DataError(f"no records in {data_path}")
-    items = _encode_dataset(records, vocab, cfg, kb)
+    items = encode_dataset(records, vocab, cfg, kb)
     n_relations = max(1, len(kb.relation_names)) if kb else 1
 
     model = AnswerModel(vocab, n_relations, cfg.model,

@@ -48,13 +48,14 @@ from .autodiff import Tape, Tensor
 from .config import RunConfig, TrainingConfig
 from .errors import (
     CorruptFileError,
+    DataError,
     NonFiniteGradientError,
     NonFiniteLossError,
     NonFiniteValueError,
     VersionMismatchError,
 )
 from .files import replace_file
-from .knowledge import Fact
+from .knowledge import Fact, KnowledgeBase, extract_related_facts, resolve_facts
 from .model import AnswerModel
 from .seq2seq import MASK_LOGIT, coverage_penalty
 from .selectors import (
@@ -67,7 +68,16 @@ from .selectors import (
     source_distribution,
     vocab_distribution,
 )
-from .text import BOS, EOS_TOKEN_SENTINEL, PAD, UNK, Example
+from .text import (
+    BOS,
+    EOS_TOKEN_SENTINEL,
+    PAD,
+    UNK,
+    EncodeLimits,
+    Example,
+    Vocabulary,
+    encode_example,
+)
 
 CHECKPOINT_MAGIC = b"AGCP"
 # 2: sel.u_fact stored (H, A); 3: every weight stored (in, out);
@@ -94,6 +104,28 @@ class ElboDiagnostics:
 class TrainItem:
     example: Example
     facts: list[Fact] = field(default_factory=list)
+
+
+def encode_dataset(records, vocab: Vocabulary, cfg: RunConfig,
+                   kb: KnowledgeBase | None) -> list[TrainItem]:
+    """Each record encoded under ``cfg.data``'s limits, with its related
+    facts from ``kb`` when there is one and knowledge is enabled. A record
+    that cannot be encoded raises DataError naming its index."""
+    limits = EncodeLimits(passage=cfg.data.passage_limit, answer=cfg.data.answer_limit)
+    items = []
+    for i, rec in enumerate(records):
+        try:
+            example = encode_example(rec.question, rec.passage, rec.answer, vocab, limits)
+        except DataError as exc:
+            raise DataError(f"record {i}: {exc}") from None
+        facts = []
+        if kb is not None and cfg.knowledge.enabled:
+            scored = extract_related_facts(kb, example.question_tokens,
+                                           example.passage_tokens,
+                                           cfg.knowledge.max_facts)
+            facts = resolve_facts(kb, scored)
+        items.append(TrainItem(example, facts))
+    return items
 
 
 def teacher_inputs(example: Example) -> tuple[list[int], list[tuple[int, str]]]:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,12 @@ from answergen.text import EncodeLimits, Vocabulary, encode_example
 
 BASE_TOKENS = ["what", "is", "a", "the", "bridge", "cross", "water", "safe",
                "strong", "old", "helps", "you", "?", "."]
+
+
+def force_cpus(monkeypatch, n):
+    """Make the process look as if it may run on n CPUs. Adam reads this
+    when it is constructed, Tape.backward when it first hands off a leaf."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def make_vocab(extra=()):

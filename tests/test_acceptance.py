@@ -2,9 +2,9 @@
 its measured numbers (run with -s or -rA to see them).
 
 The heavyweight criteria (5 and 6) train on the synthetic suite at the desk
-profile. They encode it with the CLI's `_encode_dataset` and train with
-`train`, whose per-step callback scores generation every 100 steps and stops
-the run once the score meets the threshold.
+profile. They encode it with `training.encode_dataset`, as the CLI does, and
+train with `train`, whose per-step callback scores generation every 100 steps
+and stops the run once the score meets the threshold.
 """
 import time
 import zlib
@@ -16,7 +16,6 @@ import scipy.stats
 from click.testing import CliRunner
 
 from answergen import autodiff as ad
-from answergen.cli import _encode_dataset
 from answergen.cli import main as cli_main
 from answergen.config import ModelConfig, RunConfig
 from answergen.generate import generate, trace_score
@@ -39,7 +38,7 @@ from answergen.text import (
     load_jsonl_dataset,
     tokenize,
 )
-from answergen.training import TrainItem, elbo_loss, train
+from answergen.training import TrainItem, elbo_loss, encode_dataset, train
 
 from test_autodiff import _primitive_case
 
@@ -223,7 +222,7 @@ def load_synth_items(task, size, seed, cfg, tmp_path):
     corpus = [tokenize(r.question) + tokenize(r.passage) for r in records]
     vocab = build_vocab(corpus, cfg.data.vocab_size)
     kb = ingest_triples(kb_path)
-    return records, vocab, kb, _encode_dataset(records, vocab, cfg, kb)
+    return records, vocab, kb, encode_dataset(records, vocab, cfg, kb)
 
 
 def token_accuracy(model, records, items, kb, n_eval):

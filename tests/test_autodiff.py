@@ -1,4 +1,7 @@
 import gc
+import itertools
+import sys
+import threading
 import tracemalloc
 import weakref
 import zlib
@@ -17,6 +20,8 @@ from answergen.errors import (
     TapeConsumedError,
 )
 from answergen.training import Adam, clip_global_norm
+
+from conftest import force_cpus
 
 
 def test_softmax_uniform_logits():
@@ -641,3 +646,188 @@ def test_no_gradient_is_computed_for_a_constant_input(kind):
         for i, (inp, part) in enumerate(parts):
             assert inp is inputs[i]
             assert (part is None) == (i != tracked), (kind, i, tracked)
+
+
+# ---------------------------------------------------------------------------
+# Large leaves finished on the helper thread.
+# ---------------------------------------------------------------------------
+
+BIG = (512, ad.HANDOFF_SIZE // 512)  # a leaf of exactly HANDOFF_SIZE entries
+
+
+def _on_helper() -> bool:
+    return threading.current_thread() is not threading.main_thread()
+
+
+def _probe(x: ad.Tensor, before) -> ad.Tensor:
+    """A node that passes its gradient through after calling ``before()``."""
+    return ad._record("probe", (x,), x.data.copy(), lambda g: before() or [(x, g)])
+
+
+class HelperWatch:
+    """Wraps `_finish` and the helper's executor: records the thread each
+    leaf is finished on, counts executors made, and sets ``started`` when the
+    helper begins its first leaf. ``fail`` makes the helper raise there."""
+
+    def __init__(self, monkeypatch, fail=False):
+        self.started = threading.Event()
+        self.threads: list[bool] = []  # per finished leaf: on the helper
+        self.executors = 0
+        finish, executor = ad._finish, ad.ThreadPoolExecutor
+
+        def watched_finish(*job):
+            self.threads.append(_on_helper())
+            if _on_helper():
+                self.started.set()
+                if fail:
+                    raise RuntimeError("helper failed")
+            return finish(*job)
+
+        def counted_executor(*args):
+            self.executors += 1
+            return executor(*args)
+
+        monkeypatch.setattr(ad, "_finish", watched_finish)
+        monkeypatch.setattr(ad, "ThreadPoolExecutor", counted_executor)
+
+    def wait(self):
+        """Hold the sweep until the helper has begun a leaf."""
+        assert self.started.wait(timeout=30)
+
+
+def handoff_tape(wait=lambda: None):
+    """Record a loss over six leaves of ``HANDOFF_SIZE`` entries and two
+    smaller ones. ``table`` is read by the first node, so it is complete only
+    at the sweep's end, and it gets lookup rows (an owned buffer) and held
+    factors; ``w_both`` gets held factors and a dense part it does not own;
+    ``a`` and ``b`` share the one array ``add`` hands them; ``w_mid`` is
+    completed mid-sweep by a first reader whose output has no gradient,
+    after which the sweep calls ``wait``; ``w_off`` is read only off the
+    loss's path, so it gets no gradient. ``w_small`` and ``bias`` stay under
+    the size rule."""
+    rng = np.random.default_rng(11)
+    leaves = {name: ad.Tensor(rng.normal(size=BIG) * 0.05, requires_grad=True, name=name)
+              for name in ("table", "w_both", "w_mid", "w_off", "a", "b")}
+    leaves["w_small"] = ad.Tensor(rng.normal(size=(BIG[1], 8)), requires_grad=True)
+    leaves["bias"] = ad.Tensor(rng.normal(size=BIG[1]), requires_grad=True)
+    t = leaves
+    with ad.Tape() as tape:
+        x = ad.lookup(t["table"], np.array([3, 7, 7, 500]))
+        h = ad.tanh(ad.add(ad.matmul(x, t["w_both"]), t["bias"]))
+        h = _probe(h, wait)
+        ad.matmul(h, t["w_mid"]), ad.matmul(h, t["w_off"])  # off the loss's path
+        h = ad.tanh(ad.matmul(h, t["w_mid"]))
+        m = ad.mul(t["w_both"], ad.add(t["a"], t["b"]))
+        q = ad.add(ad.matmul(h, t["table"]), ad.sum(ad.matmul(h, t["w_small"])))
+        loss = ad.add(ad.sum(ad.mul(q, q)), ad.sum(ad.mul(m, m)))
+    return leaves, tape, loss
+
+
+def test_the_handoff_tape_completes_its_leaves_where_it_says():
+    leaves, tape, _ = handoff_tape()
+    firsts = {name: tape.first_reads[t] for name, t in leaves.items() if t in tape.first_reads}
+    assert set(firsts) == {"table", "w_both", "w_mid", "w_off", "a", "b"}
+    assert firsts["table"] == 0 and firsts["a"] == firsts["b"]
+    assert 0 < firsts["w_mid"] < len(tape.nodes) // 2
+
+
+def test_large_leaves_finished_on_the_helper_equal_the_serial_sweep(monkeypatch):
+    """On one, two and three CPUs, every gradient and sum of squares is byte
+    for byte that of the serial reference: the same tape with no leaf large
+    enough to hand off, each finished after the sweep on the calling thread.
+    One CPU starts no helper; two or three start one, which finishes at
+    least the leaf it began while the sweep waited. Each count runs at the
+    default thread switch interval and at one of a microsecond."""
+    def backward(cpus, handoff_size=ad.HANDOFF_SIZE):
+        monkeypatch.undo()
+        force_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(ad, "HANDOFF_SIZE", handoff_size)
+        watch = HelperWatch(monkeypatch)
+        leaves, tape, loss = handoff_tape(watch.wait if cpus > 1 else lambda: None)
+        return leaves, tape.backward(loss), watch
+
+    ref_leaves, ref, _ = backward(1, handoff_size=ad.HANDOFF_SIZE * 64)
+    assert np.shares_memory(ref[ref_leaves["a"]], ref[ref_leaves["b"]])
+    interval = sys.getswitchinterval()
+    for cpus, switch in itertools.product((1, 2, 3), (interval, 1e-6)):
+        sys.setswitchinterval(switch)
+        try:
+            leaves, gm, watch = backward(cpus)
+        finally:
+            sys.setswitchinterval(interval)
+        assert watch.executors == (cpus > 1) and len(watch.threads) == 5
+        assert any(watch.threads) == (cpus > 1)
+        reached = [name for name in leaves if name != "w_off"]
+        assert list(gm.grads) == list(gm.squares)
+        assert set(gm.grads) == {leaves[name] for name in reached}
+        assert set(ref.grads) == {ref_leaves[name] for name in reached}
+        for name in reached:
+            got, expected = leaves[name], ref_leaves[name]
+            assert gm[got].tobytes() == ref[expected].tobytes(), (cpus, name)
+            assert gm.squares[got].hex() == ref.squares[expected].hex(), (cpus, name)
+        assert np.shares_memory(gm[leaves["a"]], gm[leaves["b"]])
+
+
+def helper_tape(wait, fail_in_sweep=False, nan_in_big=False):
+    """``early`` is read by the first node; ``big``'s first reader is swept
+    before a probe that calls ``wait`` and then raises if ``fail_in_sweep``.
+    ``nan_in_big`` puts a NaN in big's data before the forward pass."""
+    rng = np.random.default_rng(12)
+    big, early = (ad.Tensor(rng.normal(size=BIG) * 0.05, requires_grad=True, name=name)
+                  for name in ("big", "early"))
+    if nan_in_big:
+        big.data[5, 9] = np.nan
+
+    def before():
+        wait()
+        if fail_in_sweep:
+            raise RuntimeError("grad_fn failed")
+
+    with ad.Tape() as tape:
+        h = _probe(ad.matmul(ad.constant(rng.normal(size=(2, BIG[0]))), early), before)
+        y = ad.matmul(h, big)
+        loss = ad.sum(ad.mul(y, y))
+    return big, tape, loss
+
+
+def test_backward_leaves_no_thread_running(monkeypatch):
+    force_cpus(monkeypatch, 2)
+    watch = HelperWatch(monkeypatch)
+    before = threading.active_count()
+    big, tape, loss = helper_tape(watch.wait)
+    gm = tape.backward(loss)
+    assert threading.active_count() == before
+    assert watch.executors == 1 and watch.threads[0] and np.isfinite(gm.squares[big])
+
+
+def test_backward_leaves_no_thread_running_after_a_grad_fn_raises(monkeypatch):
+    force_cpus(monkeypatch, 2)
+    watch = HelperWatch(monkeypatch)
+    before = threading.active_count()
+    _, tape, loss = helper_tape(watch.wait, fail_in_sweep=True)
+    with pytest.raises(RuntimeError, match="grad_fn failed"):
+        tape.backward(loss)
+    assert threading.active_count() == before
+    assert watch.executors == 1 and watch.threads == [True]
+
+
+def test_a_non_finite_gradient_the_helper_finishes_raises_after_the_join(monkeypatch):
+    force_cpus(monkeypatch, 2)
+    watch = HelperWatch(monkeypatch)
+    before = threading.active_count()
+    _, tape, loss = helper_tape(watch.wait, nan_in_big=True)
+    with pytest.raises(NonFiniteGradientError, match="big"):
+        tape.backward(loss)
+    assert threading.active_count() == before
+    assert watch.executors == 1 and watch.threads[0]
+
+
+def test_a_helper_exception_reaches_the_caller(monkeypatch):
+    force_cpus(monkeypatch, 2)
+    watch = HelperWatch(monkeypatch, fail=True)
+    before = threading.active_count()
+    _, tape, loss = helper_tape(watch.wait)
+    with pytest.raises(RuntimeError, match="helper failed"):
+        tape.backward(loss)
+    assert threading.active_count() == before
+    assert watch.executors == 1 and watch.threads[0]

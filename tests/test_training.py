@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-import os
 import struct
 import sys
 import threading
@@ -25,8 +24,9 @@ from answergen.errors import (
     VersionMismatchError,
 )
 from answergen.knowledge import Fact
+from answergen.model import AnswerModel
 from answergen.selectors import PROB_FLOOR
-from answergen.text import PAD, EncodeLimits, encode_example
+from answergen.text import PAD, EncodeLimits, Vocabulary, encode_example
 from answergen.training import (
     ADAM_BLOCK,
     Adam,
@@ -40,7 +40,15 @@ from answergen.training import (
     train,
 )
 
-from conftest import make_model, make_vocab, toy_example, toy_facts, zero_model
+from conftest import (
+    BASE_TOKENS,
+    force_cpus,
+    make_model,
+    make_vocab,
+    toy_example,
+    toy_facts,
+    zero_model,
+)
 
 
 def test_teacher_inputs_shift_right(vocab):
@@ -193,12 +201,6 @@ def reference_adam_step(params, m, v, grads, t, lr, b1=0.9, b2=0.999, eps=1e-8):
         m_hat = m[name] / (1 - b1 ** t)
         v_hat = v[name] / (1 - b2 ** t)
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
-def force_cpus(monkeypatch, n):
-    """Make the process look as if it may run on n CPUs; Adam reads this
-    when it is constructed."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def record_updates(monkeypatch):
@@ -414,6 +416,31 @@ def test_clip_global_norm():
     assert clip_global_norm([0.09], max_norm=1.0) == (0.3, None)
     assert clip_global_norm([0.0, 0.0], max_norm=0.0) == (0.0, None)
     assert clip_global_norm([1e308, 1e308], max_norm=1.0) == (float("inf"), 0.0)
+
+
+@pytest.mark.parametrize("vocab_size, helpers", [(512, 0), (2000, 1)])
+def test_a_desk_train_step_starts_a_backward_helper_only_past_the_size_rule(
+        monkeypatch, vocab_size, helpers):
+    """With two CPUs, at desk dims and kb-dense's 512-word vocabulary every
+    leaf is under ``HANDOFF_SIZE`` (sel.w_vocab has 82K entries), so
+    backward starts no thread; at the desk profile's full 2,000 words,
+    sel.w_vocab has 320K and backward starts one."""
+    force_cpus(monkeypatch, 2)
+    made = []
+    executor = ad.ThreadPoolExecutor
+    monkeypatch.setattr(ad, "ThreadPoolExecutor",
+                        lambda *args: made.append(args) or executor(*args))
+    cfg = RunConfig.desk()
+    filler = {f"w{i}" for i in range(vocab_size - 4 - len(BASE_TOKENS))}  # 4 special tokens
+    vocab = Vocabulary(sorted(set(BASE_TOKENS) | filler), max_size=vocab_size)
+    assert len(vocab) == vocab_size
+    model = AnswerModel(vocab, 2, cfg.model, np.random.default_rng(0))
+    batch = [TrainItem(toy_example(vocab), toy_facts()),
+             TrainItem(toy_example(vocab, answer="water ."), toy_facts()[:1])]
+    metrics = training.train_step(model, batch, Adam(model.parameters, lr=cfg.training.lr),
+                                  0.7, np.random.default_rng(1), cfg.training, 0)
+    assert not metrics.skipped
+    assert len(made) == helpers
 
 
 @pytest.mark.parametrize("clip_norm", [1e-3, 1e9])
