@@ -4,8 +4,10 @@ Operations record TapeNodes while a Tape is active (see `Tape.__enter__`);
 outside a tape they just compute, which is what generation-time code uses.
 A tape can be walked backward exactly once. A tape and the tensors it
 records belong to the thread that records them; distinct tapes are
-independent. The one exception is backward's helper thread (see below),
-which reads only the gradient parts the sweep has handed to it.
+independent. A helper thread may compute a primitive's values and grad_fn
+(``bidirectional_lstm`` runs one encoder direction on one), but only the
+recording thread records. Backward's helper thread (see below) reads only
+the gradient parts the sweep has handed to it.
 
 Backward builds each tensor's gradient in one place from the parts the
 grad_fns hand out, of three kinds:
@@ -56,6 +58,7 @@ import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -70,8 +73,10 @@ from .errors import (
 _STATE = threading.local()  # .tape: this thread's active tape, unset outside Tape blocks
 
 # Leaves of at least this many entries (2 MiB) are finished on backward's
-# helper thread. The largest leaf of a desk model with a 512-word vocabulary
-# has 82K entries, so its backward stays on one thread.
+# helper thread, and a bidirectional LSTM whose w_h is this large runs its
+# reverse direction on a helper thread. The largest leaf of a desk model with
+# a 512-word vocabulary has 82K entries, so its backward stays on one thread;
+# its encoders' w_h (32 x 128) are far below, a full-dims one (256 x 1024) at it.
 HANDOFF_SIZE = 1 << 18
 
 
@@ -548,13 +553,11 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def _sigmoid(xd: np.ndarray) -> np.ndarray:
-    """Logistic function, never taking exp of a positive number."""
-    out = np.empty_like(xd)
-    pos = xd >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function, never taking exp of a positive number: with e =
+    exp(-|x|), 1 / (1 + e) where x >= 0 and e / (1 + e) below, without
+    masks (for x < 0, -|x| is exactly x)."""
+    e = np.exp(-np.abs(xd))
+    return np.where(xd >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -604,12 +607,12 @@ def lookup(table: Tensor, indices) -> Tensor:
     if table.data.ndim < 2:
         raise ShapeMismatchError("lookup table must be at least 2-D")
     idx = np.asarray(indices, dtype=np.intp)
-    out = table.data[idx]
+    out = table.data[idx]  # advanced indexing, by a 0-d index too: a new array, not a view
 
     def grad_fn(g):
         return [(table, Rows(idx, g))]
 
-    return _record("lookup", (table,), np.array(out), grad_fn)
+    return _record("lookup", (table,), out, grad_fn)
 
 
 def slice_(x: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
@@ -714,6 +717,40 @@ def lstm_seq(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = Fal
     one GEMM; the weights get ``Factors(x rows, dG)`` and ``Factors(h_prev
     rows, dG)`` (Appleyard et al. 2016, arXiv 1604.01946).
     """
+    return _record("lstm_seq", *_lstm_run(x, w_x, w_h, b, reverse, lengths, state))
+
+
+def bidirectional_lstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
+                       backward: tuple[Tensor, Tensor, Tensor], lengths) -> tuple[Tensor, Tensor]:
+    """The two directions of a bidirectional LSTM over x, for (w_x, w_h, b)
+    triples ``forward`` and ``backward``: the values and the two nodes of
+    ``lstm_seq(x, *forward, lengths=lengths)`` and ``lstm_seq(x, *backward,
+    reverse=True, lengths=lengths)``, recorded in that order.
+
+    The two directions do not read each other (Appleyard et al. 2016). When
+    the process may run on more than one CPU (``os.sched_getaffinity``) and
+    the backward direction's w_h has at least ``HANDOFF_SIZE`` entries, its
+    run (values and grad_fn, no recording) goes to a helper thread while the
+    forward one runs on the calling thread, which then records both. The
+    helper ends before this returns or raises.
+    """
+    run_forward = partial(_lstm_run, x, *forward, False, lengths, None)
+    run_backward = partial(_lstm_run, x, *backward, True, lengths, None)
+    if backward[1].data.size >= HANDOFF_SIZE and len(os.sched_getaffinity(0)) > 1:
+        with ThreadPoolExecutor(1) as helper:
+            later = helper.submit(run_backward)
+            first = run_forward()
+            second = later.result()
+    else:
+        first, second = run_forward(), run_backward()
+    return _record("lstm_seq", *first), _record("lstm_seq", *second)
+
+
+def _lstm_run(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool, lengths,
+              state: "tuple[Tensor, Tensor] | None"):
+    """`lstm_seq`'s work short of recording: its inputs, its output values
+    and its grad_fn. It reads the tensors' data and nothing else, so any
+    thread may run it."""
     xd, wx, wh, bd = x.data, w_x.data, w_h.data, b.data
     if xd.ndim != 3 or wh.ndim != 2 or not xd.shape[1]:
         raise ShapeMismatchError(f"lstm_seq: x {x.shape} must be (B, N>0, in)")
@@ -785,7 +822,7 @@ def lstm_seq(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = Fal
                 (w_h, Factors(hs[:-1].reshape(-1, hid), flat_dg)), (b, flat_dg.sum(axis=0))
                 ] + list(zip(inputs[4:], (dh_next, dc)))
 
-    return _record("lstm_seq", inputs, out, grad_fn)
+    return inputs, out, grad_fn
 
 
 PRIMITIVES: dict[str, Callable] = {

@@ -232,10 +232,11 @@ def _top_tokens(source: Source, probs: np.ndarray, words, beam_size: int):
             mass[token] = mass.get(token, 0.0) + weight
         words = sorted(mass)
         probs = np.array([mass[token] for token in words])
-    order = np.argsort(-probs, kind="stable")
     if source == Source.VOCAB:  # at most len(NOT_FROM_VOCAB) of the top ids drop out
-        order = [i for i in order[:beam_size + len(NOT_FROM_VOCAB)].tolist()
+        order = [i for i in _ranked(probs, beam_size + len(NOT_FROM_VOCAB)).tolist()
                  if i not in NOT_FROM_VOCAB]
+    else:
+        order = _ranked(probs, beam_size)
     picks = []
     for i in order[:beam_size]:
         if probs[i] <= 0.0:
@@ -246,6 +247,17 @@ def _top_tokens(source: Source, probs: np.ndarray, words, beam_size: int):
         else:
             picks.append((words[i], float(probs[i]), None, ()))
     return picks
+
+
+def _ranked(probs: np.ndarray, want: int) -> np.ndarray:
+    """The first ``want`` indices of ``np.argsort(-probs, kind="stable")``,
+    largest first and ties by index, without sorting all of ``probs``: only
+    the entries at or above the ``want``-th largest value are sorted."""
+    cut = probs.size - want
+    if cut <= 0:
+        return np.argsort(-probs, kind="stable")
+    top = np.flatnonzero(probs >= np.partition(probs, cut)[cut])
+    return top[np.argsort(-probs[top], kind="stable")[:want]]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ the same-step question context. Coverage is the running sum of past
 attention vectors and enters both the logits and the training penalty
 sum_i min(a_i, cov_i).
 
-The LSTM cell is `autodiff.lstm_seq`: one over each encoder direction, and
-a one-step run from the carried (h, c) per decoder step (`lstm_step`).
+The LSTM cell is `autodiff.lstm_seq`: one over each encoder direction
+(`autodiff.bidirectional_lstm`, which runs the two at once on two CPUs at
+full dims), and a one-step run from the carried (h, c) per decoder step
+(`lstm_step`).
 Every weight is stored (in, out), so each layer computes rows @ W. The
 encoders take a padded batch of sequences; beam search encodes a batch of
 one. The cell and the attention take a (B, .) batch of decoder rows: one
@@ -113,9 +115,8 @@ def encode(seqs, embeddings: Tensor, params: EncoderParams, w_keys: Tensor) -> E
     id_rows = np.full(padded.shape, PAD, dtype=np.intp)
     id_rows[~padded] = [i for seq in seqs for i in seq]
     x = ad.lookup(embeddings, id_rows)                                   # (B, N, emb)
-    fwd = ad.lstm_seq(x, params.fwd.w_x, params.fwd.w_h, params.fwd.b, lengths=lens)
-    bwd = ad.lstm_seq(x, params.bwd.w_x, params.bwd.w_h, params.bwd.b, reverse=True,
-                      lengths=lens)
+    fwd, bwd = ad.bidirectional_lstm(x, (params.fwd.w_x, params.fwd.w_h, params.fwd.b),
+                                     (params.bwd.w_x, params.bwd.w_h, params.bwd.b), lens)
     both = ad.concat([fwd, bwd], axis=-1)       # (B, N+1, 2H); row N is the final c
     states = ad.slice_(both, 0, n, axis=-2)
     # one (H,) row per sequence, position and direction: the forward pass

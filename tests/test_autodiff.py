@@ -474,6 +474,38 @@ def test_lookup_gradient_matches_add_at():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+def test_a_lookup_copies_its_rows_out_of_the_table():
+    """The output owns its rows, for an int index too: writing the table
+    afterwards (as Adam does) does not change a recorded lookup."""
+    table = ad.Tensor(np.arange(12.0).reshape(4, 3))
+    for ids in (2, [1, 1], [[0, 3]]):
+        out = ad.lookup(table, ids)
+        assert not np.shares_memory(out.data, table.data)
+        np.testing.assert_array_equal(out.data, table.data[np.asarray(ids)])
+
+
+def masked_sigmoid(x):
+    """The logistic function by sign masks, never taking exp of a positive
+    number: 1 / (1 + exp(-x)) at x >= 0, exp(x) / (1 + exp(x)) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_is_bit_for_bit_the_masked_definition():
+    """Signed zeros, infinities, exp's overflow and underflow edges (710,
+    745) and random mixed signs give the masked form's bits; NaN stays NaN."""
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, 745.0, -745.0, 5e-324])
+    mixed = np.random.default_rng(13).normal(scale=8.0, size=(4, 1024))
+    for x in (edges, -edges, mixed):
+        np.testing.assert_array_equal(ad._sigmoid(x).view(np.int64),
+                                      masked_sigmoid(x).view(np.int64))
+    assert np.isnan(ad._sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
 # ---------------------------------------------------------------------------
 # Gradient parts: weight factors, lookup rows, constants, unshared leaves.
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from answergen.errors import EmptyPassageError, EmptyQuestionError, NonFiniteVal
 from answergen.generate import (
     GenerationResult,
     TraceStep,
+    _ranked,
     _top_tokens,
     generate,
     render_trace,
@@ -207,6 +208,32 @@ def test_the_vocabulary_source_never_emits_what_training_never_credits(vocab, sp
     result = generate("what is the bridge ?", "the bridge is safe .", model, beam_size=4,
                       max_len=4)
     assert len(result.tokens) == 4 and SPECIAL_TOKENS[special] not in result.tokens
+
+
+@pytest.mark.parametrize("want", [1, 4, 7, 39, 40, 41])
+def test_ranked_is_the_head_of_a_full_stable_argsort(want):
+    """Five distinct values among 40 entries, so ties straddle the cut;
+    ``want`` at or past the size sorts everything."""
+    rng = np.random.default_rng(want)
+    for _ in range(50):
+        probs = rng.integers(0, 5, size=40) / 4.0
+        np.testing.assert_array_equal(_ranked(probs, want),
+                                      np.argsort(-probs, kind="stable")[:want])
+
+
+def test_vocabulary_picks_rank_past_special_ids_that_fill_the_top():
+    """PAD, UNK and BOS are the most likely ids of a 5,000-word distribution
+    and five words tie at the beam's cut: the picks are the first four words
+    by a full stable sort, ties by id."""
+    probs = np.full(5000, 1e-5)
+    probs[list(NOT_FROM_VOCAB)] = 0.2
+    probs[[4001, 12, 4000, 11, 3999]] = 0.05
+    probs[7] = 0.06
+    words = [f"w{i}" for i in range(5000)]
+    picks = _top_tokens(Source.VOCAB, probs, words, beam_size=4)
+    assert [token for token, _, _, _ in picks] == ["w7", "w11", "w12", "w3999"]
+    want = [i for i in np.argsort(-probs, kind="stable") if i not in NOT_FROM_VOCAB][:4]
+    assert [token for token, _, _, _ in picks] == [words[i] for i in want]
 
 
 def copy_readout(source, attention, tokens):

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -16,6 +18,8 @@ from answergen.seq2seq import (
     coverage_penalty,
     encode,
 )
+
+from conftest import force_cpus
 
 
 def sig(x):
@@ -416,3 +420,104 @@ def test_encode_batch_equals_each_sequence():
         for name in ("final_h", "final_c"):
             np.testing.assert_allclose(getattr(batch, name).data[row],
                                        getattr(alone, name).data[0], rtol=0, atol=1e-12)
+
+
+class DirectionWatch:
+    """Wraps `autodiff._lstm_run` and the helper's executor: records, per
+    run, whether it was the reverse direction and whether it ran on a helper
+    thread (in the order the runs started, which threads may swap), and
+    counts the executors made."""
+
+    def __init__(self, monkeypatch):
+        self.runs: list[tuple[bool, bool]] = []
+        self.executors = 0
+        run, executor = ad._lstm_run, ad.ThreadPoolExecutor
+
+        def watched_run(*args):
+            self.runs.append((args[4], threading.current_thread() is not threading.main_thread()))
+            return run(*args)
+
+        def counted_executor(*args):
+            self.executors += 1
+            return executor(*args)
+
+        monkeypatch.setattr(ad, "_lstm_run", watched_run)
+        monkeypatch.setattr(ad, "ThreadPoolExecutor", counted_executor)
+
+
+def encode_and_backward(hidden, seed=7):
+    """Encode a padded batch of two sequences on a tape and sweep it back:
+    the output values, each recorded node's op kind and input names, and
+    every leaf gradient."""
+    rng = np.random.default_rng(seed)
+    emb = ad.Tensor(rng.uniform(-0.5, 0.5, (12, 6)), requires_grad=True)
+    params = make_encoder(rng, 6, hidden)
+    w_keys = make_keys(rng, hidden, 5)
+    with ad.Tape() as tape:
+        out = encode([[4, 5, 6, 7, 8], [9, 10]], emb, params, w_keys)
+        parts = [out.keys, out.final_h, out.final_c]
+        loss = ad.sum(ad.concat([ad.reshape(ad.mul(t, ad.constant(rng.normal(size=t.shape))),
+                                            (-1,)) for t in parts]))
+    kinds = [(node.op_kind, [t.name for t in node.inputs]) for node in tape.nodes]
+    grads = tape.backward(loss).grads
+    leaves = [emb, w_keys] + [getattr(getattr(params, d), w) for d in ("fwd", "bwd")
+                              for w in ("w_x", "w_h", "b")]
+    return [t.data for t in parts + [out.states]], kinds, [grads[t] for t in leaves]
+
+
+def test_encode_on_two_cpus_is_bit_for_bit_encode_on_one(monkeypatch):
+    """At full hidden size (w_h has HANDOFF_SIZE entries) the reverse
+    direction runs on a helper thread when two CPUs are free, and the values,
+    the recorded nodes in their order (forward direction first), and every
+    gradient are those of one CPU, bit for bit, at the default thread switch interval and at one of a
+    microsecond."""
+    results = []
+    interval = sys.getswitchinterval()
+    for cpus, switch in ((1, interval), (2, interval), (2, 1e-6)):
+        monkeypatch.undo()
+        force_cpus(monkeypatch, cpus)
+        watch = DirectionWatch(monkeypatch)
+        sys.setswitchinterval(switch)
+        try:
+            results.append(encode_and_backward(256))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(watch.runs) == [(False, False), (True, cpus > 1)]
+    values, kinds, grads = results[0]
+    assert [names[1] for kind, names in kinds if kind == "lstm_seq"] == ["enc.fwd.w_x",
+                                                                        "enc.bwd.w_x"]
+    for other_values, other_kinds, other_grads in results[1:]:
+        assert other_kinds == kinds
+        for one, two in zip(values + grads, other_values + other_grads):
+            assert one.tobytes() == two.tobytes()
+
+
+@pytest.mark.parametrize("hidden, cpus, helpers", [(32, 2, 0), (255, 2, 0), (256, 1, 0),
+                                                   (256, 2, 1)])
+def test_encode_starts_a_helper_only_on_two_cpus_past_the_size_rule(monkeypatch, hidden, cpus,
+                                                                    helpers):
+    """Desk dims (H=32) and H=255 stay on the calling thread; so does full
+    dims on one CPU. Whichever way, no thread outlives encode."""
+    force_cpus(monkeypatch, cpus)
+    watch = DirectionWatch(monkeypatch)
+    rng = np.random.default_rng(8)
+    emb = ad.Tensor(rng.uniform(-0.5, 0.5, (12, 6)))
+    before = threading.active_count()
+    encode([[4, 5, 6], [7]], emb, make_encoder(rng, 6, hidden), make_keys(rng, hidden, 5))
+    assert threading.active_count() == before
+    assert watch.executors == helpers
+    assert sorted(watch.runs) == [(False, False), (True, helpers == 1)]
+
+
+def test_an_error_in_the_helper_direction_reaches_the_caller(monkeypatch):
+    """A reverse direction that fails on the helper raises from encode, and
+    the helper has ended by then."""
+    force_cpus(monkeypatch, 2)
+    rng = np.random.default_rng(9)
+    params = make_encoder(rng, 6, 256)
+    params = replace(params, bwd=replace(params.bwd, b=ad.Tensor(np.zeros(5))))
+    before = threading.active_count()
+    with pytest.raises(ShapeMismatchError, match="lstm_seq"):
+        encode([[4, 5]], ad.Tensor(rng.uniform(-0.5, 0.5, (12, 6))), params,
+               make_keys(rng, 256, 5))
+    assert threading.active_count() == before
