@@ -4,10 +4,11 @@ Operations record TapeNodes while a Tape is active (see `Tape.__enter__`);
 outside a tape they just compute, which is what generation-time code uses.
 A tape can be walked backward exactly once. A tape and the tensors it
 records belong to the thread that records them; distinct tapes are
-independent. A helper thread may compute a primitive's values and grad_fn
-(``bidirectional_lstm`` runs one encoder direction on one), but only the
-recording thread records. Backward's helper thread (see below) reads only
-the gradient parts the sweep has handed to it.
+independent. Threads start in this module alone, and only on a CPU that
+``spare_cpus``, the package's one probe, finds spare: ``in_parallel`` forks
+independent calls (``bidirectional_lstm``'s two directions, whose values
+and grad_fns are recorded by the calling thread alone; Adam's shares), and
+backward's helper (see below) reads only the parts the sweep hands to it.
 
 Backward builds each tensor's gradient in one place from the parts the
 grad_fns hand out, of three kinds:
@@ -34,7 +35,7 @@ and takes the sum of squares while the sweep goes on. After the sweep, the
 calling thread squares the smaller leaves and takes back, from the end, each
 large leaf the helper has not started. Every product, sum and square is the
 same call on the same arrays as on one thread, so the results are bit for
-bit the same. With one CPU, or no leaf that large, no thread is started.
+bit the same. With no spare CPU, or no leaf that large, no thread is started.
 
 The grad_fns of ``add``, ``mul``, ``matmul``, ``minimum``, ``maximum`` and
 ``additive_scores`` return None instead of a part for an input that is
@@ -57,6 +58,7 @@ import math
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -74,10 +76,28 @@ _STATE = threading.local()  # .tape: this thread's active tape, unset outside Ta
 
 # Leaves of at least this many entries (2 MiB) are finished on backward's
 # helper thread, and a bidirectional LSTM whose w_h is this large runs its
-# reverse direction on a helper thread. The largest leaf of a desk model with
-# a 512-word vocabulary has 82K entries, so its backward stays on one thread;
+# two directions `in_parallel`. The largest leaf of a desk model with a
+# 512-word vocabulary has 82K entries, so its backward stays on one thread;
 # its encoders' w_h (32 x 128) are far below, a full-dims one (256 x 1024) at it.
 HANDOFF_SIZE = 1 << 18
+
+
+def spare_cpus() -> int:
+    """How many CPUs this process may run on besides the calling thread's."""
+    return len(os.sched_getaffinity(0)) - 1
+
+
+def in_parallel(calls: Sequence[Callable[[], object]]) -> list:
+    """Each call's result, in call order. With two calls or more and a spare
+    CPU, the first runs on the calling thread and the rest on an executor of
+    ``len(calls) - 1`` workers, else all run in turn on the calling thread.
+    Every call has ended before this returns or raises the first exception
+    in call order."""
+    if len(calls) < 2 or not spare_cpus():
+        return [call() for call in calls]
+    with ThreadPoolExecutor(len(calls) - 1) as pool:
+        later = [pool.submit(call) for call in calls[1:]]
+        return [calls[0]()] + [future.result() for future in later]
 
 
 def _all_finite(x: np.ndarray) -> bool:
@@ -206,16 +226,13 @@ class Tape:
         inputs), so a caller must not write a gradient in place.
 
         A leaf of at least ``HANDOFF_SIZE`` entries is finished (its factors
-        multiplied out and added in, its sum of squares taken) on one helper
-        thread from the moment it is complete (a pass over the nodes before
-        the sweep finds its first reader), while the sweep goes on. The
-        helper starts with the first such leaf, only when the process may
-        run on more than one CPU (``os.sched_getaffinity``), and is joined
-        before backward returns or raises; its exception is raised here.
-        After the sweep, the calling thread finishes the other leaves and
-        takes back, from the end, each large one the helper has not
-        started. The gradients and squares are bit for bit those of one
-        thread.
+        multiplied out and added in, its sum of squares taken) from the
+        moment it is complete (a pass over the nodes before the sweep finds
+        its first reader) on one helper thread: a ``with`` block around the
+        sweep, opened when such a leaf is on the tape and `spare_cpus` finds
+        a CPU. The calling thread finishes the other leaves after the sweep
+        and takes back, from the end, each large one the helper has not
+        started. The results are bit for bit those of one thread.
 
         ``params``, when given, lists tensors the caller cares about; any of
         them not reached by the sweep get a zero gradient and a square sum of
@@ -241,8 +258,8 @@ class Tape:
             for t in node.inputs:
                 if t.requires_grad and t.data.size >= HANDOFF_SIZE:
                     firsts.setdefault(t, i)
-        sums = _GradientSums()
-        try:
+        with ThreadPoolExecutor(1) if firsts and spare_cpus() else nullcontext() as helper:
+            sums = _GradientSums(helper)
             sums.receive(loss, np.ones_like(loss.data))
             while self.nodes:
                 # Popping releases each node once it is used. Outputs refer to
@@ -261,8 +278,6 @@ class Tape:
                         if firsts.get(t) == len(self.nodes):
                             sums.hand_off(t)
             result, squares = sums.leaf_gradients()
-        finally:
-            sums.close()
         for t, g in result.items():
             if not math.isfinite(squares[t]) and not _all_finite(g):
                 raise NonFiniteGradientError(f"non-finite gradient for {t.name or t.shape}")
@@ -277,7 +292,7 @@ class _GradientSums:
     """The gradients one backward sweep is assembling, one per tensor, and
     the complete large leaves handed off to be finished."""
 
-    def __init__(self):
+    def __init__(self, helper: "ThreadPoolExecutor | None"):
         self.dense: dict[Tensor, np.ndarray] = {}
         # Tensors whose dense array this sweep allocated itself. Only those
         # are added into in place: an array a grad_fn returned may be shared
@@ -289,7 +304,7 @@ class _GradientSums:
         # arguments of its `_finish` and its future on the helper thread
         # (None when there is no helper).
         self.handed: list[tuple[Tensor, tuple, "Future | None"]] = []
-        self.helper: ThreadPoolExecutor | None = None
+        self.helper = helper
 
     def receive(self, t: Tensor, part) -> None:
         """Take one part of ``t``'s gradient: dense, ``Factors`` or ``Rows``."""
@@ -316,17 +331,13 @@ class _GradientSums:
 
     def hand_off(self, t: Tensor) -> None:
         """Take complete leaf ``t``'s held factors and dense array out of the
-        sums, to be finished by `_finish`: on the helper thread, which the
-        first handoff starts when this process may run on more than one
-        CPU, or else on the calling thread after the sweep."""
+        sums, to be finished by `_finish` on the helper, if there is one."""
         pairs = self.held.pop(t, (0, None))[1]
         seen = self.dense.pop(t, None)
         if pairs is None and seen is None:
             return
         job = (pairs, seen, t in self.owned)
         self.owned.discard(t)
-        if not self.handed and len(os.sched_getaffinity(0)) > 1:
-            self.helper = ThreadPoolExecutor(1)
         future = None if self.helper is None else self.helper.submit(_finish, *job)
         self.handed.append((t, job, future))
 
@@ -346,11 +357,6 @@ class _GradientSums:
         for t, job, future in self.handed:
             grads[t], squares[t] = finished[t] if t in finished else future.result()
         return grads, squares
-
-    def close(self) -> None:
-        """Join the helper thread, cancelling the runs it has not started."""
-        if self.helper is not None:
-            self.helper.shutdown(cancel_futures=True)
 
     def _settle(self, t: Tensor) -> None:
         """Multiply out the factor pairs ``t`` holds into its dense array."""
@@ -728,21 +734,15 @@ def bidirectional_lstm(x: Tensor, forward: tuple[Tensor, Tensor, Tensor],
     reverse=True, lengths=lengths)``, recorded in that order.
 
     The two directions do not read each other (Appleyard et al. 2016). When
-    the process may run on more than one CPU (``os.sched_getaffinity``) and
-    the backward direction's w_h has at least ``HANDOFF_SIZE`` entries, its
-    run (values and grad_fn, no recording) goes to a helper thread while the
-    forward one runs on the calling thread, which then records both. The
-    helper ends before this returns or raises.
+    the backward direction's w_h has at least ``HANDOFF_SIZE`` entries, the
+    two runs (values and grad_fn, no recording) go to `in_parallel`, so the
+    backward one gets a spare CPU if there is one; the calling thread then
+    records both.
     """
-    run_forward = partial(_lstm_run, x, *forward, False, lengths, None)
-    run_backward = partial(_lstm_run, x, *backward, True, lengths, None)
-    if backward[1].data.size >= HANDOFF_SIZE and len(os.sched_getaffinity(0)) > 1:
-        with ThreadPoolExecutor(1) as helper:
-            later = helper.submit(run_backward)
-            first = run_forward()
-            second = later.result()
-    else:
-        first, second = run_forward(), run_backward()
+    runs = [partial(_lstm_run, x, *forward, False, lengths, None),
+            partial(_lstm_run, x, *backward, True, lengths, None)]
+    small = backward[1].data.size < HANDOFF_SIZE
+    first, second = [run() for run in runs] if small else in_parallel(runs)
     return _record("lstm_seq", *first), _record("lstm_seq", *second)
 
 

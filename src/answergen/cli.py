@@ -41,12 +41,15 @@ from .training import (
 )
 
 
+INPUT_FILE = click.Path(exists=True, dir_okay=False)
+
+
 def log_event(event: str, **fields) -> None:
     print(json.dumps({"event": event, **fields}), file=sys.stderr)
 
 
 def config_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(), default=None,
+    fn = click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None,
                       help="Config file ([section] / key = value).")(fn)
     fn = click.option("--profile", type=click.Choice(["full", "desk"]),
                       default="full", show_default=True)(fn)
@@ -102,7 +105,7 @@ def main():
 
 
 @main.command()
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True))
+@click.option("--data", "data_path", required=True, type=INPUT_FILE)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @config_options
 def prepare(data_path, out_path, config_path, profile, overrides):
@@ -122,7 +125,7 @@ def prepare(data_path, out_path, config_path, profile, overrides):
 
 
 @main.command("extract-facts")
-@click.option("--kb", "kb_path", required=True, type=click.Path(exists=True))
+@click.option("--kb", "kb_path", required=True, type=INPUT_FILE)
 @click.option("--question", required=True)
 @click.option("--passage", required=True)
 @click.option("--n-facts", type=click.IntRange(min=1), default=1000, show_default=True)
@@ -144,11 +147,11 @@ def extract_facts(kb_path, question, passage, n_facts):
 
 
 @main.command("train")
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True))
-@click.option("--vocab", "vocab_path", required=True, type=click.Path(exists=True))
+@click.option("--data", "data_path", required=True, type=INPUT_FILE)
+@click.option("--vocab", "vocab_path", required=True, type=INPUT_FILE)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--kb", "kb_path", default=None, type=click.Path(exists=True))
-@click.option("--embeddings", "emb_path", default=None, type=click.Path(exists=True))
+@click.option("--kb", "kb_path", default=None, type=INPUT_FILE)
+@click.option("--embeddings", "emb_path", default=None, type=INPUT_FILE)
 @click.option("--metrics", "metrics_path", default=None, type=click.Path())
 @click.option("--seed", type=int, default=None, help="Shorthand for training.seed.")
 @config_options
@@ -160,10 +163,7 @@ def train_cmd(data_path, vocab_path, out_path, kb_path, emb_path, metrics_path,
     cfg = build_config(config_path, profile, overrides)
     vocab = Vocabulary.load(vocab_path)
     kb = ingest_triples(kb_path) if kb_path else None
-    records = load_jsonl_dataset(data_path)
-    if not records:
-        raise DataError(f"no records in {data_path}")
-    items = encode_dataset(records, vocab, cfg, kb)
+    items = encode_dataset(load_jsonl_dataset(data_path), vocab, cfg, kb)
     n_relations = max(1, len(kb.relation_names)) if kb else 1
 
     model = AnswerModel(vocab, n_relations, cfg.model,
@@ -205,11 +205,11 @@ def train_cmd(data_path, vocab_path, out_path, kb_path, emb_path, metrics_path,
 
 
 @main.command("generate")
-@click.option("--checkpoint", "ckpt_path", required=True, type=click.Path(exists=True))
-@click.option("--vocab", "vocab_path", required=True, type=click.Path(exists=True))
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True))
+@click.option("--checkpoint", "ckpt_path", required=True, type=INPUT_FILE)
+@click.option("--vocab", "vocab_path", required=True, type=INPUT_FILE)
+@click.option("--data", "data_path", required=True, type=INPUT_FILE)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--kb", "kb_path", default=None, type=click.Path(exists=True))
+@click.option("--kb", "kb_path", default=None, type=INPUT_FILE)
 @click.option("--beam", type=click.IntRange(min=1), default=None, help="Override beam size.")
 @click.option("--trace", "show_trace", is_flag=True,
               help="Print the per-token source table for each answer.")
@@ -253,8 +253,8 @@ def generate_cmd(ckpt_path, vocab_path, data_path, out_path, kb_path, beam, show
 
 
 @main.command("evaluate")
-@click.option("--predictions", "pred_path", required=True, type=click.Path(exists=True))
-@click.option("--references", "ref_path", required=True, type=click.Path(exists=True))
+@click.option("--predictions", "pred_path", required=True, type=INPUT_FILE)
+@click.option("--references", "ref_path", required=True, type=INPUT_FILE)
 @click.option("--out", "out_path", default=None, type=click.Path())
 def evaluate_cmd(pred_path, ref_path, out_path):
     """Score predictions (JSONL with an "answer" field) against references."""

@@ -199,7 +199,7 @@ def load_config(path=None, profile: str = "full",
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         for dotted, value in _config_lines(text):
             _set(cfg, dotted, value)

@@ -1,9 +1,21 @@
-"""Atomic replacement of checkpoints, vocabularies, predictions, reports and synth output."""
+"""Text input lines, and atomic replacement of every file the package writes."""
 from __future__ import annotations
 
 import contextlib
 import os
-from typing import Iterable
+from typing import Iterable, Iterator
+
+from .errors import DataError
+
+
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """Each line of the UTF-8 text file at ``path``, newline included, and
+    its number from 1; undecodable bytes raise DataError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def replace_file(path, chunks: Iterable[bytes]) -> None:

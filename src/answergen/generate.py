@@ -61,15 +61,9 @@ class TraceStep:
         return math.log(self.source_prob * self.word_prob)
 
     def to_dict(self) -> dict:
-        return {
-            "token": self.token,
-            "source_probs": list(self.source_probs),
-            "chosen": SOURCE_LABELS[self.chosen],
-            "source_prob": self.source_prob,
-            "word_prob": self.word_prob,
-            "fact_id": self.fact_id,
-            "continuation": self.continuation,
-        }
+        """Every field, in field order; the chosen source by its label."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "source_probs": list(self.source_probs), "chosen": SOURCE_LABELS[self.chosen]}
 
 
 def trace_score(trace) -> float:

@@ -18,6 +18,7 @@ from functools import cache
 from typing import NamedTuple, Sequence
 
 from .errors import DataError
+from .files import read_lines
 from .text import tokenize
 
 
@@ -64,22 +65,21 @@ def ingest_triples(path) -> KnowledgeBase:
     """
     kb = KnowledgeBase()
     subject_tokens = cache(lambda text: tuple(tokenize(text)))  # dumps repeat each subject
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                kb.skipped_lines.append(lineno)
-                continue
-            subject = subject_tokens(parts[0])
-            relation = parts[1].strip()
-            obj = tuple(tokenize(parts[2]))
-            if not subject or not relation or not obj:
-                kb.skipped_lines.append(lineno)
-                continue
-            kb.add(subject, relation, obj)
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            kb.skipped_lines.append(lineno)
+            continue
+        subject = subject_tokens(parts[0])
+        relation = parts[1].strip()
+        obj = tuple(tokenize(parts[2]))
+        if not subject or not relation or not obj:
+            kb.skipped_lines.append(lineno)
+            continue
+        kb.add(subject, relation, obj)
     return kb
 
 

@@ -22,7 +22,7 @@ from .errors import (
     EmptyQuestionError,
     MalformedLineError,
 )
-from .files import replace_file
+from .files import read_lines, replace_file
 
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
@@ -71,12 +71,17 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """The vocabulary `save` wrote: a list of string tokens and an int size."""
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
-            return cls(payload["tokens"], payload["max_size"])
+            tokens, max_size = payload["tokens"], payload["max_size"]
+            if (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)
+                    and type(max_size) is int):
+                return cls(tokens, max_size)
         except (ValueError, KeyError, TypeError):
-            raise CorruptFileError(f"{path} is not a vocabulary file") from None
+            pass
+        raise CorruptFileError(f"{path} is not a vocabulary file")
 
 
 def build_vocab(corpus: Iterable[Sequence[str]], max_size: int) -> Vocabulary:
@@ -153,28 +158,27 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, d_emb: int = 300,
     """
     vectors: dict[int, np.ndarray] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise MalformedLineError(lineno, "expected a token and at least one value", path)
-            token, values = parts[0], parts[1:]
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError:
-                raise MalformedLineError(lineno, "non-numeric embedding value", path) from None
-            if not np.isfinite(vec).all():  # float() reads "nan", "inf" and 1e999
-                raise MalformedLineError(lineno, "non-finite embedding value", path)
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise DimensionMismatchError(
-                    f"{path} line {lineno}: {vec.size}-dim vector in a {dim}-dim file")
-            token_id = vocab.encode(token)
-            if token_id != UNK or token == SPECIAL_TOKENS[UNK]:
-                vectors[token_id] = vec
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) < 2:
+            raise MalformedLineError(lineno, "expected a token and at least one value", path)
+        token, values = parts[0], parts[1:]
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError:
+            raise MalformedLineError(lineno, "non-numeric embedding value", path) from None
+        if not np.isfinite(vec).all():  # float() reads "nan", "inf" and 1e999
+            raise MalformedLineError(lineno, "non-finite embedding value", path)
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise DimensionMismatchError(
+                f"{path} line {lineno}: {vec.size}-dim vector in a {dim}-dim file")
+        token_id = vocab.encode(token)
+        if token_id != UNK or token == SPECIAL_TOKENS[UNK]:
+            vectors[token_id] = vec
     if dim is None:
         dim = d_emb
     rng = np.random.default_rng(seed)
@@ -194,17 +198,16 @@ class RawRecord:
 def read_json_objects(path) -> Iterator[tuple[int, dict]]:
     """The JSON object on each non-blank line of ``path``, with its line
     number; a line that holds anything else raises MalformedLineError."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise MalformedLineError(lineno, "invalid JSON", path) from None
-            if not isinstance(obj, dict):
-                raise MalformedLineError(lineno, "not a JSON object", path)
-            yield lineno, obj
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            raise MalformedLineError(lineno, "invalid JSON", path) from None
+        if not isinstance(obj, dict):
+            raise MalformedLineError(lineno, "not a JSON object", path)
+        yield lineno, obj
 
 
 def load_jsonl_dataset(path) -> list[RawRecord]:

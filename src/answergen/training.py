@@ -37,8 +37,8 @@ import json
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -314,18 +314,13 @@ class Adam:
     each block's g is first ``g * scale`` in a scratch buffer: the product
     scaling the whole gradient would give, without writing it.
 
-    The update is elementwise, so disjoint blocks may run on different
-    threads with every bit unchanged. The thread count is the number of CPUs
-    this process may run on, fixed at construction. The whole blocks, in
-    parameter order, are cut into that many contiguous shares: the calling
-    thread runs the first, one worker thread each of the others, and after
-    the join the calling thread runs the partial blocks and the parameters
-    smaller than a block. numpy releases the interpreter lock inside each
-    ufunc over a whole block, but a small job's time is mostly Python, and
-    threads running small jobs contend for the lock. With one CPU, or fewer
-    than two whole blocks per thread, every block runs on the calling
-    thread in parameter order. Each thread has its own three scratch buffers,
-    and no thread outlives ``step``.
+    The update is elementwise, so `autodiff.in_parallel` may run disjoint
+    blocks with every bit unchanged: the whole blocks, in parameter order,
+    cut into one contiguous share per CPU (counted at construction), or one
+    share when there are fewer than two whole blocks per CPU, each share
+    with its own three scratch buffers. The calling thread then runs the
+    partial blocks and the parameters smaller than a block, whose time is
+    mostly Python and would only contend for the interpreter lock.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
@@ -334,10 +329,10 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros(p.data.size) for name, p in params.items()}
         self.v = {name: np.zeros(p.data.size) for name, p in params.items()}
-        cpus = len(os.sched_getaffinity(0))
+        cpus = 1 + ad.spare_cpus()
         whole_blocks = sum(m.size // ADAM_BLOCK for m in self.m.values())
-        threads = cpus if cpus > 1 and whole_blocks >= 2 * cpus else 1
-        self._scratch = [tuple(np.empty(ADAM_BLOCK) for _ in range(3)) for _ in range(threads)]
+        shares = cpus if whole_blocks >= 2 * cpus else 1
+        self._scratch = [tuple(np.empty(ADAM_BLOCK) for _ in range(3)) for _ in range(shares)]
 
     def step(self, grads: dict[str, np.ndarray], scale: float | None = None) -> None:
         """Validate every parameter and gradient, then update; a bad entry
@@ -354,21 +349,13 @@ class Adam:
         self.t += 1
         bias = (1 - ADAM_BETA1 ** self.t, 1 - ADAM_BETA2 ** self.t)
         jobs = [(arrays, start) for arrays in flat for start in range(0, arrays[0].size, ADAM_BLOCK)]
-        threads = len(self._scratch)
-        if threads == 1:
-            self._update(jobs, self._scratch[0], bias, scale)
-            return
         whole = [(arrays, start) for arrays, start in jobs if start + ADAM_BLOCK <= arrays[0].size]
-        partial = [(arrays, start) for arrays, start in jobs if start + ADAM_BLOCK > arrays[0].size]
-        cuts = [len(whole) * i // threads for i in range(threads + 1)]
-        shares = [whole[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-        with ThreadPoolExecutor(threads - 1) as pool:
-            futures = [pool.submit(self._update, share, scratch, bias, scale)
-                       for share, scratch in zip(shares[1:], self._scratch[1:])]
-            self._update(shares[0], self._scratch[0], bias, scale)
-            for future in futures:
-                future.result()
-        self._update(partial, self._scratch[0], bias, scale)
+        tail = [(arrays, start) for arrays, start in jobs if start + ADAM_BLOCK > arrays[0].size]
+        shares = len(self._scratch)
+        cuts = [len(whole) * i // shares for i in range(shares + 1)]
+        ad.in_parallel([partial(self._update, whole[lo:hi], scratch, bias, scale)
+                        for lo, hi, scratch in zip(cuts, cuts[1:], self._scratch)])
+        self._update(tail, self._scratch[0], bias, scale)
 
     def _update(self, jobs, scratch, bias: tuple[float, float], scale: float | None) -> None:
         """Update the (arrays, block start) jobs in order, in one thread's
@@ -446,13 +433,12 @@ def train_step(model: AnswerModel, batch: Sequence[TrainItem], optimizer: Adam,
 
 
 def _batches(n_items: int, batch_size: int, shuffle_rng: np.random.Generator):
-    """Endless shuffled batch index stream, reshuffled each epoch."""
+    """Endless shuffled batch index stream, reshuffled each epoch; it yields
+    nothing, forever, when ``n_items`` is 0."""
     while True:
         order = shuffle_rng.permutation(n_items)
         for start in range(0, n_items, batch_size):
-            chunk = order[start:start + batch_size]
-            if len(chunk) > 0:
-                yield chunk
+            yield order[start:start + batch_size]
 
 
 def train(model: AnswerModel, dataset: Sequence[TrainItem], cfg: TrainingConfig,
@@ -462,8 +448,10 @@ def train(model: AnswerModel, dataset: Sequence[TrainItem], cfg: TrainingConfig,
     After each step, ``on_step`` (if given) gets that step's metrics; when it
     returns True the run stops after that step. The batches and the noise do
     not depend on the callback, so the steps it lets run are those of a run
-    without it.
+    without it. An empty ``dataset`` raises DataError.
     """
+    if not dataset:
+        raise DataError("no training examples")
     seq = np.random.SeedSequence(cfg.seed)
     shuffle_seed, sample_seed = seq.spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seed)

@@ -1,8 +1,7 @@
-import os
-
 import numpy as np
 import pytest
 
+from answergen import autodiff as ad
 from answergen.config import ModelConfig
 from answergen.knowledge import Fact
 from answergen.model import AnswerModel
@@ -13,9 +12,11 @@ BASE_TOKENS = ["what", "is", "a", "the", "bridge", "cross", "water", "safe",
 
 
 def force_cpus(monkeypatch, n):
-    """Make the process look as if it may run on n CPUs. Adam reads this
-    when it is constructed, Tape.backward when it first hands off a leaf."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    """Make the process look as if it may run on n CPUs, through the
+    package's one CPU probe, `autodiff.spare_cpus`: Adam reads it when it is
+    constructed, `in_parallel` at each fork and Tape.backward before its
+    sweep."""
+    monkeypatch.setattr(ad, "spare_cpus", lambda: n - 1)
 
 
 def make_vocab(extra=()):

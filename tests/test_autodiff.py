@@ -2,6 +2,7 @@ import gc
 import itertools
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 import zlib
@@ -713,6 +714,72 @@ def test_no_gradient_is_computed_for_a_constant_input(kind):
         for i, (inp, part) in enumerate(parts):
             assert inp is inputs[i]
             assert (part is None) == (i != tracked), (kind, i, tracked)
+
+
+# ---------------------------------------------------------------------------
+# The parallel fork.
+# ---------------------------------------------------------------------------
+
+def count_executors(monkeypatch):
+    """The worker counts of the executors autodiff makes, in order."""
+    made = []
+    executor = ad.ThreadPoolExecutor
+    monkeypatch.setattr(ad, "ThreadPoolExecutor",
+                        lambda workers: made.append(workers) or executor(workers))
+    return made
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_in_parallel_returns_the_results_in_call_order(monkeypatch, cpus):
+    """The first call runs on the calling thread, the others on workers when
+    a CPU is spare; one CPU, or a single call, makes no executor."""
+    force_cpus(monkeypatch, cpus)
+    made = count_executors(monkeypatch)
+    before = threading.active_count()
+    main = threading.get_ident()
+    results = ad.in_parallel([lambda i=i: (i, threading.get_ident()) for i in range(4)])
+    assert [i for i, _ in results] == [0, 1, 2, 3]
+    assert results[0][1] == main
+    assert all((ident != main) == (cpus > 1) for _, ident in results[1:])
+    assert ad.in_parallel([lambda: 7]) == [7] and ad.in_parallel([]) == []
+    assert made == ([3] if cpus > 1 else [])
+    assert threading.active_count() == before
+
+
+def test_in_parallel_raises_the_first_exception_in_call_order_after_every_call(monkeypatch):
+    """The third call raises before the second does, and the second's error
+    is raised; when the calling thread's own call fails at once, a slow
+    worker still ends first. No thread outlives either fork."""
+    force_cpus(monkeypatch, 2)
+    made = count_executors(monkeypatch)
+    ended = []
+    third_raised = threading.Event()
+
+    def fail(name, after=None):
+        def call():
+            if after is not None:
+                assert after.wait(timeout=30)
+            ended.append(name)
+            if name == "third":
+                third_raised.set()
+            raise RuntimeError(name)
+        return call
+
+    def slow():
+        time.sleep(0.1)
+        ended.append("slow")
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="second"):
+        ad.in_parallel([lambda: ended.append("first"), fail("second", after=third_raised),
+                        fail("third"), slow])
+    assert sorted(ended) == ["first", "second", "slow", "third"]
+    ended.clear()
+    with pytest.raises(RuntimeError, match="first"):
+        ad.in_parallel([fail("first"), slow])
+    assert ended == ["first", "slow"]
+    assert made == [3, 1]
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------

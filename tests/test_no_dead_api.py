@@ -102,3 +102,13 @@ def test_every_module_level_name_is_read_in_the_package():
               and not name.id.startswith("__") and name.id != "PRIMITIVES"
               and name.id not in read]
     assert not unused, f"module-level names never read inside the package: {unused}"
+
+
+def test_only_autodiff_decides_about_threads():
+    """One CPU probe and one parallel fork: no other module of the package
+    reads the CPU affinity or makes an executor."""
+    names = {"sched_getaffinity", "ThreadPoolExecutor"}
+    found = sorted({f"{module}:{name}" for module, tree in package_trees().items()
+                    if module != "autodiff.py"
+                    for name in referenced_names(tree, skip=None) if name in names})
+    assert not found, f"thread decisions outside autodiff: {found}"

@@ -216,6 +216,62 @@ def test_cli_data_error_exit_code(runner, tmp_path):
     assert result.exit_code == 3
 
 
+# (command, input-file option, exit code and error text when the file's
+# bytes are not UTF-8); the checkpoint is binary, so its bytes fail its magic.
+INPUT_FILE_OPTIONS = [
+    ("prepare", "--data", 3, "is not UTF-8 text"),
+    ("prepare", "--config", 2, "cannot read config file"),
+    ("extract-facts", "--kb", 3, "is not UTF-8 text"),
+    ("train", "--data", 3, "is not UTF-8 text"),
+    ("train", "--vocab", 3, "is not a vocabulary file"),
+    ("train", "--kb", 3, "is not UTF-8 text"),
+    ("train", "--embeddings", 3, "is not UTF-8 text"),
+    ("train", "--config", 2, "cannot read config file"),
+    ("generate", "--checkpoint", 3, "not a checkpoint file"),
+    ("generate", "--vocab", 3, "is not a vocabulary file"),
+    ("generate", "--data", 3, "is not UTF-8 text"),
+    ("generate", "--kb", 3, "is not UTF-8 text"),
+    ("evaluate", "--predictions", 3, "is not UTF-8 text"),
+    ("evaluate", "--references", 3, "is not UTF-8 text"),
+]
+
+
+@pytest.mark.parametrize("command, option, code, message", INPUT_FILE_OPTIONS,
+                         ids=[command + option for command, option, *_ in INPUT_FILE_OPTIONS])
+def test_cli_input_file_that_is_a_directory_or_not_utf8_keeps_the_exit_codes(
+        runner, tmp_path, command, option, code, message):
+    """Every input-file option: a directory is a usage error (exit 2), and
+    undecodable bytes are a data error (exit 3), or a configuration error for
+    a config file, each one JSON record rather than a traceback."""
+    write_vocab_and_checkpoint(tmp_path)
+    data, answers = tmp_path / "d.jsonl", tmp_path / "answers.jsonl"
+    data.write_text(json.dumps({"question": "what is the bridge ?",
+                                "passage": "the bridge is safe .", "answer": "safe"}) + "\n")
+    answers.write_text(json.dumps({"answer": "safe ."}) + "\n")
+    vocab, out = ["--vocab", str(tmp_path / "vocab.json")], ["--out", str(tmp_path / "out")]
+    required = {
+        "prepare": ["--data", str(data), *out],
+        "extract-facts": ["--question", "what is a bridge ?", "--passage", "you cross water ."],
+        "train": ["--data", str(data), *vocab, *out, "--profile", "desk"],
+        "generate": ["--checkpoint", str(tmp_path / "m.ckpt"), *vocab, "--data", str(data),
+                     *out],
+        "evaluate": ["--predictions", str(answers), "--references", str(answers)],
+    }[command]
+    undecodable = tmp_path / "undecodable"
+    undecodable.write_bytes(b"\xff\xfe bad \x80 bytes\n" * 8)
+    for bad, want, text in ((tmp_path, 2, "is a directory"), (undecodable, code, message)):
+        args = list(required)
+        if option in args:
+            args[args.index(option) + 1] = str(bad)
+        else:
+            args += [option, str(bad)]
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == want, (bad, result.output)
+        (record,) = map(json.loads, result.stderr.splitlines())
+        assert record["event"] == "error" and text in record["message"], record
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_config_file_and_overrides(runner, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[data]\nvocab_size = 100\n# comment\n[training]\nmax_steps = 3\n")

@@ -127,6 +127,20 @@ def test_vocab_load_rejects_a_file_that_is_not_a_vocabulary(content, tmp_path):
         Vocabulary.load(path)
 
 
+@pytest.mark.parametrize("payload", [{"max_size": 64, "tokens": "abc"},
+                                     {"max_size": 64, "tokens": ["a", 1]},
+                                     {"max_size": 64.0, "tokens": ["a"]},
+                                     {"max_size": True, "tokens": ["a"]}],
+                         ids=["a-string", "an-int-token", "a-float-size", "a-bool-size"])
+def test_vocab_load_rejects_a_malformed_token_list_or_size(payload, tmp_path):
+    """A string of tokens would load as its characters, and an int token
+    would fail only when the vocabulary is hashed."""
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptFileError, match="is not a vocabulary file"):
+        Vocabulary.load(path)
+
+
 def test_embeddings_cover_and_fill(small_vocab, tmp_path):
     path = tmp_path / "vectors.txt"
     dim = 300

@@ -18,6 +18,7 @@ from answergen.cli import main as cli_main
 from answergen.config import RunConfig, TrainingConfig
 from answergen.errors import (
     CorruptFileError,
+    DataError,
     NonFiniteGradientError,
     NonFiniteValueError,
     NumericError,
@@ -220,9 +221,10 @@ def test_adam_equals_the_unblocked_formula(monkeypatch):
     """Unscaled, and with a clip scale applied as the in-place ``g *= scale``
     over the whole gradient that it replaces, on one, two and three CPUs.
     The shapes hold 7 whole blocks (one parameter of exactly one block),
-    partial blocks and parameters smaller than a block. One CPU runs every
-    block on the calling thread; with two, the share boundary falls inside
-    "matrix"; with three, the shares are 2, 2 and 3 blocks."""
+    partial blocks and parameters smaller than a block. One CPU runs the 7
+    whole blocks and then the 5 partial ones on the calling thread; with
+    two, the share boundary falls inside "matrix"; with three, the shares
+    are 2, 2 and 3 blocks."""
     shapes = {"one": (1,), "below": (ADAM_BLOCK - 1,), "block": (ADAM_BLOCK,),
               "above": (ADAM_BLOCK + 1,), "matrix": (5, ADAM_BLOCK // 2),
               "long": (3 * ADAM_BLOCK + 7,)}
@@ -242,7 +244,7 @@ def test_adam_equals_the_unblocked_formula(monkeypatch):
             calls.clear()
             opt.step(grads, scale)
             if cpus == 1:
-                assert calls == [(threading.get_ident(), 12)]
+                assert calls == [(threading.get_ident(), 7), (threading.get_ident(), 5)]
             else:  # the shares, then the 5 partial blocks on the calling thread
                 shares = [7 * (i + 1) // cpus - 7 * i // cpus for i in range(cpus)]
                 assert sorted(n for _, n in calls) == sorted(shares + [5])
@@ -260,15 +262,16 @@ def test_adam_equals_the_unblocked_formula(monkeypatch):
 
 def test_adam_shares_blocks_only_when_each_thread_gets_two(monkeypatch):
     """Fewer than two whole blocks per CPU keep every block on the calling
-    thread."""
+    thread: one share of whole blocks, then the partial block."""
     force_cpus(monkeypatch, 2)
     calls = record_updates(monkeypatch)
     rng = np.random.default_rng(5)
-    for n_blocks, n_calls in ((3, 1), (4, 3)):
+    for n_blocks, n_calls in ((3, 2), (4, 3)):
         params = {"w": ad.Tensor(rng.normal(size=n_blocks * ADAM_BLOCK + 1))}
         calls.clear()
         Adam(params).step({"w": rng.normal(size=n_blocks * ADAM_BLOCK + 1)})
         assert len(calls) == n_calls
+        assert all(ident == threading.get_ident() for ident, _ in calls) == (n_calls == 2)
 
 
 # 22 whole blocks, a partial block and a parameter smaller than one block.
@@ -424,12 +427,14 @@ def test_a_desk_train_step_starts_a_backward_helper_only_past_the_size_rule(
     """With two CPUs, at desk dims and kb-dense's 512-word vocabulary every
     leaf is under ``HANDOFF_SIZE`` (sel.w_vocab has 82K entries), so
     backward starts no thread; at the desk profile's full 2,000 words,
-    sel.w_vocab has 320K and backward starts one."""
+    sel.w_vocab has 320K and backward starts one. Adam's executors, made
+    in `in_parallel`, are not counted."""
     force_cpus(monkeypatch, 2)
     made = []
     executor = ad.ThreadPoolExecutor
     monkeypatch.setattr(ad, "ThreadPoolExecutor",
-                        lambda *args: made.append(args) or executor(*args))
+                        lambda *args: made.append(sys._getframe(1).f_code.co_name)
+                        or executor(*args))
     cfg = RunConfig.desk()
     filler = {f"w{i}" for i in range(vocab_size - 4 - len(BASE_TOKENS))}  # 4 special tokens
     vocab = Vocabulary(sorted(set(BASE_TOKENS) | filler), max_size=vocab_size)
@@ -440,7 +445,7 @@ def test_a_desk_train_step_starts_a_backward_helper_only_past_the_size_rule(
     metrics = training.train_step(model, batch, Adam(model.parameters, lr=cfg.training.lr),
                                   0.7, np.random.default_rng(1), cfg.training, 0)
     assert not metrics.skipped
-    assert len(made) == helpers
+    assert made.count("backward") == helpers
 
 
 @pytest.mark.parametrize("clip_norm", [1e-3, 1e9])
@@ -535,6 +540,17 @@ def test_training_is_deterministic(vocab, tmp_path):
         save_checkpoint(model, step=5, config=RunConfig.desk(), path=path)
         files.append(path.read_bytes())
     assert files[0] == files[1]
+
+
+def test_train_on_an_empty_dataset_raises_a_data_error(vocab):
+    """An empty dataset has no batch to draw, so the endless batch stream
+    would never yield one."""
+    model = make_model(vocab, seed=3)
+    before = {name: t.data.copy() for name, t in model.parameters.items()}
+    with pytest.raises(DataError, match="no training examples"):
+        train(model, [], overfit_cfg(seed=9, steps=5))
+    for name, t in model.parameters.items():
+        np.testing.assert_array_equal(t.data, before[name])
 
 
 # --- checkpointing ---
