@@ -7,8 +7,8 @@ records belong to the thread that records them; distinct tapes are
 independent. Threads start in this module alone, and only on a CPU that
 ``spare_cpus``, the package's one probe, finds spare: ``in_parallel`` forks
 independent calls (``bidirectional_lstm``'s two directions, whose values
-and grad_fns are recorded by the calling thread alone; Adam's shares), and
-backward's helper (see below) reads only the parts the sweep hands to it.
+and grad_fns are recorded by the calling thread alone; Adam's shares;
+backward's sweep and the drain that finishes the large leaves it queues).
 
 Backward builds each tensor's gradient in one place from the parts the
 grad_fns hand out, of three kinds:
@@ -27,15 +27,13 @@ grad_fns hand out, of three kinds:
 
 A gradient is complete when the node that produced its tensor is popped
 (intermediates), or when the first node that reads it is popped (leaves):
-later nodes come earlier in the sweep. Backward finds the first reader of
-each leaf of at least ``HANDOFF_SIZE`` entries in one pass over the nodes;
-once complete, such a leaf is handed, with its held factors and its dense
-array, to one helper thread, which multiplies the factors out, adds them in
-and takes the sum of squares while the sweep goes on. After the sweep, the
-calling thread squares the smaller leaves and takes back, from the end, each
-large leaf the helper has not started. Every product, sum and square is the
-same call on the same arrays as on one thread, so the results are bit for
-bit the same. With no spare CPU, or no leaf that large, no thread is started.
+later nodes come earlier in the sweep. `_gradient` then multiplies its held
+factors out into a fresh array and adds its dense array in. A leaf of at
+least ``HANDOFF_SIZE`` entries is queued at that point for the second call
+of `in_parallel`, which finishes it (adds it up and takes its sum of
+squares) while the sweep goes on; every other leaf is finished on the spot.
+Each product, sum and square is the same call on the same arrays on any
+thread, so the results are bit for bit those of one thread.
 
 The grad_fns of ``add``, ``mul``, ``matmul``, ``minimum``, ``maximum`` and
 ``additive_scores`` return None instead of a part for an input that is
@@ -56,9 +54,9 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -74,11 +72,12 @@ from .errors import (
 
 _STATE = threading.local()  # .tape: this thread's active tape, unset outside Tape blocks
 
-# Leaves of at least this many entries (2 MiB) are finished on backward's
-# helper thread, and a bidirectional LSTM whose w_h is this large runs its
-# two directions `in_parallel`. The largest leaf of a desk model with a
-# 512-word vocabulary has 82K entries, so its backward stays on one thread;
-# its encoders' w_h (32 x 128) are far below, a full-dims one (256 x 1024) at it.
+# Leaves of at least this many entries (2 MiB) are finished by backward's
+# drain beside the sweep, and a bidirectional LSTM whose w_h is this large
+# runs its two directions `in_parallel`. The largest leaf of a desk model
+# with a 512-word vocabulary has 82K entries, so its backward stays on one
+# thread; its encoders' w_h (32 x 128) are far below, a full-dims one
+# (256 x 1024) at it.
 HANDOFF_SIZE = 1 << 18
 
 
@@ -216,23 +215,18 @@ class Tape:
         """Accumulate d(loss)/d(leaf) for every tracked leaf tensor.
 
         One sweep, newest node first. Each tensor's gradient is assembled in
-        one place from its parts: dense arrays are summed, a lookup's
-        ``Rows`` are scatter-added on arrival into one zero buffer, and a
-        matmul's weight ``Factors`` are kept, under the size rule of the
-        module docstring, and multiplied out as one GEMM over their stacked
-        rows. An intermediate's gradient is complete when its producer node
-        is popped; a leaf's when the first node that reads it is popped.
-        Two leaves may share one array (``add`` hands its gradient to both
+        one place from its parts (see the module docstring) and finished by
+        `_gradient` once complete: an intermediate's when its producer node
+        is popped, a leaf's when the first node that reads it is popped. Two
+        leaves may share one array (``add`` hands its gradient to both
         inputs), so a caller must not write a gradient in place.
 
-        A leaf of at least ``HANDOFF_SIZE`` entries is finished (its factors
-        multiplied out and added in, its sum of squares taken) from the
-        moment it is complete (a pass over the nodes before the sweep finds
-        its first reader) on one helper thread: a ``with`` block around the
-        sweep, opened when such a leaf is on the tape and `spare_cpus` finds
-        a CPU. The calling thread finishes the other leaves after the sweep
-        and takes back, from the end, each large one the helper has not
-        started. The results are bit for bit those of one thread.
+        A complete leaf is finished on the spot, or, from ``HANDOFF_SIZE``
+        entries on, queued for the second call of `in_parallel([sweep,
+        drain])`, which finishes queued leaves while the sweep goes on; the
+        calling thread drains the queue too once the sweep ends. The results
+        are bit for bit those of one thread, in the order the sweep
+        completed the leaves.
 
         ``params``, when given, lists tensors the caller cares about; any of
         them not reached by the sweep get a zero gradient and a square sum of
@@ -253,46 +247,78 @@ class Tape:
         if loss.data.size != 1:
             raise ShapeMismatchError(f"loss must be scalar, got shape {loss.shape}")
 
-        firsts: dict[Tensor, int] = {}  # large leaf -> index of the first node reading it
+        # leaf -> index of the first node that reads it; a leaf loss is
+        # complete before the sweep pops any node
+        first = {loss: len(self.nodes)} if loss.requires_grad else {}
         for i, node in enumerate(self.nodes):
             for t in node.inputs:
-                if t.requires_grad and t.data.size >= HANDOFF_SIZE:
-                    firsts.setdefault(t, i)
-        with ThreadPoolExecutor(1) if firsts and spare_cpus() else nullcontext() as helper:
-            sums = _GradientSums(helper)
-            sums.receive(loss, np.ones_like(loss.data))
-            while self.nodes:
-                # Popping releases each node once it is used. Outputs refer to
-                # the tape and the tape to its nodes, so a tape that kept its
-                # nodes would leave the whole graph to the cyclic garbage
-                # collector.
-                node = self.nodes.pop()
-                g = sums.take(node.output)
-                if g is not None:
-                    assert g.shape == node.output.data.shape
-                    for inp, part in node.grad_fn(g):
-                        if part is not None and (inp.requires_grad or inp._tape is self):
-                            sums.receive(inp, part)
-                if firsts:
-                    for t in node.inputs:
-                        if firsts.get(t) == len(self.nodes):
-                            sums.hand_off(t)
-            result, squares = sums.leaf_gradients()
-        for t, g in result.items():
-            if not math.isfinite(squares[t]) and not _all_finite(g):
+                if t.requires_grad:
+                    first.setdefault(t, i)
+        readers: dict[int, list[Tensor]] = {}
+        for t, i in first.items():
+            readers.setdefault(i, []).append(t)
+        large = any(t.data.size >= HANDOFF_SIZE for t in first)
+        sums = _GradientSums()
+        queued = queue.SimpleQueue()
+        # leaf -> (gradient, sum of squares), in the order the sweep completed
+        # the leaves: a queued leaf holds its place with None
+        finished: dict[Tensor, "tuple[np.ndarray, float] | None"] = {}
+
+        def drain():
+            while (job := queued.get()) is not None:
+                finished[job[0]] = _finish(*job[1:])
+
+        def complete(i: int) -> None:
+            for t in readers.get(i, ()):
+                pairs, dense = sums.pop(t)
+                if pairs is None and dense is None:
+                    continue
+                if t.data.size >= HANDOFF_SIZE:
+                    finished[t] = None
+                    queued.put((t, pairs, dense))
+                else:
+                    finished[t] = _finish(pairs, dense)
+
+        def sweep():
+            try:
+                sums.receive(loss, np.ones_like(loss.data))
+                complete(len(self.nodes))
+                while self.nodes:
+                    # Popping releases each node once it is used. Outputs
+                    # refer to the tape and the tape to its nodes, so a tape
+                    # that kept its nodes would leave the whole graph to the
+                    # cyclic garbage collector.
+                    node = self.nodes.pop()
+                    pairs, dense = sums.pop(node.output)
+                    if pairs is not None or dense is not None:
+                        g = _gradient(pairs, dense)
+                        assert g.shape == node.output.data.shape
+                        for inp, part in node.grad_fn(g):
+                            if part is not None and (inp.requires_grad or inp._tape is self):
+                                sums.receive(inp, part)
+                    complete(len(self.nodes))
+            finally:
+                for _ in range(1 + large):  # one end marker per drainer
+                    queued.put(None)
+            drain()
+
+        in_parallel([sweep, drain] if large else [sweep])
+        grads, squares = {}, {}
+        for t, (g, square) in finished.items():
+            if not math.isfinite(square) and not _all_finite(g):
                 raise NonFiniteGradientError(f"non-finite gradient for {t.name or t.shape}")
+            grads[t], squares[t] = g, square
         if params is not None:
             for p in params:
-                if p not in result:
-                    result[p], squares[p] = np.zeros_like(p.data), 0.0
-        return GradientMap(result, squares)
+                if p not in grads:
+                    grads[p], squares[p] = np.zeros_like(p.data), 0.0
+        return GradientMap(grads, squares)
 
 
 class _GradientSums:
-    """The gradients one backward sweep is assembling, one per tensor, and
-    the complete large leaves handed off to be finished."""
+    """The gradients one backward sweep is assembling, one per tensor."""
 
-    def __init__(self, helper: "ThreadPoolExecutor | None"):
+    def __init__(self):
         self.dense: dict[Tensor, np.ndarray] = {}
         # Tensors whose dense array this sweep allocated itself. Only those
         # are added into in place: an array a grad_fn returned may be shared
@@ -300,11 +326,6 @@ class _GradientSums:
         self.owned: set[Tensor] = set()
         # Factor pairs not yet multiplied out, with their total size.
         self.held: dict[Tensor, tuple[int, list[Factors]]] = {}
-        # Handed-off leaves in the order they were completed, each with the
-        # arguments of its `_finish` and its future on the helper thread
-        # (None when there is no helper).
-        self.handed: list[tuple[Tensor, tuple, "Future | None"]] = []
-        self.helper = helper
 
     def receive(self, t: Tensor, part) -> None:
         """Take one part of ``t``'s gradient: dense, ``Factors`` or ``Rows``."""
@@ -322,45 +343,11 @@ class _GradientSums:
         else:
             self._add(t, part, fresh=False)
 
-    def take(self, t: Tensor) -> "np.ndarray | None":
-        """Remove and return ``t``'s complete gradient, None if it has none."""
-        if t in self.held:
-            self._settle(t)
+    def pop(self, t: Tensor) -> "tuple[list[Factors] | None, np.ndarray | None]":
+        """Remove ``t``'s held factor pairs and dense array, each None if it
+        has none, for `_gradient` to combine."""
         self.owned.discard(t)
-        return self.dense.pop(t, None)
-
-    def hand_off(self, t: Tensor) -> None:
-        """Take complete leaf ``t``'s held factors and dense array out of the
-        sums, to be finished by `_finish` on the helper, if there is one."""
-        pairs = self.held.pop(t, (0, None))[1]
-        seen = self.dense.pop(t, None)
-        if pairs is None and seen is None:
-            return
-        job = (pairs, seen, t in self.owned)
-        self.owned.discard(t)
-        future = None if self.helper is None else self.helper.submit(_finish, *job)
-        self.handed.append((t, job, future))
-
-    def leaf_gradients(self) -> tuple[dict[Tensor, np.ndarray], dict[Tensor, float]]:
-        """Each leaf's gradient and its sum of squares, once the sweep is
-        over. The calling thread finishes the leaves still here, then runs,
-        from the end, each handed-off leaf whose run it can cancel on the
-        helper, and waits for the helper's results."""
-        for t in list(self.held):
-            self._settle(t)
-        grads = {t: g for t, g in self.dense.items() if t.requires_grad}
-        squares = {t: _square_sum(g) for t, g in grads.items()}
-        finished = {}
-        for t, job, future in reversed(self.handed):
-            if future is None or future.cancel():
-                finished[t] = _finish(*job)
-        for t, job, future in self.handed:
-            grads[t], squares[t] = finished[t] if t in finished else future.result()
-        return grads, squares
-
-    def _settle(self, t: Tensor) -> None:
-        """Multiply out the factor pairs ``t`` holds into its dense array."""
-        self._add(t, _multiply_out(self.held.pop(t)[1]), fresh=True)
+        return self.held.pop(t, (0, None))[1], self.dense.pop(t, None)
 
     def _add(self, t: Tensor, g: np.ndarray, fresh: bool) -> None:
         """Add a dense part; a ``fresh`` one was allocated for this sweep and
@@ -371,7 +358,8 @@ class _GradientSums:
             if fresh:
                 self.owned.add(t)
         else:
-            self.dense[t] = _sum(seen, g, t in self.owned, fresh)
+            out = seen if t in self.owned else g if fresh else None
+            self.dense[t] = np.add(seen, g, out=out)
             self.owned.add(t)
 
     def _buffer(self, t: Tensor) -> np.ndarray:
@@ -385,28 +373,21 @@ class _GradientSums:
         return buf
 
 
-def _sum(seen: np.ndarray, g: np.ndarray, seen_owned: bool, fresh: bool) -> np.ndarray:
-    """``seen + g``, written into ``seen`` when the sweep owns it, else into
-    ``g`` when it is ``fresh``, else into a new array."""
-    return np.add(seen, g, out=seen if seen_owned else g if fresh else np.empty(seen.shape))
+def _gradient(pairs: "list[Factors] | None", dense: "np.ndarray | None") -> np.ndarray:
+    """A complete gradient: its factor pairs multiplied out into a fresh
+    array with its dense array added in, or the one of the two it has."""
+    if pairs is None:
+        return dense
+    product = _multiply_out(pairs)
+    return product if dense is None else np.add(dense, product, out=product)
 
 
-def _square_sum(g: np.ndarray) -> float:
-    """The sum of ``g``'s squared entries, as one dot product."""
+def _finish(pairs: "list[Factors] | None", dense: "np.ndarray | None") -> tuple[np.ndarray, float]:
+    """A complete leaf's gradient and the sum of its squared entries, as one
+    dot product."""
+    g = _gradient(pairs, dense)
     flat = g.reshape(-1)
-    return float(flat @ flat)
-
-
-def _finish(pairs: "list[Factors] | None", seen: "np.ndarray | None",
-            seen_owned: bool) -> tuple[np.ndarray, float]:
-    """A handed-off leaf's gradient and its sum of squares: its factor
-    pairs multiplied out and added to its dense array as `_GradientSums`
-    adds them."""
-    g = seen
-    if pairs is not None:
-        product = _multiply_out(pairs)
-        g = product if seen is None else _sum(seen, product, seen_owned, fresh=True)
-    return g, _square_sum(g)
+    return g, float(flat @ flat)
 
 
 def _multiply_out(pairs: list[Factors]) -> np.ndarray:

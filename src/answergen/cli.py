@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import sys
 import time
 
@@ -42,6 +43,20 @@ from .training import (
 
 
 INPUT_FILE = click.Path(exists=True, dir_okay=False)
+
+
+class OutputPath(click.Path):
+    """A path a command writes: its parent must be a directory, so a bad
+    path is a usage error (exit 2) before any work starts."""
+
+    def convert(self, value, param, ctx):
+        path = super().convert(value, param, ctx)
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            self.fail(f"{os.fspath(path)!r}: its parent is not a directory", param, ctx)
+        return path
+
+
+OUTPUT_FILE = OutputPath(dir_okay=False)
 
 
 def log_event(event: str, **fields) -> None:
@@ -106,7 +121,7 @@ def main():
 
 @main.command()
 @click.option("--data", "data_path", required=True, type=INPUT_FILE)
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=OUTPUT_FILE)
 @config_options
 def prepare(data_path, out_path, config_path, profile, overrides):
     """Build the vocabulary from a JSONL dataset.
@@ -149,10 +164,10 @@ def extract_facts(kb_path, question, passage, n_facts):
 @main.command("train")
 @click.option("--data", "data_path", required=True, type=INPUT_FILE)
 @click.option("--vocab", "vocab_path", required=True, type=INPUT_FILE)
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=OUTPUT_FILE)
 @click.option("--kb", "kb_path", default=None, type=INPUT_FILE)
 @click.option("--embeddings", "emb_path", default=None, type=INPUT_FILE)
-@click.option("--metrics", "metrics_path", default=None, type=click.Path())
+@click.option("--metrics", "metrics_path", default=None, type=OUTPUT_FILE)
 @click.option("--seed", type=int, default=None, help="Shorthand for training.seed.")
 @config_options
 def train_cmd(data_path, vocab_path, out_path, kb_path, emb_path, metrics_path,
@@ -208,7 +223,7 @@ def train_cmd(data_path, vocab_path, out_path, kb_path, emb_path, metrics_path,
 @click.option("--checkpoint", "ckpt_path", required=True, type=INPUT_FILE)
 @click.option("--vocab", "vocab_path", required=True, type=INPUT_FILE)
 @click.option("--data", "data_path", required=True, type=INPUT_FILE)
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=OUTPUT_FILE)
 @click.option("--kb", "kb_path", default=None, type=INPUT_FILE)
 @click.option("--beam", type=click.IntRange(min=1), default=None, help="Override beam size.")
 @click.option("--trace", "show_trace", is_flag=True,
@@ -255,7 +270,7 @@ def generate_cmd(ckpt_path, vocab_path, data_path, out_path, kb_path, beam, show
 @main.command("evaluate")
 @click.option("--predictions", "pred_path", required=True, type=INPUT_FILE)
 @click.option("--references", "ref_path", required=True, type=INPUT_FILE)
-@click.option("--out", "out_path", default=None, type=click.Path())
+@click.option("--out", "out_path", default=None, type=OUTPUT_FILE)
 def evaluate_cmd(pred_path, ref_path, out_path):
     """Score predictions (JSONL with an "answer" field) against references."""
     def read_answers(path):
@@ -277,7 +292,7 @@ def evaluate_cmd(pred_path, ref_path, out_path):
 @click.option("--task", required=True, type=click.Choice(list(TASKS)))
 @click.option("--size", required=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True, type=OutputPath(file_okay=False))
 def synth_cmd(task, size, seed, out_dir):
     """Write a synthetic dataset (<task>.jsonl) and its mini KB (kb.tsv)."""
     data_path, kb_path = synth_generate(task, size, seed, out_dir)

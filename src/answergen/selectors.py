@@ -175,20 +175,6 @@ def gumbel_softmax_sample(probs: Tensor, tau: float, *, uniforms: np.ndarray,
     return GumbelSample(soft=soft, hard_index=np.argmax(soft.data, axis=-1))
 
 
-def gumbel_hard_indices(probs: np.ndarray, draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized hard indices for `draws` samples.
-
-    Consumes the generator stream exactly like `draws` successive calls to
-    gumbel_softmax_sample, each given ``uniforms=rng.random(probs.shape)``,
-    so the two routes are interchangeable in tests.
-    """
-    k = probs.shape[0]
-    u = np.clip(rng.random((draws, k)), PROB_FLOOR, 1.0)
-    noise = -np.log(-np.log(u))
-    logits = np.log(np.maximum(probs, PROB_FLOOR))
-    return np.argmax(logits + noise, axis=1)
-
-
 @dataclass
 class TemperatureSchedule:
     tau0: float = 1.0

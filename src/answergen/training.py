@@ -433,8 +433,7 @@ def train_step(model: AnswerModel, batch: Sequence[TrainItem], optimizer: Adam,
 
 
 def _batches(n_items: int, batch_size: int, shuffle_rng: np.random.Generator):
-    """Endless shuffled batch index stream, reshuffled each epoch; it yields
-    nothing, forever, when ``n_items`` is 0."""
+    """Endless shuffled batch index stream, reshuffled each epoch."""
     while True:
         order = shuffle_rng.permutation(n_items)
         for start in range(0, n_items, batch_size):

@@ -586,7 +586,9 @@ def test_backward_of_a_rank_one_chain_holds_one_weight_gradient():
 def test_factor_pairs_are_kept_only_while_smaller_than_their_product(rows, kept):
     """A (rows, 96) x (rows, 48) weight gradient is kept as factors when they
     are smaller than the 96x48 product and multiplied out on arrival when
-    they are not, which releases the upstream gradient they refer to."""
+    they are not, which releases the upstream gradient they refer to. An
+    off-path node reads w first, so its gradient is complete, and finished,
+    only at the sweep's end."""
     rng = np.random.default_rng(6)
     x = ad.Tensor(rng.normal(size=(rows, 96)), requires_grad=True)
     w = ad.Tensor(rng.normal(size=(96, 48)), requires_grad=True)
@@ -604,7 +606,8 @@ def test_factor_pairs_are_kept_only_while_smaller_than_their_product(rows, kept)
         return [(x, g)]
 
     with ad.Tape() as tape:
-        a = ad.tanh(probe(x, check_released))  # swept last
+        ad.tanh(w)  # off the loss's path, swept last
+        a = ad.tanh(probe(x, check_released))
         y = ad.matmul(a, w)
         loss = ad.sum(probe(y, note_upstream))
     grads = tape.backward(loss)
@@ -858,29 +861,37 @@ def handoff_tape(wait=lambda: None):
 
 
 def test_the_handoff_tape_completes_its_leaves_where_it_says(monkeypatch):
-    """Each large leaf is handed off when the sweep pops its first reader,
-    whose index is then the number of nodes left on the tape."""
+    """Each leaf's parts are popped from the sums once, when the sweep pops
+    its first reader, whose index is then the number of nodes left on the
+    tape."""
     leaves, tape, loss = handoff_tape()
     names = {t: name for name, t in leaves.items()}
     n_nodes = len(tape.nodes)
-    firsts = {}
-    hand_off = ad._GradientSums.hand_off
+    first_readers = {}
+    for i, node in enumerate(tape.nodes):
+        for t in node.inputs:
+            if t in names:
+                first_readers.setdefault(names[t], i)
+    popped = []
+    pop = ad._GradientSums.pop
 
     def watched(sums, t):
-        firsts[names[t]] = len(tape.nodes)
-        hand_off(sums, t)
+        if t in names:
+            popped.append((names[t], len(tape.nodes)))
+        return pop(sums, t)
 
-    monkeypatch.setattr(ad._GradientSums, "hand_off", watched)
+    monkeypatch.setattr(ad._GradientSums, "pop", watched)
     tape.backward(loss)
-    assert set(firsts) == {"table", "w_both", "w_mid", "w_off", "a", "b"}
-    assert firsts["table"] == 0 and firsts["a"] == firsts["b"]
-    assert 0 < firsts["w_mid"] < n_nodes // 2
+    assert len(popped) == len(leaves) and dict(popped) == first_readers
+    assert first_readers["table"] == 0 and first_readers["a"] == first_readers["b"]
+    assert 0 < first_readers["w_mid"] < n_nodes // 2
 
 
 def test_large_leaves_finished_on_the_helper_equal_the_serial_sweep(monkeypatch):
     """On one, two and three CPUs, every gradient and sum of squares is byte
     for byte that of the serial reference: the same tape with no leaf large
-    enough to hand off, each finished after the sweep on the calling thread.
+    enough to hand off, each finished on the calling thread. Every reached
+    leaf is finished once, the two small ones always on the calling thread.
     One CPU starts no helper; two or three start one, which finishes at
     least the leaf it began while the sweep waited. Each count runs at the
     default thread switch interval and at one of a microsecond."""
@@ -901,7 +912,7 @@ def test_large_leaves_finished_on_the_helper_equal_the_serial_sweep(monkeypatch)
             leaves, gm, watch = backward(cpus)
         finally:
             sys.setswitchinterval(interval)
-        assert watch.executors == (cpus > 1) and len(watch.threads) == 5
+        assert watch.executors == (cpus > 1) and len(watch.threads) == 7
         assert any(watch.threads) == (cpus > 1)
         reached = [name for name in leaves if name != "w_off"]
         assert list(gm.grads) == list(gm.squares)
@@ -912,6 +923,70 @@ def test_large_leaves_finished_on_the_helper_equal_the_serial_sweep(monkeypatch)
             assert gm[got].tobytes() == ref[expected].tobytes(), (cpus, name)
             assert gm.squares[got].hex() == ref.squares[expected].hex(), (cpus, name)
         assert np.shares_memory(gm[leaves["a"]], gm[leaves["b"]])
+
+
+def slow_helper(monkeypatch, cpus):
+    """Make the helper sleep before each leaf it finishes, so the calling
+    thread finishes later leaves first. Returns a ``wait`` for a probe that
+    holds the sweep until the helper has begun a leaf (on one CPU, none)."""
+    started = threading.Event()
+    finish = ad._finish
+
+    def slow_finish(*job):
+        if _on_helper():
+            started.set()
+            time.sleep(0.02)
+        return finish(*job)
+
+    def wait():
+        assert started.wait(timeout=30)
+        started.clear()
+
+    monkeypatch.setattr(ad, "_finish", slow_finish)
+    return wait if cpus > 1 else lambda: None
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_backward_returns_its_leaves_in_the_order_the_sweep_completes_them(monkeypatch, cpus):
+    """``grads`` and ``squares`` list the reached leaves in one order, that
+    of their first readers from the newest (input order within a node), at
+    any CPU count and switch interval, whichever thread finishes first."""
+    force_cpus(monkeypatch, cpus)
+    wait = slow_helper(monkeypatch, cpus)
+    interval = sys.getswitchinterval()
+    for switch in (interval, 1e-6):
+        leaves, tape, loss = handoff_tape(wait)
+        names = {t: name for name, t in leaves.items()}
+        sys.setswitchinterval(switch)
+        try:
+            gm = tape.backward(loss)
+        finally:
+            sys.setswitchinterval(interval)
+        order = ["w_small", "a", "b", "w_mid", "bias", "w_both", "table"]
+        assert [names[t] for t in gm.grads] == [names[t] for t in gm.squares] == order
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_two_non_finite_large_leaves_raise_naming_the_one_completed_first(monkeypatch, cpus):
+    """The error names the leaf the sweep completed first, every time, also
+    when the helper still holds it while the calling thread finishes the
+    other."""
+    force_cpus(monkeypatch, cpus)
+    wait = slow_helper(monkeypatch, cpus)
+    for _ in range(3):
+        rng = np.random.default_rng(13)
+        early, late = (ad.Tensor(rng.normal(size=BIG), requires_grad=True, name=name)
+                       for name in ("early", "late"))
+        early.data[5, 9] = late.data[7, 3] = np.nan
+        x = ad.constant(rng.normal(size=(2, BIG[0])))
+        with ad.Tape() as tape:
+            # late's reader is swept first, then the probe waits for the
+            # helper to take late, then early's reader is swept
+            y = _probe(ad.matmul(x, early), wait)
+            z = ad.matmul(x, late)
+            loss = ad.add(ad.sum(ad.mul(y, y)), ad.sum(ad.mul(z, z)))
+        with pytest.raises(NonFiniteGradientError, match="late"):
+            tape.backward(loss)
 
 
 def helper_tape(wait, fail_in_sweep=False, nan_in_big=False):

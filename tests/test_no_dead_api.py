@@ -9,7 +9,7 @@ import answergen
 PACKAGE = Path(answergen.__file__).parent
 
 # Kept as references that tests or the benchmark compare the program against.
-KEPT_REFERENCES = {"elbo_loss", "gradient_check", "gumbel_hard_indices", "trace_score"}
+KEPT_REFERENCES = {"elbo_loss", "gradient_check", "trace_score"}
 
 
 def package_trees():
@@ -106,9 +106,16 @@ def test_every_module_level_name_is_read_in_the_package():
 
 def test_only_autodiff_decides_about_threads():
     """One CPU probe and one parallel fork: no other module of the package
-    reads the CPU affinity or makes an executor."""
+    reads the CPU affinity or makes an executor, and in autodiff only
+    ``in_parallel`` names an executor, a future or ``submit``."""
     names = {"sched_getaffinity", "ThreadPoolExecutor"}
-    found = sorted({f"{module}:{name}" for module, tree in package_trees().items()
+    trees = package_trees()
+    found = sorted({f"{module}:{name}" for module, tree in trees.items()
                     if module != "autodiff.py"
                     for name in referenced_names(tree, skip=None) if name in names})
     assert not found, f"thread decisions outside autodiff: {found}"
+    forking = {"ThreadPoolExecutor", "Future", "submit"}
+    found = sorted({f"{node.name}:{name}" for node in ast.walk(trees["autodiff.py"])
+                    if isinstance(node, ast.FunctionDef) and node.name != "in_parallel"
+                    for name in referenced_names(node, skip=None) if name in forking})
+    assert not found, f"forks in autodiff outside in_parallel: {found}"

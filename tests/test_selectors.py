@@ -15,7 +15,6 @@ from answergen.selectors import (
     embed_facts,
     fact_distribution,
     fact_logits,
-    gumbel_hard_indices,
     gumbel_softmax_sample,
     source_distribution,
     vocab_distribution,
@@ -315,18 +314,12 @@ def test_gumbel_gradient_matches_finite_differences_at_fixed_noise():
     assert report.max_rel_error < 1e-4, report
 
 
-def test_gumbel_batch_indices_match_sequential_calls():
-    probs_data = np.array([0.6, 0.3, 0.1])
-    rng_a = np.random.default_rng(123)
-    seq = [draw(ad.constant([probs_data]), 1.0, rng_a).hard_index[0] for _ in range(50)]
-    rng_b = np.random.default_rng(123)
-    batch = gumbel_hard_indices(probs_data, 50, rng_b)
-    np.testing.assert_array_equal(np.array(seq), batch)
-
-
 def test_gumbel_hard_index_follows_target_distribution():
+    """The sampler training uses, on one row broadcast against 20K rows of
+    uniforms, draws each index with its probability."""
     probs = np.array([0.7, 0.2, 0.1])
-    idx = gumbel_hard_indices(probs, 20000, np.random.default_rng(21))
+    idx = gumbel_softmax_sample(ad.constant([probs]), 1.0,
+                                uniforms=np.random.default_rng(21).random((20000, 3))).hard_index
     freq = np.bincount(idx, minlength=3) / 20000
     assert np.abs(freq - probs).sum() / 2 < 0.02  # total variation
 

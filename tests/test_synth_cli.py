@@ -272,6 +272,51 @@ def test_cli_input_file_that_is_a_directory_or_not_utf8_keeps_the_exit_codes(
     assert not (tmp_path / "out").exists()
 
 
+OUTPUT_OPTIONS = [("prepare", "--out"), ("train", "--out"), ("train", "--metrics"),
+                  ("generate", "--out"), ("evaluate", "--out"), ("synth", "--out")]
+
+
+@pytest.mark.parametrize("command, option", OUTPUT_OPTIONS,
+                         ids=[command + option for command, option in OUTPUT_OPTIONS])
+def test_cli_output_path_of_the_wrong_kind_or_outside_a_directory_exits_2(
+        runner, tmp_path, command, option):
+    """Every output option: a directory where a file is written (a file for
+    synth's output directory), or a path whose parent is missing or is a
+    file, is a usage error (exit 2), one JSON record before any work starts,
+    and nothing is written."""
+    write_vocab_and_checkpoint(tmp_path)
+    data, answers = tmp_path / "d.jsonl", tmp_path / "answers.jsonl"
+    data.write_text(json.dumps({"question": "what is the bridge ?",
+                                "passage": "the bridge is safe .", "answer": "safe"}) + "\n")
+    answers.write_text(json.dumps({"answer": "safe ."}) + "\n")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("kept\n")
+    vocab, out = ["--vocab", str(tmp_path / "vocab.json")], ["--out", str(tmp_path / "out")]
+    required = {
+        "prepare": ["--data", str(data), *out],
+        "train": ["--data", str(data), *vocab, *out, "--profile", "desk",
+                  "--set", "training.max_steps=1"],
+        "generate": ["--checkpoint", str(tmp_path / "m.ckpt"), *vocab, "--data", str(data),
+                     *out],
+        "evaluate": ["--predictions", str(answers), "--references", str(answers)],
+        "synth": ["--task", "copy-q", "--size", "2", *out],
+    }[command]
+    wrong_kind = (a_file, "is a file") if command == "synth" else (tmp_path, "is a directory")
+    before = sorted(tmp_path.iterdir())
+    for bad, text in (wrong_kind, (tmp_path / "missing" / "out", "parent is not a directory"),
+                      (a_file / "out", "parent is not a directory")):
+        args = list(required)
+        if option in args:
+            args[args.index(option) + 1] = str(bad)
+        else:
+            args += [option, str(bad)]
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == 2, (bad, result.output)
+        (record,) = map(json.loads, result.stderr.splitlines())
+        assert record["event"] == "error" and text in record["message"], record
+    assert sorted(tmp_path.iterdir()) == before and a_file.read_text() == "kept\n"
+
+
 def test_cli_config_file_and_overrides(runner, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[data]\nvocab_size = 100\n# comment\n[training]\nmax_steps = 3\n")

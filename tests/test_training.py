@@ -427,13 +427,13 @@ def test_a_desk_train_step_starts_a_backward_helper_only_past_the_size_rule(
     """With two CPUs, at desk dims and kb-dense's 512-word vocabulary every
     leaf is under ``HANDOFF_SIZE`` (sel.w_vocab has 82K entries), so
     backward starts no thread; at the desk profile's full 2,000 words,
-    sel.w_vocab has 320K and backward starts one. Adam's executors, made
-    in `in_parallel`, are not counted."""
+    sel.w_vocab has 320K and backward starts one. Only the executors of
+    `in_parallel` calls made by backward are counted, not Adam's."""
     force_cpus(monkeypatch, 2)
     made = []
     executor = ad.ThreadPoolExecutor
     monkeypatch.setattr(ad, "ThreadPoolExecutor",
-                        lambda *args: made.append(sys._getframe(1).f_code.co_name)
+                        lambda *args: made.append(sys._getframe(2).f_code.co_name)
                         or executor(*args))
     cfg = RunConfig.desk()
     filler = {f"w{i}" for i in range(vocab_size - 4 - len(BASE_TOKENS))}  # 4 special tokens
