@@ -7,8 +7,9 @@ records belong to the thread that records them; distinct tapes are
 independent. Threads start in this module alone, and only on a CPU that
 ``spare_cpus``, the package's one probe, finds spare: ``in_parallel`` forks
 independent calls (``bidirectional_lstm``'s two directions, whose values
-and grad_fns are recorded by the calling thread alone; Adam's shares;
-backward's sweep and the drain that finishes the large leaves it queues).
+and grad_fns are recorded by the calling thread alone; a wide weight's two
+column halves in ``matmul``, recorded as one node; Adam's shares; backward's
+sweep and the drain that finishes the large leaves it queues).
 
 Backward builds each tensor's gradient in one place from the parts the
 grad_fns hand out, of three kinds:
@@ -73,11 +74,14 @@ from .errors import (
 _STATE = threading.local()  # .tape: this thread's active tape, unset outside Tape blocks
 
 # Leaves of at least this many entries (2 MiB) are finished by backward's
-# drain beside the sweep, and a bidirectional LSTM whose w_h is this large
-# runs its two directions `in_parallel`. The largest leaf of a desk model
-# with a 512-word vocabulary has 82K entries, so its backward stays on one
-# thread; its encoders' w_h (32 x 128) are far below, a full-dims one
-# (256 x 1024) at it.
+# drain beside the sweep; a bidirectional LSTM whose w_h is this large runs
+# its two directions `in_parallel`; and `matmul` computes a 2-D weight whose
+# two column halves each have this many entries as those halves,
+# `in_parallel`. The largest leaf of a desk model with a 512-word vocabulary
+# has 82K entries, so its backward stays on one thread; its encoders' w_h
+# (32 x 128) are far below, a full-dims one (256 x 1024) at it. At full dims
+# only the vocabulary head (1280 x |V|) has two such halves; init.w_h and
+# init.w_c (1024 x 256) stay whole.
 HANDOFF_SIZE = 1 << 18
 
 
@@ -471,7 +475,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Rows times a matrix: a (..., K) @ b (K, N) gives (..., N). Rows times
     a stack of matrices, a (B, K) @ b (B, K, N), gives (B, N), one row per
     matrix; a (1, K, N) stack is one matrix shared by all B rows, as beam
-    rows read one example's encoder states."""
+    rows read one example's encoder states.
+
+    A 2-D b whose two column halves each have ``HANDOFF_SIZE`` entries (at
+    full dims the vocabulary head alone) is multiplied as those halves,
+    `in_parallel`, and the two products are joined: the product is bound by
+    the memory bandwidth of reading b, and two cores read it faster. The
+    first half is the largest multiple of 64 columns not past N / 2, which
+    keeps BLAS's column blocks where the single product has them. So cut,
+    the halves equal the one GEMM bit for bit on OpenBLAS 0.3.31's Haswell
+    kernel at 1 and 2 BLAS threads, while a cut at N // 2 (2,500 of 5,000)
+    did not. One node is recorded, on the calling thread, either way."""
     ad, bd = a.data, b.data
     per_row = ad.ndim == 2 and bd.ndim == 3
     if not per_row and (ad.ndim < 1 or bd.ndim != 2):
@@ -481,8 +495,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(f"matmul: inner dims {ad.shape} @ {bd.shape}")
     if per_row:
         out = ad @ bd[0] if bd.shape[0] == 1 else np.matmul(ad[:, None, :], bd)[:, 0, :]
-    else:  # one GEMM over all rows, whatever the leading axes
-        out = (ad.reshape(-1, k) @ bd).reshape(ad.shape[:-1] + bd.shape[1:])
+    else:  # all rows at once, whatever the leading axes
+        rows, cut = ad.reshape(-1, k), bd.shape[1] // 128 * 64
+        if k * cut < HANDOFF_SIZE:
+            out = rows @ bd
+        else:
+            out = np.concatenate(in_parallel([partial(np.matmul, rows, bd[:, :cut]),
+                                              partial(np.matmul, rows, bd[:, cut:])]), axis=1)
+        out = out.reshape(ad.shape[:-1] + bd.shape[1:])
 
     def grad_fn(g):
         need_a, need_b = _tracked(a), _tracked(b)

@@ -168,16 +168,17 @@ def _beam_search(model, example, facts, beam_size: int, max_len: int) -> BeamHyp
             probs[Source.KNOWLEDGE] = _finite(fact_distribution(fact_matrix, s,
                                                                 model.selector).data, "fact")
 
+        source_rows = [tuple(row) for row in p_source.tolist()]
         candidates: list[BeamHypothesis] = []
         for i, (hyp, source) in enumerate(zip(live, chosen)):
             if hyp.pending:
                 source_prob = 1.0
                 picks = [(hyp.pending[0], 1.0, hyp.trace[-1].fact_id, hyp.pending[1:])]
             else:
-                source_prob = float(p_source[i, source - 1])
+                source_prob = source_rows[i][source - 1]
                 picks = _top_tokens(source, probs[source][i], words[source], beam_size)
             for token, word_prob, fact_id, tail in picks:
-                step = TraceStep(token=token, source_probs=tuple(p_source[i].tolist()),
+                step = TraceStep(token=token, source_probs=source_rows[i],
                                  chosen=source, source_prob=source_prob,
                                  word_prob=word_prob, fact_id=fact_id,
                                  continuation=bool(hyp.pending))
@@ -188,6 +189,10 @@ def _beam_search(model, example, facts, beam_size: int, max_len: int) -> BeamHyp
 
         if not candidates:
             break
+        # A stable sort: exact score ties keep candidate order (hypothesis,
+        # then pick), so a 1-ulp change in any distribution can flip which
+        # candidate survives and the answer. Any faster path to these
+        # distributions must therefore be bit for bit the same, not close.
         candidates.sort(key=lambda h: -h.score)
         kept = candidates[:beam_size]
         finished.extend(h for h in kept if h.finished)

@@ -76,7 +76,12 @@ class SelectorParams:
 
 def vocab_distribution(c_q: Tensor, c_p: Tensor, s_t: Tensor,
                        params: SelectorParams) -> Tensor:
-    """softmax(W [c_q, c_p, s] + b) over the full vocabulary, specials included."""
+    """softmax(W [c_q, c_p, s] + b) over the full vocabulary, specials included.
+
+    The product is one `autodiff.matmul`. At full dims (W is 1280 x |V|) it
+    runs as two column halves on both cores when a second CPU is spare, bit
+    for bit the single product; at desk dims (160 x |V|, |V| at most 2,000)
+    it stays one GEMM on the calling thread."""
     feats = ad.concat([c_q, c_p, s_t], axis=-1)
     return ad.softmax(ad.add(ad.matmul(feats, params.w_vocab), params.b_vocab))
 

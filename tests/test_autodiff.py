@@ -20,6 +20,7 @@ from answergen.errors import (
     ShapeMismatchError,
     TapeConsumedError,
 )
+from answergen.selectors import SelectorParams, vocab_distribution
 from answergen.training import Adam, clip_global_norm
 
 from conftest import force_cpus
@@ -782,6 +783,87 @@ def test_in_parallel_raises_the_first_exception_in_call_order_after_every_call(m
         ad.in_parallel([fail("first"), slow])
     assert ended == ["first", "slow"]
     assert made == [3, 1]
+    assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# A wide weight's product in two column halves.
+# ---------------------------------------------------------------------------
+
+HEAD = (1280, 5000)  # the full-dims vocabulary head, sel.w_vocab
+
+
+@pytest.fixture(scope="module")
+def head_weight():
+    return np.random.default_rng(21).uniform(-0.05, 0.05, HEAD)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_wide_weight_in_column_halves_equals_one_gemm(monkeypatch, head_weight, cpus):
+    """The full-dims head at beam rows 1-4 and training batches of 9, 144
+    (9 x 16) and 1,936 (121 x 16) rows: one matmul node, whose values are
+    ``rows @ w`` bit for bit and whose grad_fn hands out ``g @ w.T`` and
+    the factors (rows, g), as a single GEMM's does."""
+    force_cpus(monkeypatch, cpus)
+    rng = np.random.default_rng(22)
+    w = ad.Tensor(head_weight, requires_grad=True)
+    for lead in [(1,), (2,), (3,), (4,), (9,), (9, 16), (121, 16)]:
+        x = ad.Tensor(rng.normal(size=lead + HEAD[:1]), requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.matmul(x, w)
+        rows = x.data.reshape(-1, HEAD[0])
+        assert out.data.tobytes() == (rows @ w.data).reshape(lead + HEAD[1:]).tobytes(), lead
+        assert [node.op_kind for node in tape.nodes] == ["matmul"]
+        g = rng.normal(size=out.shape)
+        (da_of, da), (dw_of, dw) = tape.nodes[0].grad_fn(g)
+        g2 = g.reshape(-1, HEAD[1])
+        assert da_of is x and da.tobytes() == (g2 @ w.data.T).reshape(x.shape).tobytes()
+        assert dw_of is w and isinstance(dw, ad.Factors)
+        assert dw.a.tobytes() == rows.tobytes() and dw.g.tobytes() == g2.tobytes()
+
+
+@pytest.mark.parametrize("case, cpus, helpers", [("desk head", 2, 0), ("init.w_h", 2, 0),
+                                                 ("full head", 1, 0), ("full head", 2, 1)])
+def test_matmul_starts_a_helper_only_on_two_cpus_past_the_size_rule(
+        monkeypatch, head_weight, case, cpus, helpers):
+    """Two products each: a desk-dims vocabulary head (160 x 512) and an
+    init.w_h-sized weight (1024 x 256) stay on the calling thread, and so
+    does the full-dims head on one CPU; on two it starts one executor per
+    product. Whichever way, no thread outlives matmul."""
+    force_cpus(monkeypatch, cpus)
+    made = count_executors(monkeypatch)
+    rng = np.random.default_rng(23)
+    before = threading.active_count()
+    for _ in range(2):
+        if case == "desk head":
+            params = SelectorParams.init(rng, 512, 2, 32, 32, 48, 32)
+            c_q, c_p, s = (ad.constant(rng.normal(size=(4, n))) for n in (64, 64, 32))
+            vocab_distribution(c_q, c_p, s, params)
+        else:
+            w = head_weight if case == "full head" else rng.normal(size=(1024, 256))
+            ad.matmul(ad.constant(rng.normal(size=(4, w.shape[0]))), ad.constant(w))
+        assert threading.active_count() == before
+    assert made == [1] * (2 * helpers)
+
+
+def test_an_error_in_the_helper_half_reaches_the_caller(monkeypatch, head_weight):
+    """A product that fails on the helper thread raises from matmul, after
+    the helper has ended, and records no node."""
+    force_cpus(monkeypatch, 2)
+    product = np.matmul
+
+    def fail_off_main(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper half")
+        return product(*args)
+
+    monkeypatch.setattr(np, "matmul", fail_off_main)
+    before = threading.active_count()
+    with ad.Tape() as tape:
+        with pytest.raises(RuntimeError, match="helper half"):
+            ad.matmul(ad.Tensor(np.ones((4, HEAD[0])), requires_grad=True),
+                      ad.Tensor(head_weight, requires_grad=True))
+        assert tape.nodes == []
     assert threading.active_count() == before
 
 
