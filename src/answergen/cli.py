@@ -1,9 +1,9 @@
 """Command-line front door: data prep, fact extraction, training, generation,
 evaluation, and the synthetic benchmark.
 
-Exit codes: 0 success, 2 configuration problem, 3 data problem, 4 numeric
-failure. Structured JSON log lines go to stderr; artifacts go to the paths
-given by flags.
+Exit codes: 0 success, and on failure the ``exit_code`` of the error's class
+in ``answergen.errors``. Structured JSON log lines go to stderr; artifacts go
+to the paths given by flags.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ import time
 import click
 import numpy as np
 
-from .config import RunConfig, load_config
-from .errors import AnswergenError, ConfigError, DataError, MalformedLineError, NumericError
+from .config import PROFILES, RunConfig, load_config
+from .errors import AnswergenError, ConfigError, DataError
 from .files import replace_file
 from .generate import generate as run_generate
 from .generate import render_trace, write_predictions
@@ -31,6 +31,7 @@ from .text import (
     load_jsonl_dataset,
     load_pretrained_embeddings,
     read_json_objects,
+    record_text,
     tokenize,
 )
 from .training import (
@@ -66,8 +67,8 @@ def log_event(event: str, **fields) -> None:
 def config_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None,
                       help="Config file ([section] / key = value).")(fn)
-    fn = click.option("--profile", type=click.Choice(["full", "desk"]),
-                      default="full", show_default=True)(fn)
+    fn = click.option("--profile", type=click.Choice(list(PROFILES)),
+                      default=next(iter(PROFILES)), show_default=True)(fn)
     fn = click.option("--set", "overrides", multiple=True, metavar="SECTION.KEY=VALUE",
                       help="Override a config value; repeatable.")(fn)
     return fn
@@ -86,7 +87,7 @@ def build_config(config_path, profile, overrides) -> RunConfig:
 class JsonErrorGroup(click.Group):
     """The one error boundary. Runs click non-standalone, so that its usage
     errors and the package's errors reach stderr as one JSON ``error`` record
-    each, with the documented exit code; a bare command still prints the help."""
+    each, with its class's kind and exit code; a bare command still prints the help."""
 
     def main(self, *args, **kwargs):
         try:
@@ -94,24 +95,15 @@ class JsonErrorGroup(click.Group):
         except getattr(click.exceptions, "NoArgsIsHelpError", ()) as exc:
             exc.show()
             sys.exit(exc.exit_code)
-        except click.ClickException as exc:
-            log_event("error", kind="config", message=exc.format_message())
-            sys.exit(2)
+        except click.ClickException as exc:  # a usage error is a configuration problem
+            log_event("error", kind=ConfigError.kind, message=exc.format_message())
+            sys.exit(ConfigError.exit_code)
         except click.Abort:
             click.echo("Aborted!", err=True)
             sys.exit(1)
-        except ConfigError as exc:
-            log_event("error", kind="config", message=str(exc))
-            sys.exit(2)
-        except DataError as exc:
-            log_event("error", kind="data", message=str(exc))
-            sys.exit(3)
-        except NumericError as exc:
-            log_event("error", kind="numeric", message=str(exc))
-            sys.exit(4)
         except AnswergenError as exc:
-            log_event("error", kind="internal", message=str(exc))
-            sys.exit(1)
+            log_event("error", kind=exc.kind, message=str(exc))
+            sys.exit(exc.exit_code)
 
 
 @click.group(cls=JsonErrorGroup)
@@ -208,7 +200,7 @@ def train_cmd(data_path, vocab_path, out_path, kb_path, emb_path, metrics_path,
             "tau": metrics.tau, "skipped": skipped,
         }) + "\n")
 
-    with open(metrics_path, "a", encoding="utf-8") if metrics_path \
+    with open(metrics_path, "w", encoding="utf-8") if metrics_path \
             else contextlib.nullcontext() as sink:
         history = train(model, items, cfg.training,
                         on_step=write_metrics if metrics_path else None)
@@ -274,12 +266,8 @@ def generate_cmd(ckpt_path, vocab_path, data_path, out_path, kb_path, beam, show
 def evaluate_cmd(pred_path, ref_path, out_path):
     """Score predictions (JSONL with an "answer" field) against references."""
     def read_answers(path):
-        answers = []
-        for lineno, obj in read_json_objects(path):
-            if "answer" not in obj:
-                raise MalformedLineError(lineno, "missing answer field", path)
-            answers.append(tokenize(str(obj["answer"])))
-        return answers
+        return [tokenize(record_text(obj, "answer", lineno, path))
+                for lineno, obj in read_json_objects(path)]
 
     report = evaluate_corpus(read_answers(pred_path), read_answers(ref_path))
     if out_path:

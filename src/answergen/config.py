@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 from .errors import ConfigError
+from .text import SPECIAL_TOKENS
 
 
 @dataclass
@@ -71,7 +72,7 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         m, d, t = self.model, self.data, self.training
         for label, value in [("model.emb_dim", m.emb_dim), ("model.hidden_dim", m.hidden_dim),
-                             ("model.fact_dim", m.fact_dim), ("data.vocab_size", d.vocab_size),
+                             ("model.fact_dim", m.fact_dim),
                              ("data.passage_limit", d.passage_limit),
                              ("data.answer_limit", d.answer_limit),
                              ("knowledge.max_facts", self.knowledge.max_facts),
@@ -80,6 +81,9 @@ class RunConfig:
                              ("generation.beam_size", self.generation.beam_size)]:
             if value < 1:
                 raise ConfigError(f"{label} must be >= 1, got {value}")
+        if d.vocab_size < len(SPECIAL_TOKENS):
+            raise ConfigError(f"data.vocab_size must be >= {len(SPECIAL_TOKENS)}, "
+                              f"got {d.vocab_size}")
         for f in fields(t):
             value = getattr(t, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -123,6 +127,9 @@ class RunConfig:
 
 
 _SECTIONS = frozenset(f.name for f in fields(RunConfig))
+
+# --profile name -> the RunConfig its defaults come from; the first is the default
+PROFILES = {"full": RunConfig, "desk": RunConfig.desk}
 
 
 def _set(cfg: RunConfig, dotted: str, value) -> None:
@@ -181,19 +188,16 @@ def _config_lines(text: str):
         yield f"{section}.{key.strip()}", value
 
 
-def load_config(path=None, profile: str = "full",
+def load_config(path=None, profile: str = next(iter(PROFILES)),
                 overrides: dict[str, Any] | None = None) -> RunConfig:
     """Build a RunConfig from profile defaults, an optional file, then overrides.
 
     Override keys are dotted, e.g. {"training.seed": 7}, with text or scalar
     values; they win over the file, which wins over the profile.
     """
-    if profile == "full":
-        cfg = RunConfig()
-    elif profile == "desk":
-        cfg = RunConfig.desk()
-    else:
-        raise ConfigError(f"unknown profile {profile!r} (expected full or desk)")
+    if profile not in PROFILES:
+        raise ConfigError(f"unknown profile {profile!r} (expected one of {', '.join(PROFILES)})")
+    cfg = PROFILES[profile]()
 
     if path is not None:
         try:

@@ -1,25 +1,28 @@
 """Exception hierarchy shared across the package.
 
-Three umbrella classes map onto the CLI exit-code contract: ConfigError
-exits 2, DataError exits 3, NumericError exits 4. Everything else is a
-programming/contract violation and derives from AnswergenError directly.
-"""
+A class's ``kind`` and ``exit_code`` attributes are its CLI contract: the three
+umbrellas set them, and every other class inherits them (a programming or
+contract violation derives from AnswergenError directly)."""
 
 
 class AnswergenError(Exception):
     """Base class for all package errors."""
+    kind, exit_code = "internal", 1
 
 
 class ConfigError(AnswergenError):
-    """Bad configuration value or file (CLI exit 2)."""
+    """Bad configuration value or file."""
+    kind, exit_code = "config", 2
 
 
 class DataError(AnswergenError):
-    """Malformed or inconsistent input data (CLI exit 3)."""
+    """Malformed or inconsistent input data."""
+    kind, exit_code = "data", 3
 
 
 class NumericError(AnswergenError):
-    """Non-finite values encountered in numeric computation (CLI exit 4)."""
+    """Non-finite values encountered in numeric computation."""
+    kind, exit_code = "numeric", 4
 
 
 # --- autodiff ---

@@ -164,6 +164,8 @@ def _beam_search(model, example, facts, beam_size: int, max_len: int) -> BeamHyp
         if Source.VOCAB in fresh:
             probs[Source.VOCAB] = _finite(vocab_distribution(c_q, c_p, s, model.selector).data,
                                           "vocabulary")
+            # ids training never credits to the vocabulary; _top_tokens skips a 0
+            probs[Source.VOCAB][:, NOT_FROM_VOCAB] = 0.0
         if Source.KNOWLEDGE in fresh:
             probs[Source.KNOWLEDGE] = _finite(fact_distribution(fact_matrix, s,
                                                                 model.selector).data, "fact")
@@ -222,22 +224,17 @@ def _top_tokens(source: Source, probs: np.ndarray, words, beam_size: int):
     picks of one source, where ``probs[i]`` is the probability of
     ``words[i]``: a question or passage token, a vocabulary entry, or a fact
     whose first object token is emitted and the rest queued as the tail.
-    Copy sources pool the mass of repeated tokens first; the vocabulary
-    source skips the ``NOT_FROM_VOCAB`` ids. Ties rank by position, or by
-    token for the copy sources."""
+    Copy sources pool the mass of repeated tokens first. Ties rank by
+    position, or by token for the copy sources; a pick of probability 0 is
+    never made."""
     if source in (Source.QUESTION, Source.PASSAGE):
         mass: dict[str, float] = {}
         for weight, token in zip(probs.tolist(), words):
             mass[token] = mass.get(token, 0.0) + weight
         words = sorted(mass)
         probs = np.array([mass[token] for token in words])
-    if source == Source.VOCAB:  # at most len(NOT_FROM_VOCAB) of the top ids drop out
-        order = [i for i in _ranked(probs, beam_size + len(NOT_FROM_VOCAB)).tolist()
-                 if i not in NOT_FROM_VOCAB]
-    else:
-        order = _ranked(probs, beam_size)
     picks = []
-    for i in order[:beam_size]:
+    for i in _ranked(probs, beam_size):
         if probs[i] <= 0.0:
             break
         if source == Source.KNOWLEDGE:

@@ -86,8 +86,6 @@ class Vocabulary:
 
 def build_vocab(corpus: Iterable[Sequence[str]], max_size: int) -> Vocabulary:
     """Keep the top max_size-4 tokens by frequency, ties broken lexicographically."""
-    if max_size < 4:
-        raise EmptyCorpusError(f"max_size {max_size} cannot hold the special tokens")
     counts: dict[str, int] = {}
     empty = True
     for tokens in corpus:
@@ -210,15 +208,24 @@ def read_json_objects(path) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
+def record_text(obj: dict, name: str, lineno: int, path, default: str | None = None) -> str:
+    """Field ``name`` of the JSONL record on line ``lineno``, ``default`` if absent: a
+    string, or for the passage also a list of strings, joined by spaces. Anything else
+    (absent without a default too) raises MalformedLineError naming line and field."""
+    value = obj.get(name, default)
+    if name == "passage" and isinstance(value, list) and all(isinstance(v, str) for v in value):
+        value = " ".join(value)
+    if isinstance(value, str):
+        return value
+    if name not in obj:
+        raise MalformedLineError(lineno, f"missing {name} field", path)
+    kinds = "a string or a list of strings" if name == "passage" else "a string"
+    raise MalformedLineError(lineno, f"{name} must be {kinds}, got {json.dumps(value)}", path)
+
+
 def load_jsonl_dataset(path) -> list[RawRecord]:
-    """Read {"question", "passage", "answer"} records; a passage given as a
-    list of strings is concatenated into one."""
-    records: list[RawRecord] = []
-    for lineno, obj in read_json_objects(path):
-        if "question" not in obj or "passage" not in obj:
-            raise MalformedLineError(lineno, "missing question or passage field", path)
-        passage = obj["passage"]
-        if isinstance(passage, list):
-            passage = " ".join(passage)
-        records.append(RawRecord(str(obj["question"]), str(passage), str(obj.get("answer", ""))))
-    return records
+    """Read {"question", "passage", "answer"} records; the answer may be absent."""
+    return [RawRecord(record_text(obj, "question", lineno, path),
+                      record_text(obj, "passage", lineno, path),
+                      record_text(obj, "answer", lineno, path, default=""))
+            for lineno, obj in read_json_objects(path)]

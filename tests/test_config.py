@@ -2,7 +2,7 @@ import inspect
 
 import pytest
 
-from answergen.config import RunConfig, load_config
+from answergen.config import PROFILES, RunConfig, load_config
 from answergen.errors import ConfigError
 from answergen.generate import generate
 
@@ -75,6 +75,18 @@ def test_validation_catches_bad_values():
         load_config(None, overrides={"model.hidden_dim": "0"})
     with pytest.raises(ConfigError):
         load_config(None, overrides={"training.tau_min": "-1"})
+    with pytest.raises(ConfigError, match="data.vocab_size must be >= 4"):
+        load_config(None, overrides={"data.vocab_size": "3"})
+    assert load_config(None, overrides={"data.vocab_size": "4"}).data.vocab_size == 4
+
+
+def test_profiles_are_the_one_table_of_names():
+    """Each --profile name loads its table entry; any other name is refused
+    with the names listed."""
+    for name, make in PROFILES.items():
+        assert load_config(None, profile=name) == make()
+    with pytest.raises(ConfigError, match="expected one of full, desk"):
+        load_config(None, profile="tiny")
 
 
 def test_roundtrip_through_dict():

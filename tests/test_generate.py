@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import answergen.generate as decoding
 from answergen import autodiff as ad
 from answergen.config import ModelConfig, RunConfig, TrainingConfig
 from answergen.errors import EmptyPassageError, EmptyQuestionError, NonFiniteValueError
@@ -221,19 +222,35 @@ def test_ranked_is_the_head_of_a_full_stable_argsort(want):
                                       np.argsort(-probs, kind="stable")[:want])
 
 
-def test_vocabulary_picks_rank_past_special_ids_that_fill_the_top():
-    """PAD, UNK and BOS are the most likely ids of a 5,000-word distribution
-    and five words tie at the beam's cut: the picks are the first four words
-    by a full stable sort, ties by id."""
-    probs = np.full(5000, 1e-5)
-    probs[list(NOT_FROM_VOCAB)] = 0.2
-    probs[[4001, 12, 4000, 11, 3999]] = 0.05
-    probs[7] = 0.06
-    words = [f"w{i}" for i in range(5000)]
-    picks = _top_tokens(Source.VOCAB, probs, words, beam_size=4)
-    assert [token for token, _, _, _ in picks] == ["w7", "w11", "w12", "w3999"]
-    want = [i for i in np.argsort(-probs, kind="stable") if i not in NOT_FROM_VOCAB][:4]
-    assert [token for token, _, _, _ in picks] == [words[i] for i in want]
+def test_vocabulary_picks_rank_past_special_ids_that_fill_the_top(vocab, monkeypatch):
+    """PAD, UNK and BOS are the most likely ids of the first step's
+    vocabulary distribution and five words tie at the beam's cut: the picks
+    beam search expands are the first four words by a full stable sort of
+    that distribution, ties by id, each with its own probability."""
+    model = make_model(vocab, seed=0)
+    model.selector.b_source.data[:] = [-20.0, -20.0, 20.0, -20.0]  # force the vocabulary
+    model.selector.w_vocab.data[:] = 0.0
+    logits = np.zeros(len(vocab))
+    logits[list(NOT_FROM_VOCAB)] = 8.0
+    logits[[11, 5, 10, 4, 9]] = 3.0
+    logits[7] = 3.5
+    model.selector.b_vocab.data[:] = logits
+    seen = []
+
+    def spy(source, probs, words, beam_size):
+        picks = _top_tokens(source, probs, words, beam_size)
+        seen.append((source, picks))
+        return picks
+
+    monkeypatch.setattr(decoding, "_top_tokens", spy)
+    generate("what is the bridge ?", "the bridge is safe .", model, beam_size=4, max_len=1)
+    (source, picks), = seen
+    assert source == Source.VOCAB
+    want = [i for i in np.argsort(-logits, kind="stable") if i not in NOT_FROM_VOCAB][:4]
+    assert want == [7, 4, 5, 9]
+    dist = np.exp(logits) / np.exp(logits).sum()
+    assert [(token, prob) for token, prob, _, _ in picks] == \
+        [(vocab.token_by_id[i], pytest.approx(dist[i])) for i in want]
 
 
 def copy_readout(source, attention, tokens):

@@ -4,12 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import answergen
-from answergen.cli import main
+from answergen import errors
+from answergen.cli import JsonErrorGroup, main
 from answergen.config import ModelConfig, RunConfig
 from answergen.model import AnswerModel
 from answergen.synth import TASKS, build_synth
@@ -206,6 +208,111 @@ def test_cli_usage_error_is_one_json_record(runner, tmp_path):
     assert "Commands:" in runner.invoke(main, []).output
     helped = runner.invoke(main, ["--help"])
     assert helped.exit_code == 0 and "Commands:" in helped.stdout
+
+
+# The exit-code contract: each umbrella's kind and code; a class under none
+# of the three is an internal error.
+UMBRELLAS = [(errors.ConfigError, "config", 2), (errors.DataError, "data", 3),
+             (errors.NumericError, "numeric", 4), (errors.AnswergenError, "internal", 1)]
+ERROR_CLASSES = [cls for cls in vars(errors).values()
+                 if isinstance(cls, type) and issubclass(cls, errors.AnswergenError)]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_package_error_exits_with_its_umbrellas_kind_and_code(runner, cls):
+    kind, code = next((kind, code) for umbrella, kind, code in UMBRELLAS
+                      if issubclass(cls, umbrella))
+    assert (cls.kind, cls.exit_code) == (kind, code)
+
+    @click.group(cls=JsonErrorGroup)
+    def group():
+        pass
+
+    @group.command()
+    def fail():
+        raise cls(1, "boom") if cls is errors.MalformedLineError else cls("boom")
+
+    result = runner.invoke(group, ["fail"])
+    assert result.exit_code == code, result.output
+    (record,) = map(json.loads, result.stderr.splitlines())
+    assert record["event"] == "error" and record["kind"] == kind
+    assert record["message"].endswith("boom")
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_cli_vocab_size_below_the_special_tokens_exits_2(runner, tmp_path, size):
+    """A vocabulary too small for <pad>, <unk>, <bos> and <eos> is a
+    configuration error naming the key, not a data error from build_vocab."""
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps({"question": "q ?", "passage": "p ."}) + "\n")
+    result = runner.invoke(main, ["prepare", "--data", str(data), "--out", str(tmp_path / "v"),
+                                  "--set", f"data.vocab_size={size}"])
+    assert result.exit_code == 2, result.output
+    error = events(result)["error"]
+    assert error["kind"] == "config" and "data.vocab_size" in error["message"]
+    assert not (tmp_path / "v").exists()
+
+
+# (bad field, record): each field a JSON string, the passage also a list of strings
+BAD_FIELDS = [
+    ("question", {"question": None, "passage": "the bridge is safe ."}),
+    ("answer", {"question": "what is the bridge ?", "passage": "it is .", "answer": 5}),
+    ("question", {"question": ["what", "?"], "passage": "the bridge is safe ."}),
+    ("passage", {"question": "what is the bridge ?", "passage": ["the bridge is", 5]}),
+]
+
+
+@pytest.mark.parametrize("command", ["prepare", "train", "generate"])
+@pytest.mark.parametrize("field, record", BAD_FIELDS,
+                         ids=["null-question", "numeric-answer", "list-question",
+                              "passage-list-with-a-number"])
+def test_cli_dataset_field_that_is_not_text_exits_3(runner, tmp_path, command, field, record):
+    """A null, a number or a list where a string belongs is a data error
+    naming the file, the line and the field: not the word "none", not the
+    text of a Python list, and not a TypeError."""
+    write_vocab_and_checkpoint(tmp_path)
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps({"question": "what is the bridge ?", "passage": "it is ."})
+                    + "\n" + json.dumps(record) + "\n")
+    vocab, out = ["--vocab", str(tmp_path / "vocab.json")], ["--out", str(tmp_path / "out")]
+    args = {"prepare": [], "train": [*vocab, "--profile", "desk"],
+            "generate": ["--checkpoint", str(tmp_path / "m.ckpt"), *vocab]}[command]
+    result = runner.invoke(main, [command, "--data", str(data), *out, *args])
+    assert result.exit_code == 3, result.output
+    error = events(result)["error"]
+    assert error["kind"] == "data"
+    assert error["message"].startswith(f"{data} line 2: {field} must be "), error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_evaluate_null_reference_answer_exits_3(runner, tmp_path):
+    pred, refs = tmp_path / "pred.jsonl", tmp_path / "refs.jsonl"
+    pred.write_text(json.dumps({"answer": "a dog ran ."}) + "\n")
+    refs.write_text(json.dumps({"answer": None}) + "\n")
+    result = runner.invoke(main, ["evaluate", "--predictions", str(pred),
+                                  "--references", str(refs)])
+    assert result.exit_code == 3, result.output
+    assert events(result)["error"]["message"] == \
+        f"{refs} line 1: answer must be a string, got null"
+
+
+def test_cli_train_metrics_file_holds_one_run(runner, tmp_path):
+    """A second run into the same --metrics path replaces the first's lines."""
+    data, vocab = tmp_path / "d.jsonl", tmp_path / "vocab.json"
+    data.write_text(json.dumps({"question": "what is the bridge ?",
+                                "passage": "the bridge is safe .", "answer": "safe"}) + "\n")
+    make_vocab().save(vocab)
+    metrics = tmp_path / "metrics.jsonl"
+    for steps in (3, 2):
+        result = runner.invoke(main, ["train", "--data", str(data), "--vocab", str(vocab),
+                                      "--out", str(tmp_path / "m.ckpt"), "--profile", "desk",
+                                      "--metrics", str(metrics),
+                                      "--set", "model.emb_dim=4", "--set", "model.hidden_dim=3",
+                                      "--set", "model.fact_dim=5",
+                                      "--set", f"training.max_steps={steps}"])
+        assert result.exit_code == 0, result.output
+    lines = [json.loads(line) for line in metrics.read_text().splitlines()]
+    assert [rec["step"] for rec in lines] == [0, 1]
 
 
 def test_cli_data_error_exit_code(runner, tmp_path):

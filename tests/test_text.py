@@ -228,3 +228,20 @@ def test_jsonl_loader_rejects_a_line_that_is_not_an_object(line, tmp_path):
     with pytest.raises(MalformedLineError, match="not a JSON object") as exc:
         text.load_jsonl_dataset(path)
     assert exc.value.line_number == 3 and str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"passage": "p ."}, "missing question field"),
+    ({"question": "q ?"}, "missing passage field"),
+    ({"question": "q ?", "passage": "p .", "answer": None}, "answer must be a string, got null"),
+    ({"question": "q ?", "passage": {"text": "p ."}},
+     'passage must be a string or a list of strings, got {"text": "p ."}'),
+], ids=["no-question", "no-passage", "null-answer", "object-passage"])
+def test_jsonl_loader_names_a_missing_or_non_text_field(obj, message, tmp_path):
+    """A question or answer is a JSON string, a passage a string or a list
+    of strings; only the answer may be absent."""
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(MalformedLineError) as exc:
+        text.load_jsonl_dataset(path)
+    assert str(exc.value) == f"{path} line 1: {message}"
