@@ -23,8 +23,10 @@ grad_fns hand out, of three kinds:
   they stand for; the pair that would reach it is multiplied out with the
   kept ones at once, so kept factors never outgrow the dense gradient;
 - ``Rows(index, rows)``, a lookup's gradient, nonzero only at the rows it
-  read. Each such part is added on arrival, by ``np.add.at``, into one zero
-  buffer per tensor, allocated once.
+  read. The first such part of a tensor with no gradient yet becomes that
+  gradient through one ``np.bincount`` over flat (row, column) indices; a
+  later one is added in by ``np.add.at``. Both add in index order, so the
+  sums are bit for bit those of ``np.add.at`` into zeros.
 
 A gradient is complete when the node that produced its tensor is popped
 (intermediates), or when the first node that reads it is popped (leaves):
@@ -343,7 +345,10 @@ class _GradientSums:
             else:
                 self._add(t, _multiply_out(pairs), fresh=True)
         elif kind is Rows:
-            np.add.at(self._buffer(t), part.index, part.rows)
+            if t in self.dense:
+                np.add.at(self._buffer(t), part.index, part.rows)
+            else:
+                self._add(t, _rows_gradient(t.shape, part), fresh=True)
         else:
             self._add(t, part, fresh=False)
 
@@ -367,14 +372,22 @@ class _GradientSums:
             self.owned.add(t)
 
     def _buffer(self, t: Tensor) -> np.ndarray:
-        """``t``'s dense array, made one this sweep owns if it is not yet."""
-        if t in self.owned:
-            return self.dense[t]
-        seen = self.dense.get(t)
-        buf = np.zeros(t.shape) if seen is None else np.array(seen)
-        self.dense[t] = buf
-        self.owned.add(t)
-        return buf
+        """``t``'s dense array, copied into one this sweep owns if it is not yet."""
+        if t not in self.owned:
+            self.dense[t] = np.array(self.dense[t])
+            self.owned.add(t)
+        return self.dense[t]
+
+
+def _rows_gradient(shape: tuple[int, ...], part: Rows) -> np.ndarray:
+    """``np.add.at`` of one lookup's rows into zeros of ``shape``, as one
+    ``np.bincount`` over flat (row, column) indices: the same additions in
+    the same order. Negative indices wrap, as in the lookup."""
+    width = math.prod(shape[1:])
+    index = part.index.reshape(-1, 1) % shape[0]
+    flat = (index * width + np.arange(width)).reshape(-1)
+    sums = np.bincount(flat, weights=part.rows.reshape(-1), minlength=shape[0] * width)
+    return sums.astype(np.float64, copy=False).reshape(shape)  # an empty index counts in ints
 
 
 def _gradient(pairs: "list[Factors] | None", dense: "np.ndarray | None") -> np.ndarray:

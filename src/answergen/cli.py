@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from .config import PROFILES, RunConfig, load_config
-from .errors import AnswergenError, ConfigError, DataError
+from .errors import AnswergenError, ConfigError, DataError, MalformedLineError
 from .files import replace_file
 from .generate import generate as run_generate
 from .generate import render_trace, write_predictions
@@ -170,7 +170,7 @@ def train_cmd(data_path, vocab_path, out_path, kb_path, emb_path, metrics_path,
     cfg = build_config(config_path, profile, overrides)
     vocab = Vocabulary.load(vocab_path)
     kb = ingest_triples(kb_path) if kb_path else None
-    items = encode_dataset(load_jsonl_dataset(data_path), vocab, cfg, kb)
+    items = encode_dataset(load_jsonl_dataset(data_path), vocab, cfg, kb, data_path)
     n_relations = max(1, len(kb.relation_names)) if kb else 1
 
     model = AnswerModel(vocab, n_relations, cfg.model,
@@ -238,7 +238,7 @@ def generate_cmd(ckpt_path, vocab_path, data_path, out_path, kb_path, beam, show
 
     beam_size = beam if beam is not None else cfg.generation.beam_size
     results = []
-    for i, rec in enumerate(load_jsonl_dataset(data_path)):
+    for rec in load_jsonl_dataset(data_path):
         try:
             result = run_generate(rec.question, rec.passage, model, kb=kb,
                                   beam_size=beam_size, max_len=cfg.data.answer_limit,
@@ -246,7 +246,7 @@ def generate_cmd(ckpt_path, vocab_path, data_path, out_path, kb_path, beam, show
                                   knowledge_enabled=cfg.knowledge.enabled,
                                   passage_limit=cfg.data.passage_limit)
         except DataError as exc:
-            raise DataError(f"record {i}: {exc}") from None
+            raise MalformedLineError(rec.line, str(exc), data_path) from None
         results.append((rec.question, result))
         if show_trace:
             click.echo(f"Q: {rec.question}")

@@ -109,21 +109,26 @@ def embed_facts(facts: Sequence[Fact], embeddings: Tensor, vocab: Vocabulary,
     """(N_f, fact_dim) matrix of W [e_subject, e_relation, e_object] + b rows.
 
     Subjects and objects are average-pooled over their tokens (OOV words hit
-    the UNK row) in one padded lookup, so the tape holds the same few nodes
-    however many facts there are. Padding slots read the PAD row with
-    weight 0, so it gets no gradient from them.
+    the UNK row), each distinct segment once, in first-seen order, in one
+    padded lookup; a second lookup gathers the pooled rows back to the facts.
+    So the tape holds the same few nodes however many facts there are, and a
+    segment's gradient is summed over its facts before it reaches the table.
+    Padding slots read the PAD row with weight 0: it gets no gradient.
     """
     if not facts:
         raise EmptyFactSetError("no facts to embed")
     n = len(facts)
-    segments = [f.subject for f in facts] + [f.object for f in facts]
-    lengths = np.array([len(seg) for seg in segments])[:, None]          # (2N_f, 1)
-    filled = np.arange(lengths.max()) < lengths                          # (2N_f, L)
+    distinct: dict[tuple[str, ...], int] = {}
+    slots = [distinct.setdefault(seg, len(distinct))
+             for seg in [f.subject for f in facts] + [f.object for f in facts]]
+    lengths = np.array([len(seg) for seg in distinct])[:, None]          # (D, 1)
+    filled = np.arange(lengths.max()) < lengths                          # (D, L)
     ids = np.full(filled.shape, PAD, dtype=np.intp)
-    ids[filled] = [vocab.id_by_token.get(t, UNK) for seg in segments for t in seg]
+    ids[filled] = [vocab.id_by_token.get(t, UNK) for seg in distinct for t in seg]
     weights = (filled / lengths)[..., None]                              # 1/len, 0 on PAD
-    rows = ad.lookup(embeddings, ids)                                   # (2N_f, L, emb)
-    pooled = ad.sum(ad.mul(rows, ad.constant(weights)), axis=1)         # (2N_f, emb)
+    rows = ad.lookup(embeddings, ids)                                   # (D, L, emb)
+    pooled = ad.lookup(ad.sum(ad.mul(rows, ad.constant(weights)), axis=1),
+                       slots)                                           # (2N_f, emb)
     e_r = ad.lookup(params.relation_table, [f.relation for f in facts])
     feats = ad.concat([ad.slice_(pooled, 0, n), e_r, ad.slice_(pooled, n, 2 * n)],
                       axis=1)                                           # (N_f, 3*emb)

@@ -71,13 +71,13 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        """The vocabulary `save` wrote: a list of string tokens and an int size."""
+        """The vocabulary `save` wrote: string tokens and an int size >= 4."""
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
             tokens, max_size = payload["tokens"], payload["max_size"]
             if (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)
-                    and type(max_size) is int):
+                    and type(max_size) is int and max_size >= len(SPECIAL_TOKENS)):
                 return cls(tokens, max_size)
         except (ValueError, KeyError, TypeError):
             pass
@@ -191,6 +191,7 @@ class RawRecord:
     question: str
     passage: str
     answer: str = ""
+    line: int = 0  # its line in the JSONL file, from 1; 0 when it came from no file
 
 
 def read_json_objects(path) -> Iterator[tuple[int, dict]]:
@@ -224,8 +225,9 @@ def record_text(obj: dict, name: str, lineno: int, path, default: str | None = N
 
 
 def load_jsonl_dataset(path) -> list[RawRecord]:
-    """Read {"question", "passage", "answer"} records; the answer may be absent."""
+    """Read {"question", "passage", "answer"} records, each with its line
+    number; the answer may be absent."""
     return [RawRecord(record_text(obj, "question", lineno, path),
                       record_text(obj, "passage", lineno, path),
-                      record_text(obj, "answer", lineno, path, default=""))
+                      record_text(obj, "answer", lineno, path, default=""), lineno)
             for lineno, obj in read_json_objects(path)]

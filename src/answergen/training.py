@@ -49,6 +49,7 @@ from .config import RunConfig, TrainingConfig
 from .errors import (
     CorruptFileError,
     DataError,
+    MalformedLineError,
     NonFiniteGradientError,
     NonFiniteLossError,
     NonFiniteValueError,
@@ -107,17 +108,18 @@ class TrainItem:
 
 
 def encode_dataset(records, vocab: Vocabulary, cfg: RunConfig,
-                   kb: KnowledgeBase | None) -> list[TrainItem]:
+                   kb: KnowledgeBase | None, path=None) -> list[TrainItem]:
     """Each record encoded under ``cfg.data``'s limits, with its related
     facts from ``kb`` when there is one and knowledge is enabled. A record
-    that cannot be encoded raises DataError naming its index."""
+    that cannot be encoded raises MalformedLineError naming ``path`` and its
+    line."""
     limits = EncodeLimits(passage=cfg.data.passage_limit, answer=cfg.data.answer_limit)
     items = []
-    for i, rec in enumerate(records):
+    for rec in records:
         try:
             example = encode_example(rec.question, rec.passage, rec.answer, vocab, limits)
         except DataError as exc:
-            raise DataError(f"record {i}: {exc}") from None
+            raise MalformedLineError(rec.line, str(exc), path) from None
         facts = []
         if kb is not None and cfg.knowledge.enabled:
             scored = extract_related_facts(kb, example.question_tokens,

@@ -457,23 +457,55 @@ def test_batched_lstm_seq_equals_each_row(reverse):
 
 
 def test_lookup_gradient_matches_add_at():
-    """A lookup's table gradient against np.add.at of its output weights,
-    with repeated and absent rows, a one-element index, an int index (one
-    row), and a table of rank 3."""
+    """A lookup's table gradient equals np.add.at of its output weights into
+    zeros bit for bit, with repeated and absent rows, a one-element index,
+    an int index (one row), a negative index, an empty index and a table of
+    rank 3; a second lookup of the same table adds into the first one's."""
     rng = np.random.default_rng(12)
     for shape, index_shape in (((50, 8), (512, 3)), ((6, 2, 3), (4, 5)), ((7, 3), (1,)),
-                               ((7, 3), ())):
+                               ((7, 3), ()), ((7, 3), (0,)), ((5, 4), (9,))):
         table = ad.Tensor(rng.normal(size=shape), requires_grad=True)
-        ids = rng.integers(0, shape[0], size=index_shape)
+        ids = rng.integers(-shape[0], shape[0], size=index_shape)
         if not index_shape:
             ids = int(ids)
-        weights = rng.normal(size=index_shape + shape[1:])
+        weights = rng.normal(size=np.shape(ids) + shape[1:])
         with ad.Tape() as tape:
             loss = ad.sum(ad.mul(ad.lookup(table, ids), ad.constant(weights)))
         got = tape.backward(loss)[table]
         want = np.zeros(shape)
         np.add.at(want, ids, weights)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+    # two lookups: the sweep meets the second one first
+    table = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    first, second = [2, -1, 2, 0], [[5, 2], [-4, 2]]
+    w1, w2 = rng.normal(size=(4, 3)), rng.normal(size=(2, 2, 3))
+    with ad.Tape() as tape:
+        loss = ad.add(ad.sum(ad.mul(ad.lookup(table, first), ad.constant(w1))),
+                      ad.sum(ad.mul(ad.lookup(table, second), ad.constant(w2))))
+    got = tape.backward(loss)[table]
+    want = np.zeros((6, 3))
+    np.add.at(want, second, w2)
+    np.add.at(want, first, w1)
+    np.testing.assert_array_equal(got, want)
+
+    # straight into the gradient sums: a NaN row, which no tensor carries,
+    # and a second part whose two tiny rows vanish only when added one by
+    # one into row 1, as np.add.at adds them
+    rows = rng.normal(size=(5, 3))
+    rows[1, 2] = np.nan
+    rows[4] = 1.0
+    index = np.array([3, 0, 3, -2, 1])
+    tiny = (np.array([1, 1, 0]), np.full((3, 3), 1e-16))
+    sums, t = ad._GradientSums(), ad.Tensor(np.zeros((4, 3)), requires_grad=True)
+    sums.receive(t, ad.Rows(index, rows))
+    sums.receive(t, ad.Rows(*tiny))
+    want = np.zeros((4, 3))
+    np.add.at(want, index, rows)
+    np.add.at(want, *tiny)
+    assert np.all(want[1] == 1.0)
+    assert sums.pop(t)[1].tobytes() == want.tobytes()
 
 
 def test_a_lookup_copies_its_rows_out_of_the_table():

@@ -158,6 +158,22 @@ def test_embed_fact_identity_recovers_pooled_segments(vocab):
                                atol=1e-12)
 
 
+def reference_gradients(facts, vocab, params, upstream):
+    """Per-fact numpy transcription of the embedding and relation-table
+    gradients of sum(upstream * embed_facts(facts))."""
+    emb_dim = params.relation_table.shape[1]
+    g_feats = upstream @ params.w_fact_embed.data.T
+    want_emb = np.zeros((len(vocab), emb_dim))
+    want_rel = np.zeros_like(params.relation_table.data)
+    for i, fact in enumerate(facts):
+        want_rel[fact.relation] += g_feats[i, emb_dim:2 * emb_dim]
+        for segment, g in ((fact.subject, g_feats[i, :emb_dim]),
+                           (fact.object, g_feats[i, 2 * emb_dim:])):
+            for token in segment:
+                want_emb[vocab.encode(token)] += g / len(segment)
+    return want_emb, want_rel
+
+
 def test_embed_facts_matches_per_fact(vocab):
     """Values and gradients against a per-fact numpy reference; the PAD row
     that fills short segments gets an exactly zero gradient."""
@@ -173,19 +189,63 @@ def test_embed_facts_matches_per_fact(vocab):
     gm = tape.backward(loss, [emb, params.relation_table])
     np.testing.assert_allclose(matrix.data, embed_reference(FACTS, table, vocab, params),
                                atol=1e-12)
-
-    g_feats = upstream @ params.w_fact_embed.data.T
-    want_emb = np.zeros_like(table)
-    want_rel = np.zeros_like(params.relation_table.data)
-    for i, fact in enumerate(FACTS):
-        want_rel[fact.relation] += g_feats[i, emb_dim:2 * emb_dim]
-        for segment, g in ((fact.subject, g_feats[i, :emb_dim]),
-                           (fact.object, g_feats[i, 2 * emb_dim:])):
-            for token in segment:
-                want_emb[vocab.encode(token)] += g / len(segment)
+    want_emb, want_rel = reference_gradients(FACTS, vocab, params, upstream)
     np.testing.assert_allclose(gm[emb], want_emb, atol=1e-12)
     np.testing.assert_allclose(gm[params.relation_table], want_rel, atol=1e-12)
     assert np.all(gm[emb][PAD] == 0.0)
+
+
+# Subjects shared between facts, a segment that is one fact's subject and
+# another's object, and a repeated object: 6 distinct segments of 10.
+SHARED = [Fact(("bridge",), 0, ("cross", "water"), 0),
+          Fact(("bridge",), 1, ("hawaii",), 1),
+          Fact(("water",), 0, ("bridge",), 2),
+          Fact(("obama", "born", "obama"), 1, ("cross", "water"), 3),
+          Fact(("bridge",), 0, ("x",), 4)]
+
+
+def test_embed_facts_pools_each_distinct_segment_once(vocab, monkeypatch):
+    """The embedding lookup reads one row group per distinct segment, in
+    first-seen order; the matrix equals pooling every subject and object on
+    its own bit for bit, and the gradients match the per-fact reference."""
+    rng = np.random.default_rng(11)
+    params = make_params(rng, vocab)
+    table = np.random.default_rng(3).normal(size=(len(vocab), 4))
+    emb = ad.Tensor(table.copy(), requires_grad=True)
+    upstream = rng.normal(size=(len(SHARED), 5))
+    reads = []
+    lookup = ad.lookup
+    monkeypatch.setattr(ad, "lookup", lambda t, ids: reads.append((t, np.asarray(ids)))
+                        or lookup(t, ids))
+    with ad.Tape() as tape:
+        matrix = embed_facts(SHARED, emb, vocab, params)
+        loss = ad.sum(ad.mul(matrix, ad.constant(upstream)))
+    gm = tape.backward(loss, [emb, params.relation_table])
+
+    distinct = [("bridge",), ("water",), ("obama", "born", "obama"), ("cross", "water"),
+                ("hawaii",), ("x",)]
+    (ids,) = [ids for t, ids in reads if t is emb]
+    assert ids.shape == (len(distinct), 3)
+    for row, segment in zip(ids, distinct):
+        assert list(row[:len(segment)]) == [vocab.encode(t) for t in segment]
+        assert np.all(row[len(segment):] == PAD)
+
+    # every subject and object pooled on its own, as one padded array
+    segments = [f.subject for f in SHARED] + [f.object for f in SHARED]
+    lengths = np.array([len(seg) for seg in segments])[:, None]
+    filled = np.arange(3) < lengths
+    each = np.full(filled.shape, PAD)
+    each[filled] = [vocab.encode(t) for seg in segments for t in seg]
+    pooled = np.sum(table[each] * (filled / lengths)[..., None], axis=1)
+    n = len(SHARED)
+    feats = np.concatenate([pooled[:n], params.relation_table.data[[f.relation for f in SHARED]],
+                            pooled[n:]], axis=1)
+    want = feats @ params.w_fact_embed.data + params.b_fact_embed.data
+    assert matrix.data.tobytes() == want.tobytes()
+
+    want_emb, want_rel = reference_gradients(SHARED, vocab, params, upstream)
+    np.testing.assert_allclose(gm[emb], want_emb, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gm[params.relation_table], want_rel, rtol=0, atol=1e-12)
 
 
 def test_embed_facts_tape_size_independent_of_fact_count(vocab):

@@ -583,8 +583,25 @@ def test_cli_generate_names_the_failing_record(runner, tmp_path):
     assert result.exit_code == 3, result.output
     error = events(result)["error"]
     assert error["kind"] == "data"
-    assert error["message"].startswith("record 1: "), error["message"]
+    assert error["message"] == f"{tmp_path / 'd.jsonl'} line 2: passage has no tokens"
     assert not (tmp_path / "pred.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "generate"])
+def test_cli_record_that_fails_to_encode_names_its_line(runner, tmp_path, command):
+    """A good record, a blank line, then a record with an empty passage:
+    the error names the file and line 3, as a line that fails to parse does."""
+    write_vocab_and_checkpoint(tmp_path)
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps({"question": "what is the bridge ?", "passage": "it is ."})
+                    + "\n\n" + json.dumps({"question": "what is it ?", "passage": ""}) + "\n")
+    vocab, out = ["--vocab", str(tmp_path / "vocab.json")], ["--out", str(tmp_path / "out")]
+    args = {"train": ["--profile", "desk"],
+            "generate": ["--checkpoint", str(tmp_path / "m.ckpt")]}[command]
+    result = runner.invoke(main, [command, "--data", str(data), *vocab, *out, *args])
+    assert result.exit_code == 3, result.output
+    assert events(result)["error"]["message"] == f"{data} line 3: passage has no tokens"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["prepare", "train", "generate"])
@@ -613,6 +630,19 @@ def test_cli_evaluate_line_that_is_not_json_exits_3(runner, tmp_path):
 def test_cli_train_with_a_vocabulary_that_is_not_json_exits_3(runner, tmp_path):
     vocab = tmp_path / "vocab.json"
     vocab.write_text("the cat sat\n")
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps({"question": "q ?", "passage": "p ."}) + "\n")
+    result = runner.invoke(main, ["train", "--data", str(data), "--vocab", str(vocab),
+                                  "--out", str(tmp_path / "m.ckpt")])
+    assert result.exit_code == 3, result.output
+    assert events(result)["error"]["message"] == f"{vocab} is not a vocabulary file"
+
+
+def test_cli_train_with_a_vocabulary_too_small_for_the_specials_exits_3(runner, tmp_path):
+    """A max_size below the four special tokens is a bad vocabulary file,
+    named as every other one is."""
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps({"max_size": 2, "tokens": []}))
     data = tmp_path / "d.jsonl"
     data.write_text(json.dumps({"question": "q ?", "passage": "p ."}) + "\n")
     result = runner.invoke(main, ["train", "--data", str(data), "--vocab", str(vocab),

@@ -119,7 +119,8 @@ def test_vocab_save_load_roundtrip(small_vocab, tmp_path):
 
 
 @pytest.mark.parametrize("content", ["the cat sat", "[1, 2]", '{"tokens": ["a"]}',
-                                     '{"tokens": 3, "max_size": 8}'])
+                                     '{"tokens": 3, "max_size": 8}',
+                                     '{"tokens": [], "max_size": 2}'])
 def test_vocab_load_rejects_a_file_that_is_not_a_vocabulary(content, tmp_path):
     path = tmp_path / "vocab.json"
     path.write_text(content)
@@ -212,6 +213,14 @@ def test_jsonl_loader_concatenates_passages(tmp_path):
     path.write_text(json.dumps(rec) + "\n")
     records = text.load_jsonl_dataset(path)
     assert records[0].passage == "part one . part two ."
+
+
+def test_jsonl_loader_keeps_each_records_line(tmp_path):
+    path = tmp_path / "data.jsonl"
+    rec = json.dumps({"question": "q ?", "passage": "p ."})
+    path.write_text(rec + "\n\n" + rec + "\n")
+    assert [r.line for r in text.load_jsonl_dataset(path)] == [1, 3]
+    assert text.RawRecord("q ?", "p .").line == 0
 
 
 def test_jsonl_loader_rejects_bad_line(tmp_path):
