@@ -688,30 +688,44 @@ def additive_scores(keys: Tensor, shift: Tensor, gate: Tensor) -> Tensor:
     score: keys (..., N, A) and shift (..., A), whose leading axes broadcast,
     give (..., N) scores.
 
-    One node that keeps only the tanh output: the (..., N, A) sum before it
-    is never stored, and backward makes two temporaries of that size.
+    One node that keeps only the tanh output z, never the sum before it.
+    Keys with one axis fewer than a z of 4 or more axes (training's fact
+    head: (B, N_f, A) keys, (T, B, A) shifts) go one leading slice of z at a
+    time, so each slice's temporaries stay in cache; any other call is one
+    slice. Bit for bit the whole: the keys gradient adds the slices in order
+    from +0.0, as numpy sums an axis, and the gate gradient is one product.
     """
     kd, sd, gd = keys.data, shift.data, gate.data
     try:
         if kd.ndim < 2 or gd.shape != (kd.shape[-1],):
             raise ValueError
-        z = np.add(kd, sd[..., None, :])
+        shape = np.broadcast_shapes(kd.shape, sd[..., None, :].shape)
     except (ValueError, IndexError):
         raise ShapeMismatchError(f"additive_scores: keys {kd.shape}, shift {sd.shape} and "
                                  f"gate {gd.shape} do not fit (..., N, A), (..., A), (A,)")
-    np.tanh(z, out=z)
-    out = z @ gd
+    sliced = len(shape) > 3 and kd.ndim == len(shape) - 1
+    z, out = np.empty(shape), np.empty(shape[:-1])
+    for z_i, s_i, out_i in zip(*((z, sd, out) if sliced else ([z], [sd], [out]))):
+        np.add(kd, s_i[..., None, :], out=z_i)
+        np.tanh(z_i, out=z_i)
+        np.matmul(z_i, gd, out=out_i)
 
     def grad_fn(g):
         need_keys, need_shift = _tracked(keys), _tracked(shift)
-        d_pre = None
+        d_keys = np.zeros(shape[1:]) if sliced and need_keys else None
+        d_shift = np.empty(shape[:-2] + shape[-1:]) if need_shift else None
         if need_keys or need_shift:
-            d_pre = np.multiply(z, z)
-            np.subtract(1.0, d_pre, out=d_pre)
-            d_pre *= g[..., None]
-            d_pre *= gd                            # d(loss)/d(key_i + shift)
-        return [(keys, _unbroadcast(d_pre, kd.shape) if need_keys else None),
-                (shift, _unbroadcast(d_pre.sum(axis=-2), sd.shape) if need_shift else None),
+            for i, z_i in enumerate(z if sliced else [z]):
+                d = np.multiply(z_i, z_i)
+                np.subtract(1.0, d, out=d)
+                d *= (g[i] if sliced else g)[..., None]
+                d *= gd                            # d(loss)/d(key_i + shift)
+                if need_keys:
+                    d_keys = d if d_keys is None else np.add(d_keys, d, out=d_keys)
+                if need_shift:
+                    np.sum(d, axis=-2, out=d_shift[i] if sliced else d_shift)
+        return [(keys, _unbroadcast(d_keys, kd.shape) if need_keys else None),
+                (shift, _unbroadcast(d_shift, sd.shape) if need_shift else None),
                 (gate, z.reshape(-1, gd.size).T @ g.reshape(-1) if _tracked(gate) else None)]
 
     return _record("additive_scores", (keys, shift, gate), out, grad_fn)

@@ -141,7 +141,8 @@ def _beam_search(model, example, facts, beam_size: int, max_len: int) -> BeamHyp
     vocab = model.vocab
     enc_q = model.encode_question([example.question_ids])
     enc_p = model.encode_passage([example.passage_ids])
-    fact_matrix = embed_facts(facts, model.embedding, vocab, model.selector) if facts else None
+    fact_keys = ad.matmul(embed_facts(facts, model.embedding, vocab, model.selector),
+                          model.selector.w_fact) if facts else None
     words = {Source.QUESTION: example.question_tokens, Source.PASSAGE: example.passage_tokens,
              Source.VOCAB: vocab.token_by_id, Source.KNOWLEDGE: facts}
     carry = model.initial_state(enc_q, enc_p)
@@ -167,7 +168,7 @@ def _beam_search(model, example, facts, beam_size: int, max_len: int) -> BeamHyp
             # ids training never credits to the vocabulary; _top_tokens skips a 0
             probs[Source.VOCAB][:, NOT_FROM_VOCAB] = 0.0
         if Source.KNOWLEDGE in fresh:
-            probs[Source.KNOWLEDGE] = _finite(fact_distribution(fact_matrix, s,
+            probs[Source.KNOWLEDGE] = _finite(fact_distribution(fact_keys, s,
                                                                 model.selector).data, "fact")
 
         source_rows = [tuple(row) for row in p_source.tolist()]

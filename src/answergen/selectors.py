@@ -110,10 +110,12 @@ def embed_facts(facts: Sequence[Fact], embeddings: Tensor, vocab: Vocabulary,
 
     Subjects and objects are average-pooled over their tokens (OOV words hit
     the UNK row), each distinct segment once, in first-seen order, in one
-    padded lookup; a second lookup gathers the pooled rows back to the facts.
-    So the tape holds the same few nodes however many facts there are, and a
-    segment's gradient is summed over its facts before it reaches the table.
-    Padding slots read the PAD row with weight 0: it gets no gradient.
+    padded lookup. One lookup of an (N_f, 3) index then reads each fact's
+    subject, relation and object rows from the pooled rows stacked on the
+    relation table. So the tape holds the same few nodes however many facts
+    there are, and a segment's gradient is summed over its facts before it
+    reaches the table. Padding slots read the PAD row with weight 0: it gets
+    no gradient.
     """
     if not facts:
         raise EmptyFactSetError("no facts to embed")
@@ -127,29 +129,29 @@ def embed_facts(facts: Sequence[Fact], embeddings: Tensor, vocab: Vocabulary,
     ids[filled] = [vocab.id_by_token.get(t, UNK) for seg in distinct for t in seg]
     weights = (filled / lengths)[..., None]                              # 1/len, 0 on PAD
     rows = ad.lookup(embeddings, ids)                                   # (D, L, emb)
-    pooled = ad.lookup(ad.sum(ad.mul(rows, ad.constant(weights)), axis=1),
-                       slots)                                           # (2N_f, emb)
-    e_r = ad.lookup(params.relation_table, [f.relation for f in facts])
-    feats = ad.concat([ad.slice_(pooled, 0, n), e_r, ad.slice_(pooled, n, 2 * n)],
-                      axis=1)                                           # (N_f, 3*emb)
+    table = ad.concat([ad.sum(ad.mul(rows, ad.constant(weights)), axis=1),
+                       params.relation_table])                          # (D + R, emb)
+    index = np.column_stack([slots[:n], [len(distinct) + f.relation for f in facts],
+                             slots[n:]])                                # (N_f, 3)
+    feats = ad.reshape(ad.lookup(table, index), (n, -1))                # (N_f, 3*emb)
     return ad.add(ad.matmul(feats, params.w_fact_embed), params.b_fact_embed)
 
 
-def fact_logits(fact_matrix: Tensor, s_t: Tensor, params: SelectorParams) -> Tensor:
-    """Scores of the facts (N_f, fact_dim) against s_t (..., H), or of each
-    example's facts (B, N_f, fact_dim) against its rows s_t (..., B, H)."""
-    if fact_matrix.shape[-2] == 0:
+def fact_logits(fact_keys: Tensor, s_t: Tensor, params: SelectorParams) -> Tensor:
+    """Scores of the facts against s_t (..., H), or of each example's facts
+    against its rows s_t (..., B, H). ``fact_keys`` (N_f, A) or (B, N_f, A)
+    is the fact matrix times ``w_fact``, projected once per answer or batch."""
+    if fact_keys.shape[-2] == 0:
         raise EmptyFactSetError("fact matrix is empty")
     shift = ad.add(ad.matmul(s_t, params.u_fact), params.b_fact)   # (..., A)
-    return ad.additive_scores(ad.matmul(fact_matrix, params.w_fact), shift,
-                              params.gate_fact)                        # (..., N_f)
+    return ad.additive_scores(fact_keys, shift, params.gate_fact)  # (..., N_f)
 
 
-def fact_distribution(fact_matrix: Tensor, s_t: Tensor, params: SelectorParams,
+def fact_distribution(fact_keys: Tensor, s_t: Tensor, params: SelectorParams,
                       mask: Tensor | None = None) -> Tensor:
     """Simplex over the related facts given the decoder state; an additive
     ``mask`` (B, N_f) gives a batch's padded fact slots exactly zero weight."""
-    logits = fact_logits(fact_matrix, s_t, params)
+    logits = fact_logits(fact_keys, s_t, params)
     return ad.softmax(logits if mask is None else ad.add(logits, mask))
 
 

@@ -23,7 +23,9 @@ pre-step coverages that the loop's states carry. Padded encoder positions,
 padded fact slots and the fact rows of examples without facts get an
 additive MASK_LOGIT before each softmax, so they get exactly zero weight and
 zero gradient, and a (T, B) step mask keeps padded steps out of the bound
-and the coverage penalty.
+and the coverage penalty. When every example holds N_f facts, no fact slot
+is padded: the fact matrix is reshaped into its (B, N_f) slots and masked
+nowhere.
 
 The Gumbel noise is drawn per example, in batch order, and per step within
 an example: the fact sample, then the source samples. One example's loss is
@@ -206,16 +208,21 @@ def batch_elbo_loss(model: AnswerModel, batch: Sequence[TrainItem], tau: float,
                                    knowledge_available=has_facts)     # (T, B, 4)
     p_fact = fact_mask = None
     if knowledge_ok:
-        # every example's facts are embedded in one call, then gathered into
-        # (B, N_f) slots; padded slots point at fact 0 and are masked
+        # every example's facts are embedded in one call, then put in (B, N_f)
+        # slots: by a reshape when every example fills them, else by a gather
+        # in which padded slots point at fact 0 and are masked
+        fact_matrix = embed_facts([f for facts in fact_sets for f in facts],
+                                  model.embedding, model.vocab, model.selector)
         slots = np.arange(n_facts) < np.array([len(f) for f in fact_sets])[:, None]
-        slot_ids = np.zeros(slots.shape, dtype=np.intp)
-        slot_ids[slots] = np.arange(slots.sum())
-        fact_mask = ad.constant(np.where(slots, 0.0, MASK_LOGIT))
-        fact_matrix = ad.lookup(embed_facts([f for facts in fact_sets for f in facts],
-                                            model.embedding, model.vocab, model.selector),
-                                slot_ids)                             # (B, N_f, fact_dim)
-        p_fact = fact_distribution(fact_matrix, s, model.selector, mask=fact_mask)
+        if slots.all():
+            fact_matrix = ad.reshape(fact_matrix, (n_batch, n_facts, -1))
+        else:
+            slot_ids = np.zeros(slots.shape, dtype=np.intp)
+            slot_ids[slots] = np.arange(slots.sum())
+            fact_mask = ad.constant(np.where(slots, 0.0, MASK_LOGIT))
+            fact_matrix = ad.lookup(fact_matrix, slot_ids)            # (B, N_f, fact_dim)
+        fact_keys = ad.matmul(fact_matrix, model.selector.w_fact)     # (B, N_f, A)
+        p_fact = fact_distribution(fact_keys, s, model.selector, mask=fact_mask)
     step_weight = valid.astype(float)                                  # (T, B)
 
     if mode == "gumbel":

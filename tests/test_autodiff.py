@@ -540,6 +540,51 @@ def test_sigmoid_is_bit_for_bit_the_masked_definition():
     assert np.isnan(ad._sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
+def whole_additive_scores(kd, sd, gd, g):
+    """The score and its keys, shift and gate gradients for upstream ``g``,
+    computed over the whole (..., N, A) array at once."""
+    z = np.tanh(np.add(kd, sd[..., None, :]))
+    d = np.multiply(z, z)
+    np.subtract(1.0, d, out=d)
+    d *= g[..., None]
+    d *= gd
+    return (z @ gd, ad._unbroadcast(d, kd.shape), ad._unbroadcast(d.sum(axis=-2), sd.shape),
+            z.reshape(-1, gd.size).T @ g.reshape(-1))
+
+
+@pytest.mark.parametrize("keys_shape, shift_shape, slices", [
+    ((3, 7, 4), (1, 3, 4), 1),   # the fact head of a batch, one step
+    ((3, 7, 4), (5, 3, 4), 5),   # ... and five steps
+    ((3, 7, 4), (5, 1, 4), 5),   # a shift that broadcasts over the batch
+    ((1, 7, 4), (5, 3, 4), 5),   # keys that broadcast over the batch
+    ((1, 7, 4), (3, 4), 1),      # attention: beam rows against one example's keys
+    ((3, 7, 4), (3, 4), 1),      # attention: a training step
+    ((7, 4), (3, 4), 1),         # beam search's fact head
+])
+def test_additive_scores_by_slices_are_the_whole_array_bit_for_bit(
+        monkeypatch, keys_shape, shift_shape, slices):
+    """Keys with one axis fewer than a 4-D score array are scored one leading
+    slice at a time; any other call is one slice. The value and all three
+    gradients are byte for byte those of the whole-array formula, signed
+    zeros included (the upstream gradient has zeros)."""
+    rng = np.random.default_rng(sum(keys_shape + shift_shape))
+    keys = ad.Tensor(rng.normal(size=keys_shape), requires_grad=True)
+    shift = ad.Tensor(rng.normal(size=shift_shape), requires_grad=True)
+    gate = ad.Tensor(rng.normal(size=4), requires_grad=True)
+    tanh_calls = []
+    tanh = np.tanh
+    monkeypatch.setattr(np, "tanh", lambda *a, **k: tanh_calls.append(1) or tanh(*a, **k))
+    with ad.Tape() as tape:
+        scores = ad.additive_scores(keys, shift, gate)
+    monkeypatch.undo()
+    assert len(tanh_calls) == slices
+    g = rng.normal(size=scores.shape) * (rng.random(scores.shape) < 0.7)
+    got = [scores.data] + [part for _, part in tape.nodes[-1].grad_fn(g)]
+    want = whole_additive_scores(keys.data, shift.data, gate.data, g)
+    for name, a, b in zip(("value", "keys", "shift", "gate"), got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # Gradient parts: weight factors, lookup rows, constants, unshared leaves.
 # ---------------------------------------------------------------------------
@@ -731,6 +776,7 @@ _MULTI_INPUT_CASES = {
     "matmul_per_row": (ad.matmul, [(2, 3), (2, 3, 4)]),
     "matmul_shared_stack": (ad.matmul, [(2, 3), (1, 3, 4)]),
     "additive_scores": (ad.additive_scores, [(3, 4), (4,), (4,)]),
+    "additive_scores_by_slices": (ad.additive_scores, [(2, 3, 4), (5, 2, 4), (4,)]),
 }
 
 

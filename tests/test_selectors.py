@@ -248,6 +248,38 @@ def test_embed_facts_pools_each_distinct_segment_once(vocab, monkeypatch):
     np.testing.assert_allclose(gm[params.relation_table], want_rel, rtol=0, atol=1e-12)
 
 
+def test_embed_facts_reads_every_feature_row_in_one_lookup(vocab, monkeypatch):
+    """The pooled segments and the relation table are stacked into one
+    (D + R, emb) table, read once by an (N_f, 3) index of subject slot,
+    D + relation and object slot: eight nodes in all, where a gather of the
+    pooled rows, a relation lookup, two slices and a concat took ten. The
+    relation table's gradient adds its rows in fact order, byte for byte
+    ``np.add.at`` into zeros."""
+    rng = np.random.default_rng(12)
+    params = make_params(rng, vocab)
+    emb = ad.Tensor(np.random.default_rng(4).normal(size=(len(vocab), 4)), requires_grad=True)
+    upstream = rng.normal(size=(len(SHARED), 5))
+    reads = []
+    lookup = ad.lookup
+    monkeypatch.setattr(ad, "lookup", lambda t, ids: reads.append((t, np.asarray(ids)))
+                        or lookup(t, ids))
+    with ad.Tape() as tape:
+        matrix = embed_facts(SHARED, emb, vocab, params)
+        loss = ad.sum(ad.mul(matrix, ad.constant(upstream)))
+    assert len(tape.nodes) == 8 + 2  # and the loss's mul and sum
+    gm = tape.backward(loss, [emb, params.relation_table])
+
+    (table, index), = [(t, ids) for t, ids in reads if t is not emb]
+    assert table.shape == (6 + 2, 4)
+    assert table.data[6:].tobytes() == params.relation_table.data.tobytes()
+    np.testing.assert_array_equal(index, [[0, 6, 3], [0, 7, 4], [1, 6, 0], [2, 7, 3],
+                                          [0, 6, 5]])
+    g_feats = upstream @ params.w_fact_embed.data.T
+    want_rel = np.zeros_like(params.relation_table.data)
+    np.add.at(want_rel, [f.relation for f in SHARED], g_feats[:, 4:8])
+    assert gm[params.relation_table].tobytes() == want_rel.tobytes()
+
+
 def test_embed_facts_tape_size_independent_of_fact_count(vocab):
     rng = np.random.default_rng(10)
     params = make_params(rng, vocab)
@@ -273,19 +305,24 @@ def test_embed_facts_rejects_empty(vocab):
 
 # --- fact distribution ---
 
+def project(fact_matrix, params):
+    """The fact keys the fact heads take: the fact matrix times w_fact."""
+    return ad.matmul(fact_matrix, params.w_fact)
+
+
 def test_fact_distribution_uniform_for_identical_reps(vocab):
     rng = np.random.default_rng(10)
     params = make_params(rng, vocab)
     row = rng.normal(size=5)
     F = ad.constant(np.tile(row, (4, 1)))
-    dist = fact_distribution(F, ad.constant(rng.normal(size=3)), params)
+    dist = fact_distribution(project(F, params), ad.constant(rng.normal(size=3)), params)
     np.testing.assert_allclose(dist.data, np.full(4, 0.25), atol=1e-12)
 
 
 def test_fact_distribution_single_fact(vocab):
     rng = np.random.default_rng(11)
     params = make_params(rng, vocab)
-    dist = fact_distribution(ad.constant(rng.normal(size=(1, 5))),
+    dist = fact_distribution(project(ad.constant(rng.normal(size=(1, 5))), params),
                              ad.constant(rng.normal(size=3)), params)
     np.testing.assert_allclose(dist.data, [1.0])
 
@@ -300,7 +337,7 @@ def test_fact_distribution_matches_transcription(vocab):
         pre = params.w_fact.data.T @ F[i] + s @ params.u_fact.data + params.b_fact.data
         logits.append(params.gate_fact.data @ np.tanh(pre))
     want = np_softmax(np.array(logits))
-    got = fact_distribution(ad.constant(F), ad.constant(s), params)
+    got = fact_distribution(project(ad.constant(F), params), ad.constant(s), params)
     np.testing.assert_allclose(got.data, want, atol=1e-12)
 
 
@@ -309,7 +346,7 @@ def test_fact_argmax_shift_invariant(vocab):
     params = make_params(rng, vocab)
     F = ad.constant(rng.normal(size=(5, 5)))
     s = ad.constant(rng.normal(size=3))
-    logits = fact_logits(F, s, params)
+    logits = fact_logits(project(F, params), s, params)
     base = ad.softmax(logits)
     shifted = ad.softmax(ad.add(logits, ad.constant(3.7)))
     assert np.argmax(base.data) == np.argmax(shifted.data)
@@ -318,7 +355,8 @@ def test_fact_argmax_shift_invariant(vocab):
 def test_fact_distribution_empty_raises(vocab):
     params = make_params(np.random.default_rng(0), vocab)
     with pytest.raises(EmptyFactSetError):
-        fact_distribution(ad.constant(np.zeros((0, 5))), ad.constant(np.zeros(3)), params)
+        fact_distribution(project(ad.constant(np.zeros((0, 5))), params),
+                          ad.constant(np.zeros(3)), params)
 
 
 # --- Gumbel-Softmax ---
@@ -426,7 +464,7 @@ def test_padded_fact_slots_get_zero_weight_and_zero_gradient(vocab):
     mask = ad.constant(np.where(slots, 0.0, sel.MASK_LOGIT))
     s_t = ad.constant(rng.normal(size=(2, 3, 3)))
     with ad.Tape() as tape:
-        probs = fact_distribution(facts, s_t, params, mask=mask)
+        probs = fact_distribution(project(facts, params), s_t, params, mask=mask)
         sample = gumbel_softmax_sample(probs, 0.5, uniforms=rng.uniform(size=probs.shape),
                                        mask=mask)
         loss = ad.sum(ad.mul(ad.add(probs, sample.soft),
@@ -437,6 +475,6 @@ def test_padded_fact_slots_get_zero_weight_and_zero_gradient(vocab):
     # a lone fact has probability 1 whatever its row, so only rows 1-2 move
     assert not grads[facts][~slots].any() and grads[facts][1:][slots[1:]].all()
     for row, n in enumerate(counts):
-        alone = fact_distribution(ad.constant(facts.data[row, :n]),
+        alone = fact_distribution(project(ad.constant(facts.data[row, :n]), params),
                                   ad.constant(s_t.data[:, row]), params)
         np.testing.assert_allclose(probs.data[:, row, :n], alone.data, rtol=0, atol=1e-15)
