@@ -45,13 +45,13 @@ constant.
 
 Finiteness is checked at the boundaries, not per primitive. Finite inputs
 stay finite through every primitive except ``log`` (of 0 or a negative) and
-overflow, and a NaN or inf reaches every output computed from it, so a check
-where values enter or leave catches it: ``Tensor`` construction, ``log``'s
-output, the training loss, each leaf gradient's sum of squares after
-``Tape.backward`` (the entries are read only when that sum is not finite),
-and (outside this module) restored checkpoint weights and each beam-search
-step's distributions. A primitive outside a tape simply computes, NaN in,
-NaN out.
+overflow, and a NaN or inf reaches every output computed from it, so one
+check, `finite`, where values enter or leave catches it: ``Tensor``
+construction, ``log``'s output, the training loss, each leaf gradient's sum
+of squares after ``Tape.backward`` (the entries are read only when that sum
+is not finite), and (outside this module) restored checkpoint weights and
+each beam-search step's distributions. A primitive outside a tape simply
+computes, NaN in, NaN out.
 """
 from __future__ import annotations
 
@@ -105,9 +105,13 @@ def in_parallel(calls: Sequence[Callable[[], object]]) -> list:
         return [calls[0]()] + [future.result() for future in later]
 
 
-def _all_finite(x: np.ndarray) -> bool:
-    """True when no entry is NaN or infinite."""
-    return np.isfinite(x).all()
+def finite(x: np.ndarray, message: str, *args,
+           error: type[Exception] = NonFiniteValueError) -> np.ndarray:
+    """``x``, once no entry is NaN or infinite; else raises ``error`` with
+    ``message.format(*args)``, formatted only then."""
+    if not np.isfinite(x).all():
+        raise error(message.format(*args))
+    return x
 
 
 def active_tape() -> "Tape | None":
@@ -120,10 +124,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "name", "_tape")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        arr = np.asarray(data, dtype=np.float64)
-        if not _all_finite(arr):
-            raise NonFiniteValueError(f"tensor {name or ''} initialized with non-finite data")
-        self.data = arr
+        self.data = finite(np.asarray(data, dtype=np.float64),
+                           "tensor {} initialized with non-finite data", name or "")
         self.requires_grad = requires_grad
         self.name = name
         self._tape: "Tape | None" = None
@@ -311,8 +313,9 @@ class Tape:
         in_parallel([sweep, drain] if large else [sweep])
         grads, squares = {}, {}
         for t, (g, square) in finished.items():
-            if not math.isfinite(square) and not _all_finite(g):
-                raise NonFiniteGradientError(f"non-finite gradient for {t.name or t.shape}")
+            if not math.isfinite(square):
+                finite(g, "non-finite gradient for {}", t.name or t.shape,
+                       error=NonFiniteGradientError)
             grads[t], squares[t] = g, square
         if params is not None:
             for p in params:
@@ -599,8 +602,7 @@ def log(x: Tensor) -> Tensor:
         out = np.log(x.data)
     # log keeps its own check: its domain ends at 0, and a NaN or inf from
     # anywhere upstream of a loss reaches its log too
-    if not _all_finite(out):
-        raise NonFiniteValueError("non-finite output of log")
+    finite(out, "non-finite output of log")
 
     def grad_fn(g):
         return [(x, g / x.data)]

@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidScheduleError
 from .text import SPECIAL_TOKENS
 
 
@@ -57,6 +57,24 @@ class TrainingConfig:
 
 
 @dataclass
+class TemperatureSchedule:
+    """The Gumbel-Softmax temperature's anneal: tau0 * exp(-rate * step),
+    clamped at tau_min."""
+    tau0: float = 1.0
+    tau_min: float = 0.1
+    rate: float = 1e-4
+
+    def validate(self) -> "TemperatureSchedule":
+        if self.tau_min <= 0:
+            raise InvalidScheduleError(f"tau_min must be > 0, got {self.tau_min}")
+        if self.tau0 < self.tau_min:
+            raise InvalidScheduleError("tau0 below tau_min")
+        if self.rate < 0:
+            raise InvalidScheduleError("negative anneal rate")
+        return self
+
+
+@dataclass
 class GenerationConfig:
     beam_size: int = 4
 
@@ -95,8 +113,7 @@ class RunConfig:
                              ("training.max_steps", t.max_steps)]:
             if value < 0:
                 raise ConfigError(f"{label} must be >= 0, got {value}")
-        if t.tau_min <= 0 or t.tau0 < t.tau_min or t.anneal_rate < 0:
-            raise ConfigError("training temperature schedule invalid")
+        TemperatureSchedule(t.tau0, t.tau_min, t.anneal_rate).validate()
         return self
 
     @classmethod

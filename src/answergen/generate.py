@@ -26,7 +26,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NonFiniteValueError
 from .files import replace_file
 from .knowledge import KnowledgeBase, extract_related_facts, resolve_facts
 from .model import AnswerModel, StepState
@@ -141,8 +140,8 @@ def _beam_search(model, example, facts, beam_size: int, max_len: int) -> BeamHyp
     vocab = model.vocab
     enc_q = model.encode_question([example.question_ids])
     enc_p = model.encode_passage([example.passage_ids])
-    fact_keys = ad.matmul(embed_facts(facts, model.embedding, vocab, model.selector),
-                          model.selector.w_fact) if facts else None
+    fact_keys = embed_facts(facts, [len(facts)], model.embedding, vocab,
+                            model.selector)[0] if facts else None     # (1, N_f, A)
     words = {Source.QUESTION: example.question_tokens, Source.PASSAGE: example.passage_tokens,
              Source.VOCAB: vocab.token_by_id, Source.KNOWLEDGE: facts}
     carry = model.initial_state(enc_q, enc_p)
@@ -156,20 +155,25 @@ def _beam_search(model, example, facts, beam_size: int, max_len: int) -> BeamHyp
         x = ad.lookup(model.embedding, [hyp.prev_id for hyp in live])
         out = model.step(enc_q, enc_p, state, x)
         s, c_q, c_p = out.state.h, out.state.c_q, out.state.c_p
-        p_source = _finite(source_distribution(c_q, c_p, s, x, model.selector,
-                                               knowledge_available=bool(facts)).data, "source")
+        # argmax and log read each distribution, so each is checked first; the
+        # source distribution reads both attention contexts, so its check
+        # also covers the attention weights the copy sources pick from
+        p_source = ad.finite(source_distribution(c_q, c_p, s, x, model.selector,
+                                                 knowledge_available=bool(facts)).data,
+                             "non-finite source distribution in beam search")
         chosen = [Source.KNOWLEDGE if hyp.pending else Source(int(np.argmax(p)) + 1)
                   for hyp, p in zip(live, p_source)]
         fresh = {c for hyp, c in zip(live, chosen) if not hyp.pending}
         probs = {Source.QUESTION: out.a_q.data, Source.PASSAGE: out.a_p.data}
         if Source.VOCAB in fresh:
-            probs[Source.VOCAB] = _finite(vocab_distribution(c_q, c_p, s, model.selector).data,
-                                          "vocabulary")
+            probs[Source.VOCAB] = ad.finite(vocab_distribution(c_q, c_p, s, model.selector).data,
+                                            "non-finite vocabulary distribution in beam search")
             # ids training never credits to the vocabulary; _top_tokens skips a 0
             probs[Source.VOCAB][:, NOT_FROM_VOCAB] = 0.0
         if Source.KNOWLEDGE in fresh:
-            probs[Source.KNOWLEDGE] = _finite(fact_distribution(fact_keys, s,
-                                                                model.selector).data, "fact")
+            probs[Source.KNOWLEDGE] = ad.finite(fact_distribution(fact_keys, s,
+                                                                  model.selector).data,
+                                                "non-finite fact distribution in beam search")
 
         source_rows = [tuple(row) for row in p_source.tolist()]
         candidates: list[BeamHypothesis] = []
@@ -206,18 +210,6 @@ def _beam_search(model, example, facts, beam_size: int, max_len: int) -> BeamHyp
 
     pool = finished + live
     return max(pool, key=lambda h: (h.normalized_score(), -len(h.trace)))
-
-
-def _finite(probs: np.ndarray, name: str) -> np.ndarray:
-    """``probs``, checked for NaN and inf before argmax or log reads it.
-
-    The primitives do not check their outputs. The source distribution reads
-    both attention contexts, so its check also covers the question and
-    passage attention weights that the copy sources pick from.
-    """
-    if not np.isfinite(probs).all():
-        raise NonFiniteValueError(f"non-finite {name} distribution in beam search")
-    return probs
 
 
 def _top_tokens(source: Source, probs: np.ndarray, words, beam_size: int):

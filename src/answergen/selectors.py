@@ -18,14 +18,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import TemperatureSchedule
 from .errors import (
     DegenerateDistributionError,
     EmptyFactSetError,
     InvalidScheduleError,
 )
 from .knowledge import Fact
-from .seq2seq import MASK_LOGIT, _uniform, _uniform_in_out
-from .text import BOS, PAD, UNK, Vocabulary
+from .seq2seq import MASK_LOGIT, _uniform, _uniform_in_out, padding_mask
+from .text import BOS, PAD, UNK, Vocabulary, padded
 
 PROB_FLOOR = 1e-12
 # Vocabulary ids the vocabulary source never produces: training credits it
@@ -104,18 +105,22 @@ def source_distribution(c_q: Tensor, c_p: Tensor, s_t: Tensor, x_t: Tensor,
     return ad.softmax(logits)
 
 
-def embed_facts(facts: Sequence[Fact], embeddings: Tensor, vocab: Vocabulary,
-                params: SelectorParams) -> Tensor:
-    """(N_f, fact_dim) matrix of W [e_subject, e_relation, e_object] + b rows.
+def embed_facts(facts: Sequence[Fact], counts: Sequence[int], embeddings: Tensor,
+                vocab: Vocabulary, params: SelectorParams) -> tuple[Tensor, Tensor | None]:
+    """The fact keys of a batch, (B, N_f, A), and their `padding_mask`.
 
-    Subjects and objects are average-pooled over their tokens (OOV words hit
-    the UNK row), each distinct segment once, in first-seen order, in one
-    padded lookup. One lookup of an (N_f, 3) index then reads each fact's
-    subject, relation and object rows from the pooled rows stacked on the
-    relation table. So the tape holds the same few nodes however many facts
-    there are, and a segment's gradient is summed over its facts before it
-    reaches the table. Padding slots read the PAD row with weight 0: it gets
-    no gradient.
+    ``facts`` holds every example's facts in turn, ``counts`` how many each
+    has; example b's facts fill its first counts[b] slots. A slot's key is
+    (W [e_subject, e_relation, e_object] + b) w_fact, projected once per
+    batch or answer. Subjects and objects are average-pooled over their
+    tokens (OOV words hit the UNK row), each distinct segment once, in
+    first-seen order, in one padded lookup. One lookup of a (B, N_f, 3)
+    index then reads each slot's subject, relation and object rows from the
+    pooled rows stacked on the relation table; a padded slot reads fact 0's
+    rows, and its mask entry gives it zero weight and zero gradient. So the
+    tape holds the same few nodes however many facts there are, and a
+    segment's gradient is summed over its facts before it reaches the
+    table. Padding tokens read the PAD row with weight 0: it gets no gradient.
     """
     if not facts:
         raise EmptyFactSetError("no facts to embed")
@@ -123,24 +128,25 @@ def embed_facts(facts: Sequence[Fact], embeddings: Tensor, vocab: Vocabulary,
     distinct: dict[tuple[str, ...], int] = {}
     slots = [distinct.setdefault(seg, len(distinct))
              for seg in [f.subject for f in facts] + [f.object for f in facts]]
-    lengths = np.array([len(seg) for seg in distinct])[:, None]          # (D, 1)
-    filled = np.arange(lengths.max()) < lengths                          # (D, L)
-    ids = np.full(filled.shape, PAD, dtype=np.intp)
-    ids[filled] = [vocab.id_by_token.get(t, UNK) for seg in distinct for t in seg]
-    weights = (filled / lengths)[..., None]                              # 1/len, 0 on PAD
+    ids, filled = padded([[vocab.id_by_token.get(t, UNK) for t in seg] for seg in distinct],
+                         PAD)                                           # (D, L)
+    weights = (filled / filled.sum(axis=1, keepdims=True))[..., None]   # 1/len, 0 on PAD
     rows = ad.lookup(embeddings, ids)                                   # (D, L, emb)
     table = ad.concat([ad.sum(ad.mul(rows, ad.constant(weights)), axis=1),
                        params.relation_table])                          # (D + R, emb)
     index = np.column_stack([slots[:n], [len(distinct) + f.relation for f in facts],
-                             slots[n:]])                                # (N_f, 3)
-    feats = ad.reshape(ad.lookup(table, index), (n, -1))                # (N_f, 3*emb)
-    return ad.add(ad.matmul(feats, params.w_fact_embed), params.b_fact_embed)
+                             slots[n:]])                                # (n, 3)
+    fact_ids, in_slot = padded(np.split(np.arange(n), np.cumsum(counts)[:-1]), 0)  # (B, N_f)
+    feats = ad.lookup(table, index[fact_ids])                           # (B, N_f, 3, emb)
+    hidden = ad.add(ad.matmul(ad.reshape(feats, fact_ids.shape + (-1,)), params.w_fact_embed),
+                    params.b_fact_embed)                                # (B, N_f, fact_dim)
+    return ad.matmul(hidden, params.w_fact), padding_mask(in_slot)
 
 
 def fact_logits(fact_keys: Tensor, s_t: Tensor, params: SelectorParams) -> Tensor:
-    """Scores of the facts against s_t (..., H), or of each example's facts
-    against its rows s_t (..., B, H). ``fact_keys`` (N_f, A) or (B, N_f, A)
-    is the fact matrix times ``w_fact``, projected once per answer or batch."""
+    """Scores (..., B, N_f) of each example's fact slots against its rows
+    s_t (..., B, H). ``fact_keys`` are `embed_facts`' (B, N_f, A) keys, or
+    (1, N_f, A) keys that every row reads, as beam search's rows do."""
     if fact_keys.shape[-2] == 0:
         raise EmptyFactSetError("fact matrix is empty")
     shift = ad.add(ad.matmul(s_t, params.u_fact), params.b_fact)   # (..., A)
@@ -149,8 +155,9 @@ def fact_logits(fact_keys: Tensor, s_t: Tensor, params: SelectorParams) -> Tenso
 
 def fact_distribution(fact_keys: Tensor, s_t: Tensor, params: SelectorParams,
                       mask: Tensor | None = None) -> Tensor:
-    """Simplex over the related facts given the decoder state; an additive
-    ``mask`` (B, N_f) gives a batch's padded fact slots exactly zero weight."""
+    """Simplex over the related facts given the decoder state; `embed_facts`'
+    additive ``mask`` (B, N_f) gives a batch's padded fact slots exactly zero
+    weight."""
     logits = fact_logits(fact_keys, s_t, params)
     return ad.softmax(logits if mask is None else ad.add(logits, mask))
 
@@ -185,22 +192,6 @@ def gumbel_softmax_sample(probs: Tensor, tau: float, *, uniforms: np.ndarray,
     shifted = ad.mul(ad.add(logits, ad.constant(noise)), ad.constant(1.0 / tau))
     soft = ad.softmax(shifted if mask is None else ad.add(shifted, mask))
     return GumbelSample(soft=soft, hard_index=np.argmax(soft.data, axis=-1))
-
-
-@dataclass
-class TemperatureSchedule:
-    tau0: float = 1.0
-    tau_min: float = 0.1
-    rate: float = 1e-4
-
-    def validate(self) -> "TemperatureSchedule":
-        if self.tau_min <= 0:
-            raise InvalidScheduleError(f"tau_min must be > 0, got {self.tau_min}")
-        if self.tau0 < self.tau_min:
-            raise InvalidScheduleError("tau0 below tau_min")
-        if self.rate < 0:
-            raise InvalidScheduleError("negative anneal rate")
-        return self
 
 
 def anneal_temperature(step: int, schedule: TemperatureSchedule) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import EmptySequenceError
-from .text import PAD
+from .text import PAD, padded
 
 INIT_SCALE = 0.08  # uniform parameter init range
 MASK_LOGIT = -1e30  # additive pre-softmax mask; exact zero after normalization
@@ -45,6 +45,13 @@ def _uniform_in_out(rng: np.random.Generator, out_dim: int, in_dim: int, name: s
     t = _uniform(rng, (out_dim, in_dim), name)
     t.data = t.data.T.copy()
     return t
+
+
+def padding_mask(filled: np.ndarray) -> Tensor | None:
+    """The additive mask of a `text.padded` layout: 0 where ``filled``,
+    MASK_LOGIT at padding, so padding gets exactly zero weight and zero
+    gradient from the softmax it is added before; None when nothing is padded."""
+    return None if filled.all() else ad.constant(np.where(filled, 0.0, MASK_LOGIT))
 
 
 @dataclass
@@ -107,13 +114,11 @@ def encode(seqs, embeddings: Tensor, params: EncoderParams, w_keys: Tensor) -> E
     longest, and concatenate per position. ``w_keys`` is the (2H, A) state
     projection of the attention over these states, applied here once rather
     than on every decoder step."""
-    lens = np.array([len(seq) for seq in seqs], dtype=np.intp)
+    id_rows, filled = padded(seqs, PAD)                                  # (B, N)
+    lens = filled.sum(axis=1)
     if not lens.size or lens.min() == 0:
         raise EmptySequenceError("cannot encode an empty sequence")
-    n, hid = int(lens.max()), params.fwd.hidden
-    padded = np.arange(n) >= lens[:, None]                               # (B, N)
-    id_rows = np.full(padded.shape, PAD, dtype=np.intp)
-    id_rows[~padded] = [i for seq in seqs for i in seq]
+    n, hid = filled.shape[1], params.fwd.hidden
     x = ad.lookup(embeddings, id_rows)                                   # (B, N, emb)
     fwd, bwd = ad.bidirectional_lstm(x, (params.fwd.w_x, params.fwd.w_h, params.fwd.b),
                                      (params.bwd.w_x, params.bwd.w_h, params.bwd.b), lens)
@@ -129,7 +134,7 @@ def encode(seqs, embeddings: Tensor, params: EncoderParams, w_keys: Tensor) -> E
         final_h=ad.reshape(ad.lookup(rows, first + np.stack([2 * (lens - 1), np.ones_like(lens)],
                                                            axis=1)), (len(seqs), 2 * hid)),
         final_c=ad.reshape(ad.lookup(rows, first + [2 * n, 2 * n + 1]), (len(seqs), 2 * hid)),
-        mask=ad.constant(np.where(padded, MASK_LOGIT, 0.0)) if padded.any() else None,
+        mask=padding_mask(filled),
     )
 
 

@@ -142,6 +142,17 @@ def encode_example(question: str, passage: str, answer: str, vocab: Vocabulary,
     )
 
 
+def padded(rows: Sequence[Sequence[int]], fill: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ragged layout of a batch: ``rows`` as one (len(rows), longest) int
+    array filled out with ``fill``, and the bool array of the same shape
+    that is True at the rows' own entries."""
+    lengths = np.array([len(row) for row in rows], dtype=np.intp)
+    filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    out = np.full(filled.shape, fill, dtype=np.intp)
+    out[filled] = [x for row in rows for x in row]
+    return out, filled
+
+
 def load_pretrained_embeddings(path, vocab: Vocabulary, d_emb: int = 300,
                                seed: int = 0) -> np.ndarray:
     """Read a plain-text word-vector file (token then d decimals per line)

@@ -19,13 +19,15 @@ state, and the vocabulary, source and fact heads, the Gumbel relaxation, the
 likelihoods and the coverage penalty run once over the (T, B, .) rows
 afterwards, time-major as the loop stacks them. The penalty is one
 `coverage_penalty` per side, of the stacked attentions against the stacked
-pre-step coverages that the loop's states carry. Padded encoder positions,
-padded fact slots and the fact rows of examples without facts get an
-additive MASK_LOGIT before each softmax, so they get exactly zero weight and
-zero gradient, and a (T, B) step mask keeps padded steps out of the bound
-and the coverage penalty. When every example holds N_f facts, no fact slot
-is padded: the fact matrix is reshaped into its (B, N_f) slots and masked
-nowhere.
+pre-step coverages that the loop's states carry. Every ragged part of a
+batch, from token rows to fact slots, takes one layout, `text.padded`, and
+one mask, `seq2seq.padding_mask`. Padded encoder positions, padded fact
+slots and the fact rows of examples without facts get an additive
+MASK_LOGIT before each softmax, so they get exactly zero weight and zero
+gradient, and the (T, B) step mask keeps padded steps out of the bound and
+the coverage penalty. `embed_facts` puts each example's facts into its
+(B, N_f) slots, as it puts one answer's facts into beam search's one row;
+when every example holds N_f facts, nothing is masked.
 
 The Gumbel noise is drawn per example, in batch order, and per step within
 an example: the fact sample, then the source samples. One example's loss is
@@ -47,24 +49,22 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .config import RunConfig, TrainingConfig
+from .config import RunConfig, TemperatureSchedule, TrainingConfig
 from .errors import (
     CorruptFileError,
     DataError,
     MalformedLineError,
     NonFiniteGradientError,
     NonFiniteLossError,
-    NonFiniteValueError,
     VersionMismatchError,
 )
 from .files import replace_file
 from .knowledge import Fact, KnowledgeBase, extract_related_facts, resolve_facts
 from .model import AnswerModel
-from .seq2seq import MASK_LOGIT, coverage_penalty
+from .seq2seq import coverage_penalty
 from .selectors import (
     NOT_FROM_VOCAB,
     PROB_FLOOR,
-    TemperatureSchedule,
     anneal_temperature,
     embed_facts,
     fact_distribution,
@@ -80,6 +80,7 @@ from .text import (
     Example,
     Vocabulary,
     encode_example,
+    padded,
 )
 
 CHECKPOINT_MAGIC = b"AGCP"
@@ -163,14 +164,6 @@ def elbo_loss(model: AnswerModel, example: Example, facts: Sequence[Fact],
     return loss, diag
 
 
-def _padded(rows, fill: int) -> np.ndarray:
-    """The rows as one (len(rows), longest) int array, filled out with ``fill``."""
-    out = np.full((len(rows), max(map(len, rows))), fill, dtype=np.intp)
-    for i, row in enumerate(rows):
-        out[i, :len(row)] = row
-    return out
-
-
 def batch_elbo_loss(model: AnswerModel, batch: Sequence[TrainItem], tau: float,
                     rng: np.random.Generator, *, mode: str = "gumbel",
                     mc_samples: int = 1, lambda_cov: float = 1.0,
@@ -188,11 +181,10 @@ def batch_elbo_loss(model: AnswerModel, batch: Sequence[TrainItem], tau: float,
     enc_p = model.encode_passage([ex.passage_ids for ex in examples])
 
     teacher = [teacher_inputs(ex) for ex in examples]
-    steps = np.array([len(inputs) for inputs, _ in teacher])
-    n_steps = int(steps.max())
-    valid = np.arange(n_steps)[:, None] < steps                        # (T, B)
-    input_ids = _padded([inputs for inputs, _ in teacher], PAD).T     # (T, B)
-    x = ad.lookup(model.embedding, input_ids)                          # (T, B, emb)
+    input_ids, filled = padded([inputs for inputs, _ in teacher], PAD)  # (B, T)
+    steps, n_steps = filled.sum(axis=1), filled.shape[1]
+    valid = np.ascontiguousarray(filled.T)  # (T, B), in C order like the arrays it weights
+    x = ad.lookup(model.embedding, input_ids.T)                        # (T, B, emb)
     states, outs = [model.initial_state(enc_q, enc_p)], []
     for t in range(n_steps):
         outs.append(model.step(enc_q, enc_p, states[-1], ad.lookup(x, t)))
@@ -208,20 +200,9 @@ def batch_elbo_loss(model: AnswerModel, batch: Sequence[TrainItem], tau: float,
                                    knowledge_available=has_facts)     # (T, B, 4)
     p_fact = fact_mask = None
     if knowledge_ok:
-        # every example's facts are embedded in one call, then put in (B, N_f)
-        # slots: by a reshape when every example fills them, else by a gather
-        # in which padded slots point at fact 0 and are masked
-        fact_matrix = embed_facts([f for facts in fact_sets for f in facts],
-                                  model.embedding, model.vocab, model.selector)
-        slots = np.arange(n_facts) < np.array([len(f) for f in fact_sets])[:, None]
-        if slots.all():
-            fact_matrix = ad.reshape(fact_matrix, (n_batch, n_facts, -1))
-        else:
-            slot_ids = np.zeros(slots.shape, dtype=np.intp)
-            slot_ids[slots] = np.arange(slots.sum())
-            fact_mask = ad.constant(np.where(slots, 0.0, MASK_LOGIT))
-            fact_matrix = ad.lookup(fact_matrix, slot_ids)            # (B, N_f, fact_dim)
-        fact_keys = ad.matmul(fact_matrix, model.selector.w_fact)     # (B, N_f, A)
+        fact_keys, fact_mask = embed_facts([f for facts in fact_sets for f in facts],
+                                           [len(facts) for facts in fact_sets],
+                                           model.embedding, model.vocab, model.selector)
         p_fact = fact_distribution(fact_keys, s, model.selector, mask=fact_mask)
     step_weight = valid.astype(float)                                  # (T, B)
 
@@ -251,8 +232,8 @@ def batch_elbo_loss(model: AnswerModel, batch: Sequence[TrainItem], tau: float,
     codes: dict[str, int] = {}
 
     def coded(token_lists, pad: int) -> np.ndarray:
-        return _padded([[codes.setdefault(tok, len(codes)) for tok in tokens]
-                        for tokens in token_lists], pad)
+        return padded([[codes.setdefault(tok, len(codes)) for tok in tokens]
+                       for tokens in token_lists], pad)[0]
 
     target_codes = coded([[raw for _, raw in targets] for _, targets in teacher], -1).T  # (T, B)
 
@@ -262,7 +243,7 @@ def batch_elbo_loss(model: AnswerModel, batch: Sequence[TrainItem], tau: float,
         return ad.reshape(ad.sum(ad.mul(ad.constant(mask.astype(float)), weights), axis=-1),
                           (n_steps, n_batch, 1))
 
-    target_ids = _padded([[i for i, _ in targets] for _, targets in teacher], PAD).T
+    target_ids = padded([[i for i, _ in targets] for _, targets in teacher], PAD)[0].T
     n_vocab = p_vocab.shape[-1]
     credited = valid & ~np.isin(target_ids, NOT_FROM_VOCAB)  # targets the vocabulary can emit
     like_v = ad.mul(ad.lookup(ad.reshape(p_vocab, (-1, 1)),
@@ -287,8 +268,7 @@ def batch_elbo_loss(model: AnswerModel, batch: Sequence[TrainItem], tau: float,
 
     loss = ad.add(ad.mul(objective, ad.constant(-1.0)),
                   ad.mul(cov_total, ad.constant(lambda_cov)))
-    if not np.isfinite(loss.data):
-        raise NonFiniteLossError("loss is not finite")
+    ad.finite(loss.data, "loss is not finite", error=NonFiniteLossError)
     diag = ElboDiagnostics(
         n_tokens=int(steps.sum()),
         objective=float(objective.data),
@@ -592,7 +572,6 @@ def restore_model(model: AnswerModel, ckpt: CheckpointData) -> None:
     for name, arr in ckpt.tensors.items():
         if registry[name].data.shape != arr.shape:
             raise VersionMismatchError(f"shape of {name} differs")
-        if not np.isfinite(arr).all():
-            raise NonFiniteValueError(f"checkpoint tensor {name} holds non-finite values")
+        ad.finite(arr, "checkpoint tensor {} holds non-finite values", name)
     for name, arr in ckpt.tensors.items():
         registry[name].data[:] = arr

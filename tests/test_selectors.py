@@ -117,33 +117,41 @@ FACTS = [Fact(("bridge",), 0, ("cross", "water"), 0),
 
 
 def embed_reference(facts, table, vocab, params):
-    """Per-fact numpy transcription: W [mean e_s, e_r, mean e_o] + b."""
+    """Per-fact numpy transcription of the keys: (W [mean e_s, e_r, mean e_o] + b) w_fact."""
     def pooled(tokens):
         return np.mean([table[vocab.encode(t)] for t in tokens], axis=0)
     feats = np.array([np.concatenate([pooled(f.subject), params.relation_table.data[f.relation],
                                       pooled(f.object)]) for f in facts])
-    return feats @ params.w_fact_embed.data + params.b_fact_embed.data
+    return (feats @ params.w_fact_embed.data + params.b_fact_embed.data) @ params.w_fact.data
+
+
+def embed_one(facts, emb, vocab, params):
+    """The (1, N_f, A) keys of one example's facts, as beam search embeds them."""
+    keys, mask = embed_facts(facts, [len(facts)], emb, vocab, params)
+    assert mask is None
+    return keys
 
 
 def test_embed_fact_zero_params_zero_rep(vocab):
     rng = np.random.default_rng(7)
     params = zero_params(make_params(rng, vocab))
     emb = ad.constant(np.random.default_rng(0).normal(size=(len(vocab), 4)))
-    rep = embed_facts(FACTS, emb, vocab, params)
-    np.testing.assert_array_equal(rep.data, np.zeros((len(FACTS), 5)))
+    rep = embed_one(FACTS, emb, vocab, params)
+    np.testing.assert_array_equal(rep.data, np.zeros((1, len(FACTS), 3)))
 
 
 def test_embed_fact_identity_recovers_pooled_segments(vocab):
-    """With W = identity and b = 0 each row is exactly
+    """With W and w_fact identities and b = 0 each key is exactly
     [e_subject, e_relation, e_object], exposing the average pooling."""
     rng = np.random.default_rng(8)
     emb_dim = 4
     params = sel.SelectorParams.init(rng, len(vocab), 2, emb_dim, 3,
-                                     fact_dim=3 * emb_dim, attn_dim=3)
+                                     fact_dim=3 * emb_dim, attn_dim=3 * emb_dim)
     params.w_fact_embed.data[:] = np.eye(3 * emb_dim)
+    params.w_fact.data[:] = np.eye(3 * emb_dim)
     params.b_fact_embed.data[:] = 0.0
     table = np.random.default_rng(1).normal(size=(len(vocab), emb_dim))
-    rep = embed_facts(FACTS, ad.constant(table), vocab, params).data
+    rep = embed_one(FACTS, ad.constant(table), vocab, params).data[0]
     row = {t: table[vocab.encode(t)] for t in ("bridge", "cross", "water", "obama", "born",
                                               "x", "personality", "disorder")}
     unk = table[vocab.encode("qwerty")]
@@ -160,9 +168,9 @@ def test_embed_fact_identity_recovers_pooled_segments(vocab):
 
 def reference_gradients(facts, vocab, params, upstream):
     """Per-fact numpy transcription of the embedding and relation-table
-    gradients of sum(upstream * embed_facts(facts))."""
+    gradients of sum(upstream * keys), upstream (N_f, A)."""
     emb_dim = params.relation_table.shape[1]
-    g_feats = upstream @ params.w_fact_embed.data.T
+    g_feats = upstream @ params.w_fact.data.T @ params.w_fact_embed.data.T
     want_emb = np.zeros((len(vocab), emb_dim))
     want_rel = np.zeros_like(params.relation_table.data)
     for i, fact in enumerate(facts):
@@ -182,12 +190,12 @@ def test_embed_facts_matches_per_fact(vocab):
     params = make_params(rng, vocab)
     table = np.random.default_rng(2).normal(size=(len(vocab), emb_dim))
     emb = ad.Tensor(table.copy(), requires_grad=True)
-    upstream = rng.normal(size=(len(FACTS), 5))
+    upstream = rng.normal(size=(len(FACTS), 3))
     with ad.Tape() as tape:
-        matrix = embed_facts(FACTS, emb, vocab, params)
-        loss = ad.sum(ad.mul(matrix, ad.constant(upstream)))
+        keys = embed_one(FACTS, emb, vocab, params)
+        loss = ad.sum(ad.mul(keys, ad.constant(upstream[None])))
     gm = tape.backward(loss, [emb, params.relation_table])
-    np.testing.assert_allclose(matrix.data, embed_reference(FACTS, table, vocab, params),
+    np.testing.assert_allclose(keys.data[0], embed_reference(FACTS, table, vocab, params),
                                atol=1e-12)
     want_emb, want_rel = reference_gradients(FACTS, vocab, params, upstream)
     np.testing.assert_allclose(gm[emb], want_emb, atol=1e-12)
@@ -204,22 +212,28 @@ SHARED = [Fact(("bridge",), 0, ("cross", "water"), 0),
           Fact(("bridge",), 0, ("x",), 4)]
 
 
+def recorded_lookups(monkeypatch):
+    """The (table, index) of every `ad.lookup` call from here on."""
+    reads = []
+    lookup = ad.lookup
+    monkeypatch.setattr(ad, "lookup", lambda t, ids: reads.append((t, np.asarray(ids)))
+                        or lookup(t, ids))
+    return reads
+
+
 def test_embed_facts_pools_each_distinct_segment_once(vocab, monkeypatch):
     """The embedding lookup reads one row group per distinct segment, in
-    first-seen order; the matrix equals pooling every subject and object on
+    first-seen order; the keys equal pooling every subject and object on
     its own bit for bit, and the gradients match the per-fact reference."""
     rng = np.random.default_rng(11)
     params = make_params(rng, vocab)
     table = np.random.default_rng(3).normal(size=(len(vocab), 4))
     emb = ad.Tensor(table.copy(), requires_grad=True)
-    upstream = rng.normal(size=(len(SHARED), 5))
-    reads = []
-    lookup = ad.lookup
-    monkeypatch.setattr(ad, "lookup", lambda t, ids: reads.append((t, np.asarray(ids)))
-                        or lookup(t, ids))
+    upstream = rng.normal(size=(len(SHARED), 3))
+    reads = recorded_lookups(monkeypatch)
     with ad.Tape() as tape:
-        matrix = embed_facts(SHARED, emb, vocab, params)
-        loss = ad.sum(ad.mul(matrix, ad.constant(upstream)))
+        keys = embed_one(SHARED, emb, vocab, params)
+        loss = ad.sum(ad.mul(keys, ad.constant(upstream[None])))
     gm = tape.backward(loss, [emb, params.relation_table])
 
     distinct = [("bridge",), ("water",), ("obama", "born", "obama"), ("cross", "water"),
@@ -240,8 +254,8 @@ def test_embed_facts_pools_each_distinct_segment_once(vocab, monkeypatch):
     n = len(SHARED)
     feats = np.concatenate([pooled[:n], params.relation_table.data[[f.relation for f in SHARED]],
                             pooled[n:]], axis=1)
-    want = feats @ params.w_fact_embed.data + params.b_fact_embed.data
-    assert matrix.data.tobytes() == want.tobytes()
+    want = (feats @ params.w_fact_embed.data + params.b_fact_embed.data) @ params.w_fact.data
+    assert keys.data[0].tobytes() == want.tobytes()
 
     want_emb, want_rel = reference_gradients(SHARED, vocab, params, upstream)
     np.testing.assert_allclose(gm[emb], want_emb, rtol=0, atol=1e-12)
@@ -250,34 +264,62 @@ def test_embed_facts_pools_each_distinct_segment_once(vocab, monkeypatch):
 
 def test_embed_facts_reads_every_feature_row_in_one_lookup(vocab, monkeypatch):
     """The pooled segments and the relation table are stacked into one
-    (D + R, emb) table, read once by an (N_f, 3) index of subject slot,
-    D + relation and object slot: eight nodes in all, where a gather of the
-    pooled rows, a relation lookup, two slices and a concat took ten. The
-    relation table's gradient adds its rows in fact order, byte for byte
-    ``np.add.at`` into zeros."""
+    (D + R, emb) table, read once by a (B, N_f, 3) index of subject slot,
+    D + relation and object slot: nine nodes in all, the w_fact projection
+    included. The relation table's gradient adds its rows in fact order,
+    byte for byte ``np.add.at`` into zeros."""
     rng = np.random.default_rng(12)
     params = make_params(rng, vocab)
     emb = ad.Tensor(np.random.default_rng(4).normal(size=(len(vocab), 4)), requires_grad=True)
-    upstream = rng.normal(size=(len(SHARED), 5))
-    reads = []
-    lookup = ad.lookup
-    monkeypatch.setattr(ad, "lookup", lambda t, ids: reads.append((t, np.asarray(ids)))
-                        or lookup(t, ids))
+    upstream = rng.normal(size=(len(SHARED), 3))
+    reads = recorded_lookups(monkeypatch)
     with ad.Tape() as tape:
-        matrix = embed_facts(SHARED, emb, vocab, params)
-        loss = ad.sum(ad.mul(matrix, ad.constant(upstream)))
-    assert len(tape.nodes) == 8 + 2  # and the loss's mul and sum
+        keys = embed_one(SHARED, emb, vocab, params)
+        loss = ad.sum(ad.mul(keys, ad.constant(upstream[None])))
+    assert len(tape.nodes) == 9 + 2  # and the loss's mul and sum
     gm = tape.backward(loss, [emb, params.relation_table])
 
     (table, index), = [(t, ids) for t, ids in reads if t is not emb]
     assert table.shape == (6 + 2, 4)
     assert table.data[6:].tobytes() == params.relation_table.data.tobytes()
-    np.testing.assert_array_equal(index, [[0, 6, 3], [0, 7, 4], [1, 6, 0], [2, 7, 3],
-                                          [0, 6, 5]])
-    g_feats = upstream @ params.w_fact_embed.data.T
+    np.testing.assert_array_equal(index, [[[0, 6, 3], [0, 7, 4], [1, 6, 0], [2, 7, 3],
+                                           [0, 6, 5]]])
+    g_feats = upstream @ params.w_fact.data.T @ params.w_fact_embed.data.T
     want_rel = np.zeros_like(params.relation_table.data)
     np.add.at(want_rel, [f.relation for f in SHARED], g_feats[:, 4:8])
     assert gm[params.relation_table].tobytes() == want_rel.tobytes()
+
+
+@pytest.mark.parametrize("counts", [[3, 1, 0, 4], [4, 4]], ids=["padded", "full"])
+def test_embed_facts_puts_each_example_in_its_slots(vocab, monkeypatch, counts):
+    """A batch's keys hold example b's facts in its first counts[b] slots,
+    each equal to the example's keys embedded alone; a padded slot reads
+    fact 0's rows, and the mask gives it MASK_LOGIT, where a full batch has
+    no mask. Either way the only lookups are the segment rows' and one of
+    the (D + R, emb) table: no slot gather of embedded facts."""
+    rng = np.random.default_rng(13)
+    params = make_params(rng, vocab)
+    emb = ad.constant(np.random.default_rng(5).normal(size=(len(vocab), 4)))
+    facts = SHARED + FACTS
+    reads = recorded_lookups(monkeypatch)
+    keys, mask = embed_facts(facts, counts, emb, vocab, params)
+    (segment_rows, _), (table, _) = reads
+    assert segment_rows is emb and table.shape == (8 + 2, 4)  # 8 distinct segments
+
+    slots = np.arange(max(counts)) < np.array(counts)[:, None]
+    assert keys.shape == slots.shape + (3,)
+    if slots.all():
+        assert mask is None
+    else:
+        np.testing.assert_array_equal(mask.data, np.where(slots, 0.0, sel.MASK_LOGIT))
+    assert (keys.data[~slots] == keys.data[0, 0]).all()
+    monkeypatch.undo()
+    start = 0
+    for b, n in enumerate(counts):
+        if n:
+            alone = embed_one(facts[start:start + n], emb, vocab, params).data[0]
+            np.testing.assert_allclose(keys.data[b, :n], alone, rtol=0, atol=1e-12)
+        start += n
 
 
 def test_embed_facts_tape_size_independent_of_fact_count(vocab):
@@ -291,7 +333,7 @@ def test_embed_facts_tape_size_independent_of_fact_count(vocab):
                       tuple(rng.choice(words, size=rng.integers(1, 4))), i)
                  for i in range(n_facts)]
         with ad.Tape() as tape:
-            embed_facts(facts, emb, vocab, params)
+            embed_one(facts, emb, vocab, params)
         return len(tape.nodes)
 
     assert nodes(1) == nodes(256)
@@ -300,7 +342,7 @@ def test_embed_facts_tape_size_independent_of_fact_count(vocab):
 def test_embed_facts_rejects_empty(vocab):
     params = make_params(np.random.default_rng(0), vocab)
     with pytest.raises(EmptyFactSetError):
-        embed_facts([], ad.constant(np.zeros((len(vocab), 4))), vocab, params)
+        embed_facts([], [0], ad.constant(np.zeros((len(vocab), 4))), vocab, params)
 
 
 # --- fact distribution ---

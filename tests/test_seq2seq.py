@@ -17,6 +17,7 @@ from answergen.seq2seq import (
     context_vector,
     coverage_penalty,
     encode,
+    padding_mask,
 )
 
 from conftest import force_cpus
@@ -366,6 +367,13 @@ def test_coverage_penalty_increases_on_repetition():
     assert float(repeat.data) > float(move_on.data)
     zero = s2s.coverage_penalty(ad.constant(focus), ad.constant(np.zeros(5)))
     assert float(zero.data) == 0.0
+
+
+def test_padding_mask_is_mask_logit_at_padding_and_none_without_it():
+    filled = np.array([[True, True, False], [True, False, False]])
+    np.testing.assert_array_equal(padding_mask(filled).data,
+                                  [[0.0, 0.0, MASK_LOGIT], [0.0, MASK_LOGIT, MASK_LOGIT]])
+    assert padding_mask(np.ones((2, 3), dtype=bool)) is None
 
 
 def test_padded_positions_get_zero_weight_and_zero_gradient():

@@ -170,6 +170,20 @@ def test_cli_train_refuses_a_bad_training_value(runner, tmp_path, override):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+def test_cli_train_refuses_a_zero_tau_min_by_name(runner, tmp_path):
+    """The temperature schedule's own rule refuses a zero floor, as a
+    configuration error that names tau_min."""
+    data, vocab = tmp_path / "d.jsonl", tmp_path / "vocab.json"
+    data.write_text(json.dumps({"question": "q ?", "passage": "p .", "answer": "p"}) + "\n")
+    make_vocab().save(vocab)
+    result = runner.invoke(main, ["train", "--data", str(data), "--vocab", str(vocab),
+                                  "--out", str(tmp_path / "m.ckpt"), "--profile", "desk",
+                                  "--set", "training.tau_min=0"])
+    assert result.exit_code == 2, result.output
+    error = events(result)["error"]
+    assert error["kind"] == "config" and "tau_min" in error["message"]
+
+
 @pytest.mark.parametrize("command", ["generate", "extract-facts", "synth"])
 def test_cli_count_flags_below_one_exit_2(runner, tmp_path, command):
     write_vocab_and_checkpoint(tmp_path)

@@ -21,6 +21,7 @@ from answergen.text import (
     build_vocab,
     encode_example,
     load_pretrained_embeddings,
+    padded,
     tokenize,
 )
 
@@ -254,3 +255,17 @@ def test_jsonl_loader_names_a_missing_or_non_text_field(obj, message, tmp_path):
     with pytest.raises(MalformedLineError) as exc:
         text.load_jsonl_dataset(path)
     assert str(exc.value) == f"{path} line 1: {message}"
+
+
+def test_padded_lays_ragged_rows_out_with_the_fill_and_a_filled_mask():
+    """An empty row among full ones is all fill; the filled mask is True at
+    the rows' own entries, whatever their values, the fill's included."""
+    out, filled = padded([[5, 6], [], [7, -1, 9]], -1)
+    assert out.dtype == np.intp and filled.dtype == bool
+    assert out.tolist() == [[5, 6, -1], [-1, -1, -1], [7, -1, 9]]
+    assert filled.tolist() == [[True, True, False], [False, False, False], [True, True, True]]
+
+
+def test_padded_single_row_is_all_filled():
+    out, filled = padded([range(3, 7)], 0)
+    assert out.tolist() == [[3, 4, 5, 6]] and filled.all()

@@ -737,65 +737,6 @@ def test_batch_equals_the_mean_of_its_examples(vocab, mc_samples, knowledge):
     assert metrics.source_freqs == (counts / counts.sum()).tolist()
 
 
-def fact_slot_nodes(model, batch):
-    """Record one batch loss; return the loss, its parameter gradients, the
-    lookups that read the embedded (all facts, fact_dim) matrix and the
-    (B, N_f) constants added to a tensor (fact masks)."""
-    params = list(model.parameters.values())
-    with ad.Tape() as tape:
-        loss, _ = training.batch_elbo_loss(model, batch, 0.7, np.random.default_rng(3))
-    nodes = list(tape.nodes)
-    grads = tape.backward(loss, params=params)
-    embedded = (sum(len(item.facts) for item in batch), model.dims.fact_dim)
-    slots = (len(batch), max(len(item.facts) for item in batch))
-    gathers = [n for n in nodes if n.op_kind == "lookup" and n.inputs[0].shape == embedded]
-    masks = [t.data for n in nodes if n.op_kind == "add" for t in n.inputs
-             if t.shape == slots and not t.requires_grad and t._tape is None]
-    return loss, [grads[p] for p in params], gathers, masks
-
-
-def test_a_full_fact_batch_takes_no_slot_gather_and_no_mask(vocab, monkeypatch):
-    """When every example holds N_f facts, the embedded fact matrix is
-    reshaped into its (B, N_f) slots: the tape has no gather of it and no
-    mask. The loss and every gradient equal, byte for byte, those of the
-    gather through arange slot ids and an all-zero mask. A batch with one
-    padded slot still gathers and masks it."""
-    facts = [Fact(("bridge",), 0, ("safe",), 0), Fact(("water",), 1, ("strong", "water"), 1),
-             Fact(("old", "bridge"), 1, ("cross",), 2)]
-    examples = [item.example for item in mixed_batch(vocab)[:3]]
-    model = make_model(vocab, seed=5)
-    full = [TrainItem(ex, facts) for ex in examples]
-
-    loss, grads, gathers, masks = fact_slot_nodes(model, full)
-    assert gathers == [] and masks == []
-
-    # the reference: the gather through arange slot ids, and a zero mask
-    # before the fact softmax and the fact sample's
-    zero_mask = ad.constant(np.zeros((3, 3)))
-    embed, distribution = training.embed_facts, training.fact_distribution
-    sample = training.gumbel_softmax_sample
-    fact_probs = []
-    monkeypatch.setattr(training, "embed_facts", lambda *args: ad.lookup(
-        embed(*args), np.arange(9).reshape(3, 3)))
-    monkeypatch.setattr(training, "fact_distribution", lambda *args, mask: fact_probs.append(
-        distribution(*args, mask=zero_mask)) or fact_probs[-1])
-    monkeypatch.setattr(training, "gumbel_softmax_sample", lambda probs, tau, uniforms, mask=None:
-                        sample(probs, tau, uniforms=uniforms,
-                               mask=zero_mask if probs in fact_probs else mask))
-    want_loss, want_grads, gathers, masks = fact_slot_nodes(model, full)
-    assert len(gathers) == 1 and len(masks) == 2 and not np.any(masks)
-    assert loss.data.tobytes() == want_loss.data.tobytes()
-    for got, want in zip(grads, want_grads):
-        assert got.tobytes() == want.tobytes()
-
-    monkeypatch.undo()
-    padded = [TrainItem(ex, facts[:2] if i == 1 else facts) for i, ex in enumerate(examples)]
-    _, _, gathers, masks = fact_slot_nodes(model, padded)
-    want_mask = np.where(np.arange(3) < np.array([[3], [2], [3]]), 0.0, training.MASK_LOGIT)
-    assert len(gathers) == 1 and len(masks) == 2
-    assert all(mask.tobytes() == want_mask.tobytes() for mask in masks)
-
-
 @pytest.mark.parametrize("answer", ["safe", "the old bridge is safe and strong ."])
 def test_the_coverage_penalty_is_two_minimum_nodes_per_batch(vocab, answer):
     """Whatever the answer lengths, one loss takes the penalty as one
