@@ -52,6 +52,11 @@ of squares after ``Tape.backward`` (the entries are read only when that sum
 is not finite), and (outside this module) restored checkpoint weights and
 each beam-search step's distributions. A primitive outside a tape simply
 computes, NaN in, NaN out.
+
+Aliasing rule: an output may share memory with its input (``reshape``
+returns a view), so no code writes into a recorded tensor's data before its
+tape is walked; a fresh untaped output, such as beam search's softmax, is
+its reader's to change.
 """
 from __future__ import annotations
 
@@ -654,12 +659,10 @@ def slice_(x: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = x.data.reshape(shape)
-
     def grad_fn(g):
         return [(x, g.reshape(x.shape))]
 
-    return _record("reshape", (x,), out.copy(), grad_fn)
+    return _record("reshape", (x,), x.data.reshape(shape), grad_fn)
 
 
 def _extremum(ufunc, wins, a: Tensor, b: Tensor, kind: str) -> Tensor:

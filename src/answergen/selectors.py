@@ -26,7 +26,7 @@ from .errors import (
 )
 from .knowledge import Fact
 from .seq2seq import MASK_LOGIT, _uniform, _uniform_in_out, padding_mask
-from .text import BOS, PAD, UNK, Vocabulary, padded
+from .text import BOS, PAD, UNK, Vocabulary
 
 PROB_FLOOR = 1e-12
 # Vocabulary ids the vocabulary source never produces: training credits it
@@ -114,29 +114,33 @@ def embed_facts(facts: Sequence[Fact], counts: Sequence[int], embeddings: Tensor
     (W [e_subject, e_relation, e_object] + b) w_fact, projected once per
     batch or answer. Subjects and objects are average-pooled over their
     tokens (OOV words hit the UNK row), each distinct segment once, in
-    first-seen order, in one padded lookup. One lookup of a (B, N_f, 3)
-    index then reads each slot's subject, relation and object rows from the
-    pooled rows stacked on the relation table; a padded slot reads fact 0's
-    rows, and its mask entry gives it zero weight and zero gradient. So the
-    tape holds the same few nodes however many facts there are, and a
-    segment's gradient is summed over its facts before it reaches the
-    table. Padding tokens read the PAD row with weight 0: it gets no gradient.
+    first-seen order, in one padded lookup; ``vocab.segments`` numbers each
+    segment by its surface form on first sight and holds its token ids. One
+    lookup of a (B, N_f, 3) index then reads each slot's subject, relation
+    and object rows from the pooled rows stacked on the relation table; a
+    padded slot reads fact 0's rows, and its mask entry gives it zero weight
+    and zero gradient. So the tape holds the same few nodes however many
+    facts there are, and a segment's gradient is summed over its facts
+    before it reaches the table. Padding tokens read the PAD row with weight
+    0: it gets no gradient.
     """
     if not facts:
         raise EmptyFactSetError("no facts to embed")
-    n = len(facts)
-    distinct: dict[tuple[str, ...], int] = {}
-    slots = [distinct.setdefault(seg, len(distinct))
-             for seg in [f.subject for f in facts] + [f.object for f in facts]]
-    ids, filled = padded([[vocab.id_by_token.get(t, UNK) for t in seg] for seg in distinct],
-                         PAD)                                           # (D, L)
+    n, segments = len(facts), vocab.segments
+    numbers = np.fromiter(map(segments.__getitem__, [f.subject for f in facts]
+                              + [f.object for f in facts]), np.intp, 2 * n)
+    distinct, first, inverse = np.unique(numbers, return_index=True, return_inverse=True)
+    order = np.argsort(first)                        # the distinct numbers in first-seen order
+    distinct, slots = distinct[order], np.argsort(order)[inverse]
+    ids, filled = segments.rows(distinct)                               # (D, L)
     weights = (filled / filled.sum(axis=1, keepdims=True))[..., None]   # 1/len, 0 on PAD
     rows = ad.lookup(embeddings, ids)                                   # (D, L, emb)
     table = ad.concat([ad.sum(ad.mul(rows, ad.constant(weights)), axis=1),
                        params.relation_table])                          # (D + R, emb)
     index = np.column_stack([slots[:n], [len(distinct) + f.relation for f in facts],
                              slots[n:]])                                # (n, 3)
-    fact_ids, in_slot = padded(np.split(np.arange(n), np.cumsum(counts)[:-1]), 0)  # (B, N_f)
+    in_slot = np.arange(max(counts)) < np.asarray(counts)[:, None]      # (B, N_f)
+    fact_ids = (np.cumsum(in_slot).reshape(in_slot.shape) - 1) * in_slot  # padding reads fact 0
     feats = ad.lookup(table, index[fact_ids])                           # (B, N_f, 3, emb)
     hidden = ad.add(ad.matmul(ad.reshape(feats, fact_ids.shape + (-1,)), params.w_fact_embed),
                     params.b_fact_embed)                                # (B, N_f, fact_dim)

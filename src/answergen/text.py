@@ -52,6 +52,7 @@ class Vocabulary:
         self.id_by_token = {tok: i for i, tok in enumerate(self.token_by_id)}
         if len(self.id_by_token) != len(self.token_by_id):
             raise ValueError("duplicate tokens in vocabulary")
+        self.segments = SegmentTable(self.id_by_token)
 
     def __len__(self) -> int:
         return len(self.token_by_id)
@@ -82,6 +83,41 @@ class Vocabulary:
         except (ValueError, KeyError, TypeError):
             pass
         raise CorruptFileError(f"{path} is not a vocabulary file")
+
+
+class SegmentTable(dict):
+    """Fact segments numbered on first sight: ``table[segment]`` is its number
+    n, and ``ids[bounds[n]:bounds[n + 1]]`` its token ids (OOV as UNK), end
+    to end. `rows` writes the segments numbered since it last ran; the arrays
+    grow by doubling, so they hold about the segments' total length."""
+
+    def __init__(self, id_by_token: dict[str, int]):
+        super().__init__()
+        self._id_by_token, self._new = id_by_token, []
+        self.ids, self.bounds = np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
+
+    def __missing__(self, segment: tuple[str, ...]) -> int:
+        self._new.append(segment)
+        n = self[segment] = len(self)
+        return n
+
+    def rows(self, numbers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Segments ``numbers`` in the layout of `padded`: their ids filled
+        out with PAD to the longest of them, and the mask of their own ids."""
+        if self._new:
+            new, self._new, n = self._new, [], len(self)
+            ids = [self._id_by_token.get(t, UNK) for seg in new for t in seg]
+            start = self.bounds[n - len(new)]
+            if start + len(ids) > len(self.ids):
+                self.ids = np.resize(self.ids, 2 * (start + len(ids)))
+            if n >= len(self.bounds):
+                self.bounds = np.resize(self.bounds, 2 * n + 1)
+            self.ids[start:start + len(ids)] = ids
+            self.bounds[n - len(new) + 1:n + 1] = start + np.cumsum([len(seg) for seg in new])
+        starts, ends = self.bounds[numbers][:, None], self.bounds[numbers + 1][:, None]
+        filled = np.arange((ends - starts).max()) < ends - starts
+        at = np.minimum(starts + np.arange(filled.shape[1]), len(self.ids) - 1)
+        return np.where(filled, self.ids[at], PAD), filled
 
 
 def build_vocab(corpus: Iterable[Sequence[str]], max_size: int) -> Vocabulary:

@@ -20,14 +20,15 @@ likelihoods and the coverage penalty run once over the (T, B, .) rows
 afterwards, time-major as the loop stacks them. The penalty is one
 `coverage_penalty` per side, of the stacked attentions against the stacked
 pre-step coverages that the loop's states carry. Every ragged part of a
-batch, from token rows to fact slots, takes one layout, `text.padded`, and
-one mask, `seq2seq.padding_mask`. Padded encoder positions, padded fact
+batch, from token rows to fact slots, takes the layout of `text.padded`,
+and one mask, `seq2seq.padding_mask`. Padded encoder positions, padded fact
 slots and the fact rows of examples without facts get an additive
 MASK_LOGIT before each softmax, so they get exactly zero weight and zero
 gradient, and the (T, B) step mask keeps padded steps out of the bound and
 the coverage penalty. `embed_facts` puts each example's facts into its
 (B, N_f) slots, as it puts one answer's facts into beam search's one row;
-when every example holds N_f facts, nothing is masked.
+when every example holds N_f facts, nothing is masked. The vocabulary
+numbers fact segments, and each `TrainItem` caches its `matches`, on first use.
 
 The Gumbel noise is drawn per example, in batch order, and per step within
 an example: the fact sample, then the source samples. One example's loss is
@@ -42,7 +43,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -104,10 +105,21 @@ class ElboDiagnostics:
     step_log_likelihoods: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainItem:
+    """An encoded example and its related facts. Its fields are frozen, and
+    its example and facts must not change in place once `matches` is read."""
     example: Example
     facts: list[Fact] = field(default_factory=list)
+
+    @cached_property
+    def matches(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The (step, token) coordinates at which a question, passage or
+        first-fact-object token has teacher target t's surface form."""
+        targets = np.array([raw for _, raw in teacher_inputs(self.example)[1]], dtype=object)
+        return tuple(np.nonzero(targets[:, None] == np.array(tokens, dtype=object)[None])
+                     for tokens in (self.example.question_tokens, self.example.passage_tokens,
+                                    [f.object[0] for f in self.facts]))
 
 
 def encode_dataset(records, vocab: Vocabulary, cfg: RunConfig,
@@ -227,20 +239,14 @@ def batch_elbo_loss(model: AnswerModel, batch: Sequence[TrainItem], tau: float,
                                     minlength=4).astype(float)
         fact_weights, source_weights = p_fact, p_source
 
-    # Surface forms as small ints, so matching a target is an array compare;
-    # padding gets codes that match nothing.
-    codes: dict[str, int] = {}
-
-    def coded(token_lists, pad: int) -> np.ndarray:
-        return padded([[codes.setdefault(tok, len(codes)) for tok in tokens]
-                       for tokens in token_lists], pad)[0]
-
-    target_codes = coded([[raw for _, raw in targets] for _, targets in teacher], -1).T  # (T, B)
-
-    def matched(token_lists, weights: Tensor) -> Tensor:
-        """(T, B, 1) weight on the tokens whose surface form is step t's target."""
-        mask = target_codes[..., None] == coded(token_lists, -2)[None]   # (T, B, N)
-        return ad.reshape(ad.sum(ad.mul(ad.constant(mask.astype(float)), weights), axis=-1),
+    def matched(part: int, weights: Tensor) -> Tensor:
+        """(T, B, 1) weight on the tokens whose surface form is step t's
+        target, by each item's ``matches[part]``, zero at padding."""
+        mask = np.zeros(weights.shape)                                 # (T, B, N)
+        for b, item in enumerate(batch):
+            steps, tokens = item.matches[part]
+            mask[steps, b, tokens] = 1.0
+        return ad.reshape(ad.sum(ad.mul(ad.constant(mask), weights), axis=-1),
                           (n_steps, n_batch, 1))
 
     target_ids = padded([[i for i, _ in targets] for _, targets in teacher], PAD)[0].T
@@ -249,11 +255,9 @@ def batch_elbo_loss(model: AnswerModel, batch: Sequence[TrainItem], tau: float,
     like_v = ad.mul(ad.lookup(ad.reshape(p_vocab, (-1, 1)),
                               np.arange(valid.size).reshape(valid.shape) * n_vocab + target_ids),
                     ad.constant(credited[..., None].astype(float)))
-    like_k = matched([[f.object[0] for f in facts] for facts in fact_sets], fact_weights) \
-        if knowledge_ok else ad.constant(np.zeros((n_steps, n_batch, 1)))
-    likes = ad.add(ad.concat([matched([ex.question_tokens for ex in examples], a_q),
-                              matched([ex.passage_tokens for ex in examples], a_p),
-                              like_v, like_k], axis=-1),
+    like_k = matched(2, fact_weights) if knowledge_ok \
+        else ad.constant(np.zeros((n_steps, n_batch, 1)))
+    likes = ad.add(ad.concat([matched(0, a_q), matched(1, a_p), like_v, like_k], axis=-1),
                    ad.constant(PROB_FLOOR))                           # (T, B, 4)
     logs = ad.log(likes)
     if mode == "marginal":  # sum_t log sum_y P(y) * likelihood_y

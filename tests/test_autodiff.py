@@ -319,6 +319,23 @@ def test_primitive_gradients_match_finite_differences(kind):
         assert not report.flagged, (kind, report)
 
 
+def test_reshape_of_a_contiguous_tensor_shares_its_memory():
+    """``reshape`` hands out a view of a contiguous input (the aliasing rule
+    of the module docstring) and a copy of a strided one; its gradient still
+    checks, of a leaf and of a recorded intermediate."""
+    rng = np.random.default_rng(5)
+    x = ad.Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
+    assert np.shares_memory(ad.reshape(x, (6, 4)).data, x.data)
+    strided = ad.constant(x.data.transpose(2, 0, 1))
+    flat = ad.reshape(strided, (-1,))
+    assert not np.shares_memory(flat.data, x.data)
+    assert flat.data.tobytes() == x.data.transpose(2, 0, 1).reshape(-1).tobytes()
+    for f in (lambda: ad.reshape(x, (4, 6)), lambda: ad.reshape(ad.mul(x, x), (-1,))):
+        report = ad.gradient_check(lambda: _scalarize(f(), np.random.default_rng(0)), [x],
+                                   eps=1e-5, rel_tol=1e-4)
+        assert not report.flagged, report
+
+
 def test_gradient_check_tanh_chain():
     rng = np.random.default_rng(7)
     w = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)

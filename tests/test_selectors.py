@@ -19,7 +19,8 @@ from answergen.selectors import (
     source_distribution,
     vocab_distribution,
 )
-from answergen.text import PAD, Vocabulary
+from answergen.seq2seq import padding_mask
+from answergen.text import PAD, UNK, Vocabulary, padded
 
 
 def np_softmax(x):
@@ -320,6 +321,78 @@ def test_embed_facts_puts_each_example_in_its_slots(vocab, monkeypatch, counts):
             alone = embed_one(facts[start:start + n], emb, vocab, params).data[0]
             np.testing.assert_allclose(keys.data[b, :n], alone, rtol=0, atol=1e-12)
         start += n
+
+
+def embed_facts_oracle(facts, counts, embeddings, vocab, params):
+    """The dict-and-list algorithm the vocabulary's segment table replaced:
+    distinct segments by surface form in a dict, in first-seen order, one
+    token-id list each, and the slots cut by ``np.split``."""
+    n = len(facts)
+    distinct = {}
+    slots = [distinct.setdefault(seg, len(distinct))
+             for seg in [f.subject for f in facts] + [f.object for f in facts]]
+    ids, filled = padded([[vocab.id_by_token.get(t, UNK) for t in seg] for seg in distinct], PAD)
+    weights = (filled / filled.sum(axis=1, keepdims=True))[..., None]
+    rows = ad.lookup(embeddings, ids)
+    table = ad.concat([ad.sum(ad.mul(rows, ad.constant(weights)), axis=1),
+                       params.relation_table])
+    index = np.column_stack([slots[:n], [len(distinct) + f.relation for f in facts], slots[n:]])
+    fact_ids, in_slot = padded(np.split(np.arange(n), np.cumsum(counts)[:-1]), 0)
+    feats = ad.lookup(table, index[fact_ids])
+    hidden = ad.add(ad.matmul(ad.reshape(feats, fact_ids.shape + (-1,)), params.w_fact_embed),
+                    params.b_fact_embed)
+    return ad.matmul(hidden, params.w_fact), padding_mask(in_slot)
+
+
+def random_fact_batch(rng, words, n_examples):
+    """Facts of ``n_examples`` examples, one of them without facts, over
+    ``words``: segments of 1-3 tokens, repeated within and across examples."""
+    pool = [tuple(rng.choice(words, size=rng.integers(1, 4))) for _ in range(12)]
+    counts = [int(c) for c in rng.integers(1, 7, size=n_examples)]
+    counts[int(rng.integers(n_examples))] = 0
+    facts = [Fact(pool[rng.integers(len(pool))], int(rng.integers(0, 2)),
+                  pool[rng.integers(len(pool))], i) for i in range(sum(counts))]
+    return facts, counts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_embed_facts_equals_the_dict_and_list_oracle(vocab, monkeypatch, seed):
+    """Keys, mask, the segment rows read and the gradients of the
+    embedding, the relation table and w_fact_embed equal the oracle's bit
+    for bit. The batch holds distinct OOV segments whose id rows are equal
+    (all UNK), segments shared across examples and an example without
+    facts; the table was filled before, in another order, and the batch
+    brings a segment longer than any it holds."""
+    rng = np.random.default_rng(40 + seed)
+    params = make_params(rng, vocab)
+    oov = ["zebra", "quark", "umbra"]
+    facts, counts = random_fact_batch(rng, vocab.token_by_id[4:] + oov, 4)
+    facts.append(Fact(("quark", "zebra", "umbra", "zebra", "quark"), 1, ("umbra",), len(facts)))
+    counts[-1] += 1
+    earlier = list({seg: None for f in facts for seg in (f.object, f.subject)
+                    if len(seg) < 5})
+    for segment in earlier[::-1]:
+        vocab.segments[segment]
+    vocab.segments.rows(np.arange(len(vocab.segments)))
+    longest = np.diff(vocab.segments.bounds[:len(vocab.segments) + 1]).max()
+    upstream = rng.normal(size=(len(counts), max(counts), 3))
+    emb = ad.Tensor(np.random.default_rng(seed).normal(size=(len(vocab), 4)), requires_grad=True)
+    wrt = [emb, params.relation_table, params.w_fact_embed]
+
+    def run(embed):
+        reads = recorded_lookups(monkeypatch)
+        with ad.Tape() as tape:
+            keys, mask = embed(facts, counts, emb, vocab, params)
+            loss = ad.sum(ad.mul(keys, ad.constant(upstream)))
+        gm = tape.backward(loss, wrt)
+        monkeypatch.undo()
+        (segment_rows,) = [ids for t, ids in reads if t is emb]
+        return keys.data, mask.data, segment_rows, [gm[t] for t in wrt]
+
+    got, want = run(embed_facts), run(embed_facts_oracle)
+    assert np.diff(vocab.segments.bounds[:len(vocab.segments) + 1]).max() == 5 > longest
+    for a, b in zip(got[:3] + tuple(got[3]), want[:3] + tuple(want[3])):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_embed_facts_tape_size_independent_of_fact_count(vocab):

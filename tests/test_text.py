@@ -15,6 +15,7 @@ from answergen.errors import (
 )
 from answergen.text import (
     EOS,
+    PAD,
     UNK,
     EncodeLimits,
     Vocabulary,
@@ -269,3 +270,23 @@ def test_padded_lays_ragged_rows_out_with_the_fill_and_a_filled_mask():
 def test_padded_single_row_is_all_filled():
     out, filled = padded([range(3, 7)], 0)
     assert out.tolist() == [[3, 4, 5, 6]] and filled.all()
+
+
+def test_segment_table_holds_its_segments_end_to_end():
+    """One long segment among many short ones grows the table by its own
+    length only, and a read pads only to the longest segment read: ids in
+    the layout of `padded`, OOV words as UNK, written at the first read."""
+    vocab = Vocabulary(["the", "old", "bridge"], 10)
+    table = vocab.segments
+    short = [("the", "old"), ("bridge",), ("zebra", "the")] * 200
+    long = ("old",) * 5_000
+    numbers = [table[seg] for seg in short[:300] + [long] + short[300:]]
+    assert numbers[:3] == [0, 1, 2] and numbers[300] == 3 and len(table) == 4
+    ids, filled = table.rows(np.array([2, 1, 0, 1]))
+    assert table.bounds[4] == 5 + 5_000 and table.ids.nbytes <= 2 * 8 * table.bounds[4]
+    want = padded([[vocab.encode(t) for t in seg] for seg in short[2::-1] + [short[1]]], PAD)
+    assert ids.tolist() == want[0].tolist() and ids[0, 0] == UNK
+    assert filled.tolist() == want[1].tolist()
+    ids, filled = table.rows(np.array([3, 1]))
+    assert ids.shape == (2, 5_000) and filled.sum() == 5_001
+    assert (ids[0] == vocab.encode("old")).all() and (ids[1, 1:] == PAD).all()

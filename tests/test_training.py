@@ -6,7 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from answergen.errors import (
 from answergen.knowledge import Fact
 from answergen.model import AnswerModel
 from answergen.selectors import PROB_FLOOR
-from answergen.text import PAD, EncodeLimits, Vocabulary, encode_example
+from answergen.text import PAD, EncodeLimits, Vocabulary, encode_example, padded
 from answergen.training import (
     ADAM_BLOCK,
     Adam,
@@ -735,6 +735,77 @@ def test_batch_equals_the_mean_of_its_examples(vocab, mc_samples, knowledge):
                                   knowledge_enabled=knowledge)
     assert metrics.loss == float(mean.data)
     assert metrics.source_freqs == (counts / counts.sum()).tolist()
+
+
+def surface_code_masks(batch, knowledge_enabled):
+    """The (T, B, N) question, passage and first-fact-object masks of the
+    per-batch surface-code comparison the items' cached `matches` replace:
+    each surface form a small int, padding -1 in the targets and -2 in the
+    tokens, so padding matches nothing."""
+    codes = {}
+
+    def coded(token_lists, pad):
+        return padded([[codes.setdefault(tok, len(codes)) for tok in tokens]
+                       for tokens in token_lists], pad)[0]
+
+    targets = coded([[raw for _, raw in teacher_inputs(item.example)[1]] for item in batch],
+                    -1).T
+    return [targets[..., None] == coded(token_lists, -2)[None] for token_lists in (
+        [item.example.question_tokens for item in batch],
+        [item.example.passage_tokens for item in batch],
+        [[f.object[0] for f in item.facts] if knowledge_enabled else [] for item in batch])]
+
+
+def surface_batch(vocab):
+    """Items with OOV surfaces (zebra and quokka are both UNK), answers of
+    different lengths, an EOS-sentinel surface among the question tokens
+    and an item without facts."""
+    oov = encode_example("did the zebra see the quokka ?",
+                         "the zebra and the quokka cross water .", "quokka zebra .", vocab,
+                         EncodeLimits(passage=50, answer=10))
+    sentinel = replace(toy_example(vocab, "safe"),
+                       question_tokens=["what", "is", "<eos>", "bridge", "?"])
+    facts = toy_facts() + [Fact(("zebra",), 0, ("quokka", "x"), 2), Fact(("x",), 1, ("zebra",), 3)]
+    return [TrainItem(oov, facts), TrainItem(sentinel, facts[:1]),
+            TrainItem(toy_example(vocab, "the old bridge is safe and strong ."), []),
+            TrainItem(toy_example(vocab), facts[1:])]
+
+
+@pytest.mark.parametrize("knowledge", [True, False])
+def test_cached_matches_equal_the_surface_code_comparison(vocab, knowledge):
+    """Each item's cached (step, token) coordinates are the True entries of
+    the comparison's rows for it, which is False at every padded step and
+    token; the EOS target matches only a literal sentinel token, and OOV
+    words match by surface, not by id. Without knowledge, the loss of items
+    with facts is that of items without them, bit for bit."""
+    batch = surface_batch(vocab)
+    old = surface_code_masks(batch, knowledge)
+    for part, mask in enumerate(old if knowledge else old[:2]):
+        for b, item in enumerate(batch):
+            steps, tokens = item.matches[part]
+            assert mask[steps, b, tokens].all()
+            mask[steps, b, tokens] = False
+        assert not mask.any()
+    # quokka, zebra and . at steps 0-2; nothing at the EOS step
+    assert [c.tolist() for c in batch[0].matches[1]] == [[0, 1, 2], [4, 1, 7]]
+    assert [c.tolist() for c in batch[1].matches[0]] == [[1], [2]]  # <eos> at the last step
+    assert 4 not in batch[3].matches[0][0]
+
+    model = make_model(vocab, seed=4)
+    losses = []
+    for items in (batch, [TrainItem(item.example) for item in batch]):
+        loss, diag = training.batch_elbo_loss(model, items, 0.7, np.random.default_rng(2),
+                                              knowledge_enabled=knowledge)
+        losses.append((float(loss.data), diag.step_log_likelihoods.tobytes()))
+    assert (losses[0] == losses[1]) is not knowledge
+
+
+def test_a_used_train_item_is_frozen(vocab):
+    item = TrainItem(toy_example(vocab), toy_facts())
+    training.batch_elbo_loss(make_model(vocab), [item], 0.7, np.random.default_rng(0))
+    for name, value in (("facts", []), ("example", toy_example(vocab, "safe"))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(item, name, value)
 
 
 @pytest.mark.parametrize("answer", ["safe", "the old bridge is safe and strong ."])
